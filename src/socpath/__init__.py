@@ -7,8 +7,8 @@ from .cones import (ConeSpec, ScalingMatrix, apply_scaling, arrow_matrix,
                     t_scaling_matrix, u_p_matrices, unit_element, w_vector)
 from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
                      InvalidParams, InvalidPoint, MaxIterationsExceeded,
-                     NotInterior, ParseError, SingularSystem, SocpathError,
-                     StartOutsideNeighborhood)
+                     NonFiniteData, NotInterior, ParseError, SingularSystem,
+                     SocpathError, StartOutsideNeighborhood)
 from .geometry import (Classification, HatPoint, HsdPoint, NeighborhoodParams,
                        classify_status, d2, dinf, hat_pack, hat_unpack,
                        in_neighborhood, mu)
@@ -20,8 +20,9 @@ from .problem import (Residuals, SocpProblem, ValidationReport,
 from .solver import (SolveResult, SolveTrace, SolverParams, TraceRow,
                      centering_nu, predicted_iterations, solve,
                      validate_params)
-from .warmstart import (WarmStartDiagnostics, choose_omega, cold_start,
-                        diagnostics, warm_start_point)
+from .warmstart import (WarmStart, WarmStartDiagnostics, choose_omega,
+                        cold_start, diagnostics, warm_start,
+                        warm_start_point)
 
 __version__ = "0.1.0"
 
@@ -31,9 +32,9 @@ __all__ = [
     "r_matrix", "spectral_bounds", "t_scaling_matrix", "u_p_matrices",
     "unit_element", "w_vector",
     "ConeSpecMismatch", "DimensionMismatch", "EmptyAdmissibleSet",
-    "InvalidParams", "InvalidPoint", "MaxIterationsExceeded", "NotInterior",
-    "ParseError", "SingularSystem", "SocpathError",
-    "StartOutsideNeighborhood",
+    "InvalidParams", "InvalidPoint", "MaxIterationsExceeded",
+    "NonFiniteData", "NotInterior", "ParseError", "SingularSystem",
+    "SocpathError", "StartOutsideNeighborhood",
     "Classification", "HatPoint", "HsdPoint", "NeighborhoodParams",
     "classify_status", "d2", "dinf", "hat_pack", "hat_unpack",
     "in_neighborhood", "mu",
@@ -43,6 +44,6 @@ __all__ = [
     "embed_residual_constants", "validate_problem",
     "SolveResult", "SolveTrace", "SolverParams", "TraceRow", "centering_nu",
     "predicted_iterations", "solve", "validate_params",
-    "WarmStartDiagnostics", "choose_omega", "cold_start", "diagnostics",
-    "warm_start_point",
+    "WarmStart", "WarmStartDiagnostics", "choose_omega", "cold_start",
+    "diagnostics", "warm_start", "warm_start_point",
 ]

@@ -15,18 +15,15 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .cones import ConeSpec, membership
-from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
-                     InvalidParams, InvalidPoint, MaxIterationsExceeded,
-                     NotInterior, ParseError, SingularSystem,
-                     StartOutsideNeighborhood)
-from .fileio import (parse_point, parse_problem, write_problem,
-                     write_solution, write_trace)
+from .cones import membership
+from .errors import (ConeSpecMismatch, DimensionMismatch, InvalidParams,
+                     InvalidPoint, MaxIterationsExceeded, NotInterior,
+                     ParseError, SingularSystem, StartOutsideNeighborhood)
+from .fileio import parse_point, parse_problem, write_solution, write_trace
 from .geometry import NeighborhoodParams, d2, dinf, in_neighborhood, mu
 from .problem import SocpProblem, compute_residuals
-from .solver import SolverParams, SolveResult, solve
-from .warmstart import (choose_omega, cold_start, diagnostics,
-                        warm_start_point)
+from .solver import SolverParams, predicted_iterations, solve
+from .warmstart import cold_start, warm_start
 
 NUMERICAL_ERRORS = (SingularSystem, MaxIterationsExceeded,
                     StartOutsideNeighborhood, NotInterior)
@@ -89,6 +86,10 @@ def diagnostics_document(diag) -> Dict:
     }
 
 
+def _omega_policy(flag: str) -> Union[str, float]:
+    return "max-admissible" if flag == "auto" else float(flag)
+
+
 def cmd_warmstart(args) -> int:
     prev_problem = _load_problem(args.prev_problem)
     new_problem = _load_problem(args.problem)
@@ -97,52 +98,33 @@ def cmd_warmstart(args) -> int:
         raise InvalidPoint("previous solution must have tau > 0")
     prev = (sol.x / sol.tau, sol.y / sol.tau, sol.s / sol.tau)
     params = _solver_params(args, args.stop_mode)
-    spec = new_problem.cones
-    diag = diagnostics(prev_problem, new_problem, prev, gamma=args.gamma,
-                       omega_eval=1.0, delta=args.delta)
-    fallback: Optional[str] = None
-    omega = 0.0
-    if args.omega == "auto":
-        try:
-            omega = choose_omega(diag)
-        except EmptyAdmissibleSet:
-            fallback = "empty admissible set"
-    else:
-        # a literal flag is a direct override, not run through the
-        # clamping policy, so omega=0 can reproduce the cold run
-        omega = float(args.omega)
-        if not 0.0 <= omega <= 1.0:
-            raise ValueError("omega must lie in [0,1] or be 'auto'")
-    region = NeighborhoodParams(args.gamma, "2")
-    start = None
-    if fallback is None:
-        start = warm_start_point(prev, omega, spec, p=new_problem.p)
-        if not in_neighborhood(start, spec, region):
-            fallback = "outside neighborhood"
-    if fallback is not None:
-        omega = 0.0
-        start = cold_start(spec, p=new_problem.p)
-    cold_result = solve(new_problem, cold_start(spec, p=new_problem.p), params)
-    warm_result = cold_result if omega == 0.0 \
-        else solve(new_problem, start, params)
-    Path(args.output).write_text(
-        write_solution(new_problem, warm_result, params))
-    diag_at = diag.at_omega(omega) if omega > 0.0 else diag
+    ws = warm_start(prev_problem, new_problem, prev, args.gamma, args.delta,
+                    _omega_policy(args.omega))
+    warm = solve(new_problem, ws.start, params)
+    Path(args.output).write_text(write_solution(new_problem, warm, params))
+    # the cold count: the warm solve itself at omega 0, a measured solve
+    # for the report, else the closed form that a cold solve meets exactly
+    cold = warm.iterations
+    if ws.omega > 0.0:
+        start = cold_start(new_problem.cones, p=new_problem.p)
+        cold = solve(new_problem, start, params).iterations if args.report \
+            else predicted_iterations(start, new_problem, params)
     if args.report:
+        diag = ws.diagnostics.at_omega(ws.omega) if ws.omega > 0.0 \
+            else ws.diagnostics
         report = {
-            "omega": omega,
-            "fallback": fallback,
-            "cold_iterations": cold_result.iterations,
-            "warm_iterations": warm_result.iterations,
-            "measured_saving": cold_result.iterations - warm_result.iterations,
-            "predicted_saving": diag_at.predicted_saving if omega > 0.0 else 0,
-            "status": warm_result.status.status,
-            "diagnostics": diagnostics_document(diag_at),
+            "omega": ws.omega,
+            "fallback": ws.fallback,
+            "cold_iterations": cold,
+            "warm_iterations": warm.iterations,
+            "measured_saving": cold - warm.iterations,
+            "predicted_saving": diag.predicted_saving if ws.omega > 0.0 else 0,
+            "status": warm.status.status,
+            "diagnostics": diagnostics_document(diag),
         }
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
-    sys.stdout.write(
-        f"status={warm_result.status.status} omega={omega:.4f} "
-        f"cold={cold_result.iterations} warm={warm_result.iterations}\n")
+    sys.stdout.write(f"status={warm.status.status} omega={ws.omega:.4f} "
+                     f"cold={cold} warm={warm.iterations}\n")
     return 0
 
 
@@ -227,7 +209,6 @@ def run_bench(base: SocpProblem, steps: int, perturb_a: float,
     rng = np.random.default_rng(seed)
     params = SolverParams(gamma=gamma, delta=delta, epsilon=epsilon,
                           stop_mode="unified", trace_enabled=False)
-    region = NeighborhoodParams(gamma, "2")
     prev_problem = base
     prev_result = solve(base, cold_start(base.cones, p=base.p), params)
     baseline_iterations = prev_result.iterations
@@ -253,31 +234,19 @@ def run_bench(base: SocpProblem, steps: int, perturb_a: float,
             row["fallback"] = "previous solve not optimal"
         else:
             prev = (z.x / z.tau, z.y / z.tau, z.s / z.tau)
-            diag = diagnostics(prev_problem, new_problem, prev, gamma=gamma,
-                               omega_eval=1.0, delta=delta)
-            if isinstance(omega_policy, (int, float)):
-                omega: Optional[float] = float(omega_policy)
-            else:
-                try:
-                    omega = choose_omega(diag, policy=omega_policy)
-                except EmptyAdmissibleSet:
-                    omega = None
-                    row["fallback"] = "empty admissible set"
-            if omega is not None:
-                start = warm_start_point(prev, omega, new_problem.cones,
-                                         p=new_problem.p)
-                if not in_neighborhood(start, new_problem.cones, region):
-                    row["fallback"] = "outside neighborhood"
-                else:
-                    warm_result = cold_result if omega == 0.0 \
-                        else solve(new_problem, start, params)
-                    diag_at = diag.at_omega(omega)
-                    row["omega"] = omega
-                    row["c_w"] = _finite_or_none(diag_at.c_w)
-                    row["predicted_saving"] = diag_at.predicted_saving
-                    row["warm_iterations"] = warm_result.iterations
-                    row["measured_saving"] = (cold_result.iterations
-                                              - warm_result.iterations)
+            ws = warm_start(prev_problem, new_problem, prev, gamma, delta,
+                            omega_policy)
+            row["fallback"] = ws.fallback
+            if ws.fallback is None:
+                warm_result = cold_result if ws.omega == 0.0 \
+                    else solve(new_problem, ws.start, params)
+                diag_at = ws.diagnostics.at_omega(ws.omega)
+                row["omega"] = ws.omega
+                row["c_w"] = _finite_or_none(diag_at.c_w)
+                row["predicted_saving"] = diag_at.predicted_saving
+                row["warm_iterations"] = warm_result.iterations
+                row["measured_saving"] = (cold_result.iterations
+                                          - warm_result.iterations)
         rows.append(row)
         prev_problem, prev_result = new_problem, cold_result
     return {
@@ -297,15 +266,10 @@ def run_bench(base: SocpProblem, steps: int, perturb_a: float,
 
 def cmd_bench(args) -> int:
     base = _load_problem(args.base_problem)
-    policy: Union[str, float]
-    if args.omega == "auto":
-        policy = "max-admissible"
-    else:
-        policy = float(args.omega)
     report = run_bench(base, args.steps, args.perturb_a, args.perturb_b,
                        args.perturb_c, args.seed, gamma=args.gamma,
                        delta=args.delta, epsilon=args.epsilon,
-                       omega_policy=policy)
+                       omega_policy=_omega_policy(args.omega))
     Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
     header = (f"{'step':>4} {'cold':>6} {'warm':>6} {'omega':>8} "
               f"{'c_w':>10} {'pred':>5} {'meas':>5} fallback")

@@ -69,10 +69,6 @@ class ConeSpec:
         """(offset, dim) per block, in variable order."""
         return self._blocks
 
-    def block_views(self, v: np.ndarray) -> List[np.ndarray]:
-        v = check_vector(v, self)
-        return [v[o:o + d] for o, d in self._blocks]
-
     def hat(self) -> "ConeSpec":
         """Spec with one extra trailing 1-dimensional block (for tau/kappa)."""
         return ConeSpec(self.l, self.soc_dims + (1,))

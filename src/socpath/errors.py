@@ -13,6 +13,10 @@ class NotInterior(SocpathError, ValueError):
     """A point that must lie strictly inside the cone does not."""
 
 
+class NonFiniteData(SocpathError, ValueError):
+    """Problem data contain NaN or inf."""
+
+
 class InvalidParams(SocpathError, ValueError):
     """Solver parameters violate an admissibility condition."""
 

@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cones import ConeSpec, check_vector
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteData
 
 
 @dataclass
@@ -17,6 +17,7 @@ class SocpProblem:
 
     Construction only normalizes array types; structural checks are
     reported by validate_problem and enforced at operation boundaries.
+    `validation` holds the report when the problem was parsed from a file.
     """
 
     A: np.ndarray
@@ -24,6 +25,8 @@ class SocpProblem:
     c: np.ndarray
     cones: ConeSpec
     name: str = ""
+    validation: Optional[ValidationReport] = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -51,6 +54,11 @@ class SocpProblem:
             raise DimensionMismatch(
                 f"c has length {self.c.shape[0]}, expected {self.n}")
 
+    def check_finite(self) -> None:
+        for name in ("A", "b", "c"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise NonFiniteData(f"{name} contains NaN or inf")
+
 
 @dataclass
 class ValidationReport:
@@ -59,9 +67,6 @@ class ValidationReport:
     sigma_max: Optional[float] = None
     sigma_min: Optional[float] = None
     rank_estimate: Optional[int] = None
-
-    def messages(self) -> List[str]:
-        return [f"{kind}: {msg}" for kind, msg in self.findings]
 
 
 def validate_problem(problem: SocpProblem) -> ValidationReport:

@@ -112,12 +112,6 @@ def validate_params(gamma: float, delta: float, k: int) -> Tuple[bool, float]:
     return coeff < gamma, gamma - coeff
 
 
-def centrality_coefficient(gamma: float, delta: float, k: int) -> float:
-    """The post-step coefficient checked by validate_params."""
-    ok, margin = validate_params(gamma, delta, k)
-    return gamma - margin
-
-
 def predicted_iterations(start: HsdPoint, problem: SocpProblem,
                          params: SolverParams,
                          eps_mode: Optional[str] = None) -> int:
@@ -154,6 +148,7 @@ def solve(problem: SocpProblem, start: HsdPoint,
           params: SolverParams) -> SolveResult:
     """Run the fixed-step loop from `start` until the stop criterion holds."""
     problem.check_shapes()
+    problem.check_finite()
     spec = problem.cones
     k = spec.k
     ok, margin = validate_params(params.gamma, params.delta, k)

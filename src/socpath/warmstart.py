@@ -18,7 +18,7 @@ import numpy as np
 from .cones import ConeSpec, check_vector, membership, unit_element, w_vector
 from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
                      NotInterior)
-from .geometry import HsdPoint
+from .geometry import HsdPoint, NeighborhoodParams, in_neighborhood
 from .problem import SocpProblem
 from .solver import centering_nu
 
@@ -302,3 +302,36 @@ def choose_omega(diag: WarmStartDiagnostics,
         raise EmptyAdmissibleSet(
             "gamma does not exceed the previous solution's centrality")
     return min(1.0, max(diag.omega_min, omega))
+
+
+@dataclass
+class WarmStart:
+    """A blend for the new instance, or the cold start at omega 0 with the
+    `fallback` reason.  `diagnostics` are evaluated at omega_eval=1."""
+
+    start: HsdPoint
+    omega: float
+    fallback: Optional[str]
+    diagnostics: WarmStartDiagnostics
+
+
+def warm_start(prev_p: SocpProblem, new_p: SocpProblem, prev, gamma: float,
+               delta: float = 0.03,
+               omega: Union[str, float] = "max-admissible") -> WarmStart:
+    """Choose omega (a choose_omega policy, or a weight in [0,1] used as
+    given) and blend; fall back to the cold start when no weight is
+    admissible or the blend lies outside N_2(gamma)."""
+    diag = diagnostics(prev_p, new_p, prev, gamma=gamma, delta=delta)
+    spec, p = new_p.cones, new_p.p
+    fallback = None
+    if isinstance(omega, str):
+        try:
+            omega = choose_omega(diag, policy=omega)
+        except EmptyAdmissibleSet:
+            fallback = "empty admissible set"
+    if fallback is None:
+        start = warm_start_point(prev, omega, spec, p=p)
+        if in_neighborhood(start, spec, NeighborhoodParams(gamma, "2")):
+            return WarmStart(start, float(omega), None, diag)
+        fallback = "outside neighborhood"
+    return WarmStart(cold_start(spec, p=p), 0.0, fallback, diag)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import socpath as sp
+import socpath.cli
 from socpath import SocpProblem
 from socpath.cli import main, perturb_problem, run_bench
 from socpath.fileio import TRACE_COLUMNS, parse_point, write_problem
 
-from util import mixed_spec, random_problem, toy_lp
+from util import mixed_spec, random_problem, soc_fixture, toy_lp
 
 
 @pytest.fixture
@@ -214,6 +215,55 @@ class TestWarmstartCommand:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ValueError"
 
+    def _warmstart_argv(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        base_file, sol_file, new_file = _drift_files(tmp_path, rng,
+                                                     size=1e-3)
+        return ["warmstart", "--prev-problem", base_file,
+                "--prev-solution", sol_file, "--problem", new_file,
+                "--epsilon", "1e-2", "--output", tmp_path / "warm.json"]
+
+    def test_cold_count_without_cold_solve(self, run, tmp_path, capsys,
+                                           monkeypatch):
+        argv = self._warmstart_argv(tmp_path, 623)
+        capsys.readouterr()
+        calls = []
+        solve = socpath.cli.solve
+
+        def counting_solve(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(socpath.cli, "solve", counting_solve)
+        code, out, _ = run(*argv)
+        assert code == 0 and len(calls) == 1
+        kv = dict(item.split("=") for item in out.split())
+        assert float(kv["omega"]) > 0.0
+        report_file = tmp_path / "report.json"
+        code, _, _ = run(*argv, "--report", report_file)
+        assert code == 0 and len(calls) == 3
+        report = json.loads(report_file.read_text())
+        assert int(kv["cold"]) == report["cold_iterations"]
+        assert int(kv["warm"]) == report["warm_iterations"]
+
+    def test_max_iter_caps_only_the_solves_run(self, run, tmp_path, capsys):
+        argv = self._warmstart_argv(tmp_path, 623)
+        capsys.readouterr()
+        code, out, _ = run(*argv)
+        kv = dict(item.split("=") for item in out.split())
+        warm, cold = int(kv["warm"]), int(kv["cold"])
+        assert code == 0 and warm + 1 < cold
+        cap = (warm + cold) // 2
+        code, out, _ = run(*argv, "--max-iter", cap)
+        assert code == 0
+        assert out == f"status=optimal omega={kv['omega']} cold={cold} " \
+                      f"warm={warm}\n"
+        # a measured saving solves cold, under the same cap
+        code, _, err = run(*argv, "--max-iter", cap,
+                           "--report", tmp_path / "report.json")
+        assert code == 3
+        assert json.loads(err)["error"]["type"] == "MaxIterationsExceeded"
+
     def test_boundary_prev_exits_3(self, run, toy_file, tmp_path):
         sol_file = tmp_path / "prev.json"
         sol_file.write_text(json.dumps({
@@ -289,6 +339,32 @@ class TestBenchCommand:
                              "--report", path)
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_omega_out_of_range_exits_2(self, run, toy_file, tmp_path):
+        code, _, err = run("bench", "--base-problem", toy_file,
+                           "--steps", "1", "--perturb-a", "1e-6",
+                           "--epsilon", "1e-2", "--omega", "1.5",
+                           "--report", tmp_path / "bench.json")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
+    def test_fixed_omega_below_omega_min_used_as_given(self):
+        base, seed, size, omega = soc_fixture(), 7, 1e-6, 0.5
+        params = sp.SolverParams(epsilon=1e-2, stop_mode="unified",
+                                 trace_enabled=False)
+        z = sp.solve(base, sp.cold_start(base.cones, p=base.p), params).point
+        step1 = perturb_problem(base, size, size, size,
+                                np.random.default_rng(seed))
+        diag = sp.diagnostics(base, step1, (z.x / z.tau, z.y / z.tau,
+                                            z.s / z.tau), gamma=0.08)
+        assert omega < diag.omega_min
+        report = run_bench(base, steps=2, perturb_a=size, perturb_b=size,
+                           perturb_c=size, seed=seed, epsilon=1e-2,
+                           omega_policy=omega)
+        assert report["rows"][0]["omega"] == omega
+        for row in report["rows"]:
+            assert row["omega"] == omega \
+                or row["fallback"] == "outside neighborhood"
 
     def test_omega_zero_policy_matches_cold(self, toy_file):
         base = toy_lp()

@@ -8,6 +8,8 @@ from socpath import (
     HsdPoint,
     InvalidParams,
     MaxIterationsExceeded,
+    NonFiniteData,
+    SocpathError,
     SolverParams,
     StartOutsideNeighborhood,
 )
@@ -148,6 +150,17 @@ def test_start_outside_neighborhood_rejected():
     )
     with pytest.raises(StartOutsideNeighborhood):
         sp.solve(prob, off, SolverParams(epsilon=1e-2))
+
+
+@pytest.mark.parametrize("field", ["A", "b", "c"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_data_rejected(field, value):
+    prob = toy_lp()
+    getattr(prob, field).flat[0] = value
+    with pytest.raises(NonFiniteData, match=f"^{field} ") as info:
+        sp.solve(prob, cold_point(prob), SolverParams(epsilon=1e-2))
+    assert isinstance(info.value, SocpathError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_max_iterations_cap():
