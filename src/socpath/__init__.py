@@ -9,9 +9,8 @@ from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
                      InvalidParams, InvalidPoint, MaxIterationsExceeded,
                      NonFiniteData, NotInterior, ParseError, SingularSystem,
                      SocpathError, StartOutsideNeighborhood)
-from .geometry import (Classification, HatPoint, HsdPoint, NeighborhoodParams,
-                       classify_status, d2, dinf, hat_pack, hat_unpack,
-                       in_neighborhood, mu)
+from .geometry import (Classification, HsdPoint, NeighborhoodParams,
+                       classify_status, d2, dinf, in_neighborhood, mu)
 from .kkt import (KktSystem, NewtonDirection, assemble,
                   scaled_increment_diagnostics, solve_direction, step_point)
 from .problem import (Residuals, SocpProblem, ValidationReport,
@@ -35,9 +34,8 @@ __all__ = [
     "InvalidParams", "InvalidPoint", "MaxIterationsExceeded",
     "NonFiniteData", "NotInterior", "ParseError", "SingularSystem",
     "SocpathError", "StartOutsideNeighborhood",
-    "Classification", "HatPoint", "HsdPoint", "NeighborhoodParams",
-    "classify_status", "d2", "dinf", "hat_pack", "hat_unpack",
-    "in_neighborhood", "mu",
+    "Classification", "HsdPoint", "NeighborhoodParams",
+    "classify_status", "d2", "dinf", "in_neighborhood", "mu",
     "KktSystem", "NewtonDirection", "assemble",
     "scaled_increment_diagnostics", "solve_direction", "step_point",
     "Residuals", "SocpProblem", "ValidationReport", "compute_residuals",

@@ -23,7 +23,7 @@ from .fileio import parse_point, parse_problem, write_solution, write_trace
 from .geometry import NeighborhoodParams, d2, dinf, in_neighborhood, mu
 from .problem import SocpProblem, compute_residuals
 from .solver import SolverParams, predicted_iterations, solve
-from .warmstart import cold_start, warm_start
+from .warmstart import check_omega, cold_start, warm_start
 
 NUMERICAL_ERRORS = (SingularSystem, MaxIterationsExceeded,
                     StartOutsideNeighborhood, NotInterior)
@@ -204,8 +204,10 @@ def run_bench(base: SocpProblem, steps: int, perturb_a: float,
     Each step perturbs the previous instance within the given bounds,
     solves it cold under the unified stop at `epsilon`, and warm-starts
     from the previous instance's cold solution when diagnostics admit
-    an omega.  Fully deterministic for a given seed.
+    an omega.  Fully deterministic for a given seed.  A fixed omega
+    outside [0,1] raises ValueError before any solve.
     """
+    check_omega(omega_policy)
     rng = np.random.default_rng(seed)
     params = SolverParams(gamma=gamma, delta=delta, epsilon=epsilon,
                           stop_mode="unified", trace_enabled=False)

@@ -152,6 +152,20 @@ def _require_interior(v: np.ndarray, spec: ConeSpec, what: str) -> None:
         raise NotInterior(f"{what} must lie strictly inside the cone")
 
 
+def _t_block(vb: np.ndarray) -> np.ndarray:
+    """Dense T_v of one interior SOC block (d >= 2)."""
+    beta = _block_beta(vb)
+    tail = vb[1:]
+    T = np.empty((vb.shape[0], vb.shape[0]))
+    T[0, 0] = vb[0]
+    T[0, 1:] = tail
+    T[1:, 0] = tail
+    B = np.outer(tail, tail) / (beta + vb[0])
+    B[np.diag_indices_from(B)] += beta
+    T[1:, 1:] = B
+    return T
+
+
 def t_scaling_matrix(v, spec: ConeSpec) -> np.ndarray:
     """Dense symmetric PD square root of the quadratic representation of v."""
     v = check_vector(v, spec)
@@ -160,16 +174,8 @@ def t_scaling_matrix(v, spec: ConeSpec) -> np.ndarray:
     for o, d in spec.blocks:
         if d == 1:
             M[o, o] = v[o]
-            continue
-        vb = v[o:o + d]
-        beta = _block_beta(vb)
-        tail = vb[1:]
-        M[o, o] = vb[0]
-        M[o, o + 1:o + d] = tail
-        M[o + 1:o + d, o] = tail
-        B = np.outer(tail, tail) / (beta + vb[0])
-        B[np.diag_indices_from(B)] += beta
-        M[o + 1:o + d, o + 1:o + d] = B
+        else:
+            M[o:o + d, o:o + d] = _t_block(v[o:o + d])
     return M
 
 
@@ -368,16 +374,7 @@ def nt_scaling(x, s, spec: ConeSpec) -> ScalingMatrix:
         w[1:] -= st[1:]
         w /= 2.0 * gam
         eta = math.sqrt(bx / bs)
-        # dense T_w for a det-one block
-        beta_w = _block_beta(w)
-        tail = w[1:]
-        Tw = np.empty((d, d))
-        Tw[0, 0] = w[0]
-        Tw[0, 1:] = tail
-        Tw[1:, 0] = tail
-        B = np.outer(tail, tail) / (beta_w + w[0])
-        B[np.diag_indices_from(B)] += beta_w
-        Tw[1:, 1:] = B
+        Tw = _t_block(w)
         G = Tw.copy()
         G[0, 1:] *= -1.0
         G[1:, 0] *= -1.0

@@ -10,19 +10,22 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from .cones import ConeSpec
 from .errors import ParseError
-from .geometry import HsdPoint
-from .problem import SocpProblem, validate_problem
-from .solver import SolverParams, SolveResult, SolveTrace
+from .geometry import HsdPoint, mu
+from .problem import SocpProblem, compute_residuals, validate_problem
+from .solver import SolverParams, SolveResult, SolveTrace, TraceRow
 
 TRACE_COLUMNS = ("iter", "mu", "d2", "dinf", "rp_norm", "rd_norm", "rg_abs",
                  "tau", "kappa", "lambda_min_x", "lambda_min_s",
                  "orth_defect", "kkt_residual")
+# TraceRow fields after `iteration`, in column order
+_TRACE_VALUES = tuple(f.name for f in fields(TraceRow))[1:]
 
 STATUS_NAMES = ("optimal", "primal_infeasible", "dual_infeasible", "ill_posed")
 
@@ -166,8 +169,6 @@ def solution_document(problem: SocpProblem, result: SolveResult,
     status = result.status.status
     if status not in STATUS_NAMES:
         raise ValueError(f"unexpected status {status!r}")
-    from .geometry import mu as _mu
-    from .problem import compute_residuals
     res = compute_residuals(problem, z)
     doc: Dict = {
         "status": status,
@@ -179,7 +180,7 @@ def solution_document(problem: SocpProblem, result: SolveResult,
         "objective_primal": None,
         "objective_dual": None,
         "iterations": result.iterations,
-        "mu": _mu(z, problem.cones),
+        "mu": mu(z, problem.cones),
         "rp_norm": res.rp_norm,
         "rd_norm": res.rd_norm,
         "params": {
@@ -206,9 +207,6 @@ def write_trace(trace: Optional[SolveTrace]) -> str:
     lines = [",".join(TRACE_COLUMNS)]
     if trace is not None:
         for r in trace.rows:
-            vals = (r.mu, r.d2, r.dinf, r.rp_norm, r.rd_norm, r.rg_abs,
-                    r.tau, r.kappa, r.lambda_min_x, r.lambda_min_s,
-                    r.orth_defect, r.kkt_residual)
-            lines.append(str(r.iteration) + ","
-                         + ",".join(format(v, ".17g") for v in vals))
+            lines.append(str(r.iteration) + "," + ",".join(
+                format(getattr(r, name), ".17g") for name in _TRACE_VALUES))
     return "\n".join(lines) + "\n"

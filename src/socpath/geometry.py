@@ -39,20 +39,6 @@ class HsdPoint:
                         self.kappa, self.tau)
 
 
-@dataclass
-class HatPoint:
-    """Embedding variables with tau appended to x and kappa to s.
-
-    `spec` is the hat cone: the original spec plus one trailing
-    1-dimensional block.
-    """
-
-    x_hat: np.ndarray
-    y: np.ndarray
-    s_hat: np.ndarray
-    spec: ConeSpec
-
-
 @dataclass(frozen=True)
 class NeighborhoodParams:
     gamma: float
@@ -130,15 +116,3 @@ def classify_status(z: HsdPoint, problem: SocpProblem,
     if problem.c @ z.x < 0.0:
         return Classification("dual_infeasible", x=z.x.copy())
     return Classification("ill_posed")
-
-
-def hat_pack(z: HsdPoint, spec: ConeSpec) -> HatPoint:
-    x_hat = np.r_[check_vector(z.x, spec), z.tau]
-    s_hat = np.r_[check_vector(z.s, spec), z.kappa]
-    return HatPoint(x_hat, np.asarray(z.y, dtype=float).copy(), s_hat, spec.hat())
-
-
-def hat_unpack(hp: HatPoint) -> HsdPoint:
-    n = hp.spec.n - 1
-    return HsdPoint(hp.x_hat[:n], hp.y, hp.s_hat[:n],
-                    kappa=hp.s_hat[n], tau=hp.x_hat[n])

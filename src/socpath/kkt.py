@@ -1,6 +1,6 @@
 """Assembly and solution of the scaled Newton system on the embedding.
 
-Internally everything is in hat variables: tau joins x as one extra
+`assemble` works in hat variables: tau joins x as one extra
 1-dimensional block and kappa joins s, so the system has order
 2(n+1) + p and three row groups
 
@@ -9,8 +9,8 @@ Internally everything is in hat variables: tau joins x as one extra
     Sb Dh^{-T} dxh + Xb Dh dsh   = nu mu e_hat - xb o sb
 
 with A_hat = [A, -b], C_hat skew from c, xb = Dh^{-T}xh, sb = Dh sh,
-and Dh = blkdiag(D, 1).  The public direction speaks the 5-variable
-form (dx, dy, ds, dkappa, dtau).
+and Dh = blkdiag(D, 1).  `solve_direction` factors it densely and
+returns the 5-variable form (dx, dy, ds, dkappa, dtau).
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lu_factor, lu_solve
 
-from .cones import (ConeSpec, ScalingMatrix, arrow_matrix, jordan_product,
-                    t_apply, t_inverse_apply, unit_element)
+from .cones import (ConeSpec, ScalingMatrix, arrow_matrix, check_vector,
+                    jordan_product, t_apply, t_inverse_apply, unit_element)
 from .errors import DimensionMismatch, SingularSystem
-from .geometry import HsdPoint, hat_pack
+from .geometry import HsdPoint
 from .problem import SocpProblem
 
 
@@ -48,62 +48,6 @@ class KktSystem:
     row_blocks: Dict[str, slice]
     n: int
     p: int
-    spec: ConeSpec
-    mu: float
-    nu: float
-
-
-def hat_operators(problem: SocpProblem) -> Tuple[np.ndarray, np.ndarray]:
-    """A_hat = [A, -b] and the skew C_hat pairing (x, tau) with (c'x)."""
-    problem.check_shapes()
-    n, p = problem.n, problem.p
-    A_hat = np.hstack([problem.A, -problem.b[:, None]])
-    C_hat = np.zeros((n + 1, n + 1))
-    C_hat[:n, n] = -problem.c
-    C_hat[n, :n] = problem.c
-    return A_hat, C_hat
-
-
-def _hat_dense(D: ScalingMatrix) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense (Dh, Dh^{-1}) with the extra diagonal entry fixed at 1."""
-    n = D.spec.n
-    Dh = np.zeros((n + 1, n + 1))
-    Dh[:n, :n] = D.matrix()
-    Dh[n, n] = 1.0
-    Dh_inv = np.zeros((n + 1, n + 1))
-    Dh_inv[:n, :n] = D.inverse_matrix()
-    Dh_inv[n, n] = 1.0
-    return Dh, Dh_inv
-
-
-def assemble_hat(A_hat, C_hat, x_hat, y, s_hat, hat_spec: ConeSpec,
-                 Dh, Dh_inv, nu: float, mu: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Raw hat-form assembly; callers supply all operators explicitly."""
-    m = hat_spec.n
-    p = A_hat.shape[0]
-    xb = Dh_inv.T @ x_hat
-    sb = Dh @ s_hat
-    Xb = arrow_matrix(xb, hat_spec)
-    Sb = arrow_matrix(sb, hat_spec)
-    N = 2 * m + p
-    M = np.zeros((N, N))
-    rhs = np.empty(N)
-    r1 = slice(0, p)
-    r2 = slice(p, p + m)
-    r3 = slice(p + m, N)
-    cx = slice(0, m)
-    cy = slice(m, m + p)
-    cs = slice(m + p, N)
-    M[r1, cx] = A_hat
-    M[r2, cx] = C_hat
-    M[r2, cy] = A_hat.T
-    M[r2, cs] = np.eye(m)
-    M[r3, cx] = Sb @ Dh_inv.T
-    M[r3, cs] = Xb @ Dh
-    rhs[r1] = -(1.0 - nu) * (A_hat @ x_hat)
-    rhs[r2] = -(1.0 - nu) * (A_hat.T @ y + C_hat @ x_hat + s_hat)
-    rhs[r3] = nu * mu * unit_element(hat_spec) - jordan_product(xb, sb, hat_spec)
-    return M, rhs
 
 
 def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
@@ -111,19 +55,47 @@ def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
     """Build the order-(2n+p+2) system for the current iterate."""
     if D.spec.n != problem.cones.n:
         raise DimensionMismatch("scaling and problem cones disagree")
-    A_hat, C_hat = hat_operators(problem)
-    hp = hat_pack(z, problem.cones)
-    Dh, Dh_inv = _hat_dense(D)
-    M, rhs = assemble_hat(A_hat, C_hat, hp.x_hat, hp.y, hp.s_hat,
-                          hp.spec, Dh, Dh_inv, nu, mu)
+    problem.check_shapes()
+    spec = problem.cones
+    hat_spec = spec.hat()
     n, p = problem.n, problem.p
     m = n + 1
+    N = 2 * m + p
+    x_hat = np.r_[check_vector(z.x, spec), z.tau]
+    s_hat = np.r_[check_vector(z.s, spec), z.kappa]
+    A_hat = np.hstack([problem.A, -problem.b[:, None]])
+    C_hat = np.zeros((m, m))
+    C_hat[:n, n] = -problem.c
+    C_hat[n, :n] = problem.c
+    Dh = np.zeros((m, m))
+    Dh[:n, :n] = D.matrix()
+    Dh[n, n] = 1.0
+    Dh_inv = np.zeros((m, m))
+    Dh_inv[:n, :n] = D.inverse_matrix()
+    Dh_inv[n, n] = 1.0
+    xb = Dh_inv.T @ x_hat
+    sb = Dh @ s_hat
+    Xb = arrow_matrix(xb, hat_spec)
+    Sb = arrow_matrix(sb, hat_spec)
     row_blocks = {
         "primal": slice(0, p),
         "dual": slice(p, p + m),
-        "complementarity": slice(p + m, 2 * m + p),
+        "complementarity": slice(p + m, N),
     }
-    return KktSystem(M, rhs, row_blocks, n, p, problem.cones, mu, nu)
+    r1, r2, r3 = row_blocks.values()
+    cx, cy, cs = slice(0, m), slice(m, m + p), slice(m + p, N)
+    M = np.zeros((N, N))
+    rhs = np.empty(N)
+    M[r1, cx] = A_hat
+    M[r2, cx] = C_hat
+    M[r2, cy] = A_hat.T
+    M[r2, cs] = np.eye(m)
+    M[r3, cx] = Sb @ Dh_inv.T
+    M[r3, cs] = Xb @ Dh
+    rhs[r1] = -(1.0 - nu) * (A_hat @ x_hat)
+    rhs[r2] = -(1.0 - nu) * (A_hat.T @ z.y + C_hat @ x_hat + s_hat)
+    rhs[r3] = nu * mu * unit_element(hat_spec) - jordan_product(xb, sb, hat_spec)
+    return KktSystem(M, rhs, row_blocks, n, p)
 
 
 def solve_dense(M: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, float]:

@@ -161,43 +161,43 @@ def solve(problem: SocpProblem, start: HsdPoint,
             "start must lie in the 2-norm neighborhood of the central path")
     nu = centering_nu(params.delta, k)
     z = start.copy()
-    m0 = mu(z, spec)
-    res0 = compute_residuals(problem, z)
-    start_norms = (m0, res0.rp_norm, res0.rd_norm)
+    # one evaluation per iterate feeds its stop check and its trace row
+    res = compute_residuals(problem, z)
+    m = mu(z, spec)
+    start_norms = (m, res.rp_norm, res.rd_norm)
     predicted = predicted_iterations(start, problem, params)
     max_iter = params.max_iterations
     if max_iter is None:
         max_iter = 2 * predicted + 100
-    trace = SolveTrace(m0, res0.rp_norm, res0.rd_norm, res0.rg_abs) \
+    trace = SolveTrace(m, res.rp_norm, res.rd_norm, res.rg_abs) \
         if params.trace_enabled else None
     directions = [] if params.collect_directions else None
     identity = ScalingMatrix.identity(spec)
     iters = 0
-    while True:
-        res = compute_residuals(problem, z)
-        m = mu(z, spec)
-        if _stopped(params, res, m, start_norms):
-            break
+    while not _stopped(params, res, m, start_norms):
         if iters >= max_iter:
             raise MaxIterationsExceeded(f"no convergence in {max_iter} steps")
         D = identity if params.scaling == "identity" \
             else nt_scaling(z.x, z.s, spec)
+        # `system` stays referenced until the next one is built: freeing
+        # the dense matrix between steps lets the allocator return its
+        # pages to the OS, and the next assembly faults them in again.
         system = assemble(problem, z, D, nu, m)
         direction = solve_direction(system)
         if directions is not None:
             directions.append((z.copy(), direction, m))
         z = step_point(z, direction, 1.0)
         iters += 1
+        res = compute_residuals(problem, z)
+        m = mu(z, spec)
         if trace is not None:
-            res_new = compute_residuals(problem, z)
-            m_new = mu(z, spec)
             dist2 = d2(z, spec)
-            if dist2 > params.gamma * m_new:
+            if dist2 > params.gamma * m:
                 trace.neighborhood_violations += 1
             trace.rows.append(TraceRow(
-                iteration=iters, mu=m_new, d2=dist2, dinf=dinf(z, spec),
-                rp_norm=res_new.rp_norm, rd_norm=res_new.rd_norm,
-                rg_abs=res_new.rg_abs, tau=z.tau, kappa=z.kappa,
+                iteration=iters, mu=m, d2=dist2, dinf=dinf(z, spec),
+                rp_norm=res.rp_norm, rd_norm=res.rd_norm,
+                rg_abs=res.rg_abs, tau=z.tau, kappa=z.kappa,
                 lambda_min_x=float(spectral_bounds(z.x, spec)[:, 0].min()),
                 lambda_min_s=float(spectral_bounds(z.s, spec)[:, 0].min()),
                 orth_defect=direction.orthogonality_defect,

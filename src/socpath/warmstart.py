@@ -31,6 +31,13 @@ def cold_start(spec: ConeSpec, p: int = 0) -> HsdPoint:
     return HsdPoint(e, np.zeros(p), e.copy(), kappa=1.0, tau=1.0)
 
 
+def check_omega(omega: Union[str, float]) -> None:
+    """A fixed blend weight must lie in [0,1], so NaN and inf fail too;
+    a policy name is left to choose_omega."""
+    if not isinstance(omega, str) and not (0.0 <= omega <= 1.0):
+        raise ValueError("omega must lie in [0,1]")
+
+
 def warm_start_point(prev, omega: float, spec: ConeSpec,
                      p: Optional[int] = None) -> HsdPoint:
     """Blend of the previous pair with the cold start at weight omega.
@@ -44,8 +51,7 @@ def warm_start_point(prev, omega: float, spec: ConeSpec,
     y_o = np.asarray(y_o, dtype=float).ravel()
     if p is not None and y_o.shape != (p,):
         raise DimensionMismatch(f"y_o has length {y_o.shape[0]}, expected {p}")
-    if not (0.0 <= omega <= 1.0):
-        raise ValueError("omega must lie in [0,1]")
+    check_omega(omega)
     if not membership(x_o, spec) or not membership(s_o, spec):
         raise NotInterior("previous pair must lie in the cone")
     if omega == 1.0 and not (membership(x_o, spec, strict=True)
@@ -321,6 +327,7 @@ def warm_start(prev_p: SocpProblem, new_p: SocpProblem, prev, gamma: float,
     """Choose omega (a choose_omega policy, or a weight in [0,1] used as
     given) and blend; fall back to the cold start when no weight is
     admissible or the blend lies outside N_2(gamma)."""
+    check_omega(omega)
     diag = diagnostics(prev_p, new_p, prev, gamma=gamma, delta=delta)
     spec, p = new_p.cones, new_p.p
     fallback = None

@@ -9,7 +9,8 @@ from socpath import SocpProblem
 from socpath.cli import main, perturb_problem, run_bench
 from socpath.fileio import TRACE_COLUMNS, parse_point, write_problem
 
-from util import mixed_spec, random_problem, soc_fixture, toy_lp
+from util import (infeasible_lp, mixed_spec, random_problem, soc_fixture,
+                  toy_lp)
 
 
 @pytest.fixture
@@ -340,13 +341,32 @@ class TestBenchCommand:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_omega_out_of_range_exits_2(self, run, toy_file, tmp_path):
-        code, _, err = run("bench", "--base-problem", toy_file,
-                           "--steps", "1", "--perturb-a", "1e-6",
+    @pytest.mark.parametrize("base", [toy_lp, infeasible_lp])
+    def test_omega_out_of_range_exits_2(self, run, tmp_path, monkeypatch,
+                                        base):
+        base_file = tmp_path / "base.json"
+        base_file.write_text(write_problem(base()))
+        calls = []
+        solve = socpath.cli.solve
+        monkeypatch.setattr(socpath.cli, "solve",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
+        code, _, err = run("bench", "--base-problem", base_file,
+                           "--steps", "2", "--perturb-a", "1e-6",
                            "--epsilon", "1e-2", "--omega", "1.5",
                            "--report", tmp_path / "bench.json")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ValueError"
+        assert calls == []
+        assert not (tmp_path / "bench.json").exists()
+
+    @pytest.mark.parametrize("omega", [1.5, -0.5, float("nan"), float("inf")])
+    def test_run_bench_rejects_omega_before_solving(self, monkeypatch, omega):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking omega")
+        monkeypatch.setattr(socpath.cli, "solve", no_solve)
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            run_bench(toy_lp(), steps=2, perturb_a=1e-6, perturb_b=0.0,
+                      perturb_c=0.0, seed=0, omega_policy=omega)
 
     def test_fixed_omega_below_omega_min_used_as_given(self):
         base, seed, size, omega = soc_fixture(), 7, 1e-6, 0.5

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -34,6 +35,12 @@ def test_trace_columns_fixed():
         "tau", "kappa", "lambda_min_x", "lambda_min_s",
         "orth_defect", "kkt_residual",
     )
+
+
+def test_trace_columns_follow_trace_row_fields():
+    names = [f.name for f in dataclasses.fields(sp.TraceRow)]
+    assert names[0] == "iteration"
+    assert TRACE_COLUMNS[1:] == tuple(names[1:])
 
 
 class TestParseProblem:

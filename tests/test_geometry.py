@@ -115,24 +115,6 @@ def test_non_interior_point_outside_every_neighborhood():
     assert not sp.in_neighborhood(z2, spec, wide)
 
 
-def test_hat_roundtrip_and_mu():
-    rng = np.random.default_rng(251)
-    for _ in range(50):
-        spec = mixed_spec(rng)
-        _, z = _rand_z(rng, spec)
-        hp = sp.hat_pack(z, spec)
-        assert hp.x_hat[-1] == z.tau
-        assert hp.s_hat[-1] == z.kappa
-        assert hp.spec.n == spec.n + 1
-        back = sp.hat_unpack(hp)
-        assert np.array_equal(back.x, z.x)
-        assert np.array_equal(back.s, z.s)
-        assert back.kappa == z.kappa and back.tau == z.tau
-        # hat-level mu agrees: x_hat.s_hat = x.s + tau*kappa over k+1 blocks
-        mu_hat = (hp.x_hat @ hp.s_hat) / hp.spec.k
-        assert abs(mu_hat - sp.mu(z, spec)) <= 1e-14 * mu_hat
-
-
 class TestClassify:
     def test_optimal(self):
         prob = toy_lp()

@@ -228,3 +228,37 @@ def test_mixed_cone_exact_reduction_both_scalings():
             assert abs(row.rd_norm - nu * rd_prev) <= 1e-9 * (1 + rd_prev)
             mu_prev, rp_prev, rd_prev = row.mu, row.rp_norm, row.rd_norm
         assert tr.neighborhood_violations == 0
+
+
+@pytest.mark.parametrize("trace_enabled", [True, False])
+def test_each_iterate_evaluated_once(monkeypatch, trace_enabled):
+    """Residuals and mu are computed once per iterate, start included."""
+    counts = {"compute_residuals": 0, "mu": 0}
+    for name in counts:
+        original = getattr(sp.solver, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(sp.solver, name, counted)
+    prob = toy_lp()
+    params = SolverParams(epsilon=1e-2, trace_enabled=trace_enabled)
+    res = sp.solve(prob, cold_point(prob), params)
+    assert res.iterations > 0
+    assert counts == {"compute_residuals": res.iterations + 1,
+                      "mu": res.iterations + 1}
+
+
+@pytest.mark.parametrize("scaling", ["identity", "nt"])
+def test_trace_does_not_change_iterates(scaling):
+    rng = np.random.default_rng(433)
+    spec = sp.ConeSpec(l=3, soc_dims=(4, 1, 3))
+    prob = feasible_problem(spec, 4, rng)
+    on, off = [sp.solve(prob, cold_point(prob),
+                        SolverParams(epsilon=1e-3, scaling=scaling,
+                                     trace_enabled=flag))
+               for flag in (True, False)]
+    assert on.trace is not None and off.trace is None
+    assert on.iterations == off.iterations == len(on.trace.rows)
+    for name in ("x", "y", "s", "kappa", "tau"):
+        assert np.array_equal(getattr(on.point, name), getattr(off.point, name))

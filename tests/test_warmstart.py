@@ -409,3 +409,14 @@ class TestChooseOmega:
             nu = sp.centering_nu(0.03, d._core.k)
             want = math.floor(-math.log(da.c_w) / (-math.log(nu)))
             assert da.predicted_saving == want
+
+
+@pytest.mark.parametrize("omega", [1.5, -0.5, float("nan")])
+def test_warm_start_rejects_omega_first(monkeypatch, omega):
+    def no_diagnostics(*args, **kwargs):
+        raise AssertionError("diagnostics evaluated before checking omega")
+    monkeypatch.setattr(sp.warmstart, "diagnostics", no_diagnostics)
+    prob = toy_lp()
+    prev = (np.ones(prob.n), np.zeros(prob.p), np.ones(prob.n))
+    with pytest.raises(ValueError, match=r"\[0,1\]"):
+        sp.warm_start(prob, prob, prev, 0.08, omega=omega)
