@@ -20,7 +20,7 @@ from .errors import (ConeSpecMismatch, DimensionMismatch, InvalidParams,
                      InvalidPoint, MaxIterationsExceeded, NotInterior,
                      ParseError, SingularSystem, StartOutsideNeighborhood)
 from .fileio import parse_point, parse_problem, write_solution, write_trace
-from .geometry import NeighborhoodParams, d2, dinf, in_neighborhood, mu
+from .geometry import NeighborhoodParams, distances, in_neighborhood, mu
 from .problem import SocpProblem, compute_residuals
 from .solver import SolverParams, predicted_iterations, solve
 from .warmstart import check_omega, cold_start, warm_start
@@ -143,8 +143,7 @@ def cmd_check(args) -> int:
                 and membership(z.x, spec, strict=True)
                 and membership(z.s, spec, strict=True))
     m = mu(z, spec)
-    dist2 = d2(z, spec) if interior else math.nan
-    distinf = dinf(z, spec) if interior else math.nan
+    dist2, distinf = distances(z, spec) if interior else (math.nan, math.nan)
     lines = [
         f"mu={m:.17g}",
         f"d2={dist2:.17g}",

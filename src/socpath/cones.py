@@ -15,7 +15,7 @@ no matrix square roots are taken.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -153,7 +153,7 @@ def _require_interior(v: np.ndarray, spec: ConeSpec, what: str) -> None:
 
 
 def _t_block(vb: np.ndarray) -> np.ndarray:
-    """Dense T_v of one interior SOC block (d >= 2)."""
+    """Dense T_v of one interior block."""
     beta = _block_beta(vb)
     tail = vb[1:]
     T = np.empty((vb.shape[0], vb.shape[0]))
@@ -172,10 +172,7 @@ def t_scaling_matrix(v, spec: ConeSpec) -> np.ndarray:
     _require_interior(v, spec, "argument of t_scaling_matrix")
     M = np.zeros((spec.n, spec.n))
     for o, d in spec.blocks:
-        if d == 1:
-            M[o, o] = v[o]
-        else:
-            M[o:o + d, o:o + d] = _t_block(v[o:o + d])
+        M[o:o + d, o:o + d] = _t_block(v[o:o + d])
     return M
 
 
@@ -203,17 +200,14 @@ def t_inverse_apply(v, u, spec: ConeSpec) -> np.ndarray:
     u = np.array(u, dtype=float)
     _require_interior(v, spec, "scaling point of t_inverse_apply")
     for o, d in spec.blocks:
-        if d > 1:
-            u[o + 1:o + d] = -u[o + 1:o + d]
+        u[o + 1:o + d] = -u[o + 1:o + d]
     w = t_apply(v, u, spec)
     for o, d in spec.blocks:
-        if d == 1:
-            w[o] /= v[o] * v[o]
-        else:
-            vb = v[o:o + d]
-            det = (vb[0] - np.linalg.norm(vb[1:])) * (vb[0] + np.linalg.norm(vb[1:]))
-            w[o] /= det
-            w[o + 1:o + d] /= -det
+        vb = v[o:o + d]
+        t = np.linalg.norm(vb[1:])
+        det = (vb[0] - t) * (vb[0] + t)
+        w[o] /= det
+        w[o + 1:o + d] /= -det
     return w
 
 
@@ -230,8 +224,6 @@ def u_p_matrices(v, spec: ConeSpec) -> Tuple[np.ndarray, np.ndarray]:
     U = np.zeros((spec.n, spec.n))
     P = np.zeros((spec.n, spec.n))
     for o, d in spec.blocks:
-        if d == 1:
-            continue
         vb = v[o:o + d]
         tail = vb[1:]
         t = np.linalg.norm(tail)

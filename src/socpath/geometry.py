@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .cones import (ConeSpec, check_vector, membership, spectral_bounds,
                     unit_element, w_vector)
-from .errors import InvalidPoint, NotInterior
+from .errors import InvalidPoint
 from .problem import SocpProblem
 
 
@@ -57,22 +57,26 @@ def mu(z: HsdPoint, spec: ConeSpec) -> float:
     return float((x @ s + z.kappa * z.tau) / (spec.k + 1))
 
 
-def d2(z: HsdPoint, spec: ConeSpec) -> float:
-    """Euclidean centrality distance sqrt(2)*||(w, kappa tau) - mu*(e, 1)||."""
+def distances(z: HsdPoint, spec: ConeSpec) -> Tuple[float, float]:
+    """(d2, dinf) of z from one scaled product point w = T_x s."""
     m = mu(z, spec)
     w = w_vector(z.x, z.s, spec)
     dev = w - m * unit_element(spec)
     extra = z.kappa * z.tau - m
-    return math.sqrt(2.0) * math.sqrt(float(dev @ dev) + extra * extra)
+    dist2 = math.sqrt(2.0) * math.sqrt(float(dev @ dev) + extra * extra)
+    bounds = spectral_bounds(w, spec)
+    worst = float(np.max(np.abs(bounds - m)))
+    return dist2, max(worst, abs(extra))
+
+
+def d2(z: HsdPoint, spec: ConeSpec) -> float:
+    """Euclidean centrality distance sqrt(2)*||(w, kappa tau) - mu*(e, 1)||."""
+    return distances(z, spec)[0]
 
 
 def dinf(z: HsdPoint, spec: ConeSpec) -> float:
     """Worst spectral deviation of (w, kappa tau) from mu."""
-    m = mu(z, spec)
-    w = w_vector(z.x, z.s, spec)
-    bounds = spectral_bounds(w, spec)
-    worst = float(np.max(np.abs(bounds - m)))
-    return max(worst, abs(z.kappa * z.tau - m))
+    return distances(z, spec)[1]
 
 
 def in_neighborhood(z: HsdPoint, spec: ConeSpec,

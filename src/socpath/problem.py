@@ -75,8 +75,10 @@ def validate_problem(problem: SocpProblem) -> ValidationReport:
     Findings cover dimension consistency, p <= n, and numerical row rank
     of A (smallest singular value above 1e-10 times the largest).
     """
-    findings: List[Tuple[str, str]] = []
     A, b, c, spec = problem.A, problem.b, problem.c, problem.cones
+    if A.ndim != 2:
+        return ValidationReport(False, [("dimension", "A must be a matrix")])
+    findings: List[Tuple[str, str]] = []
     p, n = A.shape
     if n != spec.n:
         findings.append(("dimension",

@@ -14,11 +14,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cones import ConeSpec, ScalingMatrix, nt_scaling, spectral_bounds
+from .cones import ScalingMatrix, nt_scaling, spectral_bounds
 from .errors import (InvalidParams, MaxIterationsExceeded,
                      StartOutsideNeighborhood)
 from .geometry import (Classification, HsdPoint, NeighborhoodParams,
-                       classify_status, d2, dinf, in_neighborhood, mu)
+                       classify_status, distances, in_neighborhood, mu)
 from .kkt import assemble, solve_direction, step_point
 from .problem import SocpProblem, compute_residuals
 
@@ -128,10 +128,14 @@ def predicted_iterations(start: HsdPoint, problem: SocpProblem,
     if mode == "relative":
         return math.ceil(math.log(params.epsilon) / math.log(nu))
     res = compute_residuals(problem, start)
-    worst = max(res.rp_norm, res.rd_norm, mu(start, problem.cones))
-    if worst <= params.epsilon:
+    return _unified_count(max(res.rp_norm, res.rd_norm, mu(start, problem.cones)),
+                          params.epsilon, nu)
+
+
+def _unified_count(worst: float, epsilon: float, nu: float) -> int:
+    if worst <= epsilon:
         return 0
-    return math.ceil(math.log(worst / params.epsilon) / (-math.log(nu)))
+    return math.ceil(math.log(worst / epsilon) / (-math.log(nu)))
 
 
 def _stopped(params: SolverParams, res, m: float, start) -> bool:
@@ -165,7 +169,9 @@ def solve(problem: SocpProblem, start: HsdPoint,
     res = compute_residuals(problem, z)
     m = mu(z, spec)
     start_norms = (m, res.rp_norm, res.rd_norm)
-    predicted = predicted_iterations(start, problem, params)
+    predicted = predicted_iterations(start, problem, params) \
+        if params.stop_mode == "relative" \
+        else _unified_count(max(res.rp_norm, res.rd_norm, m), params.epsilon, nu)
     max_iter = params.max_iterations
     if max_iter is None:
         max_iter = 2 * predicted + 100
@@ -191,11 +197,11 @@ def solve(problem: SocpProblem, start: HsdPoint,
         res = compute_residuals(problem, z)
         m = mu(z, spec)
         if trace is not None:
-            dist2 = d2(z, spec)
+            dist2, distinf = distances(z, spec)
             if dist2 > params.gamma * m:
                 trace.neighborhood_violations += 1
             trace.rows.append(TraceRow(
-                iteration=iters, mu=m, d2=dist2, dinf=dinf(z, spec),
+                iteration=iters, mu=m, d2=dist2, dinf=distinf,
                 rp_norm=res.rp_norm, rd_norm=res.rd_norm,
                 rg_abs=res.rg_abs, tau=z.tau, kappa=z.kappa,
                 lambda_min_x=float(spectral_bounds(z.x, spec)[:, 0].min()),

@@ -10,7 +10,7 @@ criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -32,9 +32,13 @@ def cold_start(spec: ConeSpec, p: int = 0) -> HsdPoint:
 
 
 def check_omega(omega: Union[str, float]) -> None:
-    """A fixed blend weight must lie in [0,1], so NaN and inf fail too;
-    a policy name is left to choose_omega."""
-    if not isinstance(omega, str) and not (0.0 <= omega <= 1.0):
+    """A blend weight request is "max-admissible" or a fixed weight in
+    [0,1], so NaN and inf fail too."""
+    if isinstance(omega, str):
+        if omega != "max-admissible":
+            raise ValueError("omega must be 'max-admissible' or a weight "
+                             f"in [0,1], not {omega!r}")
+    elif not (0.0 <= omega <= 1.0):
         raise ValueError("omega must lie in [0,1]")
 
 
@@ -64,44 +68,59 @@ def warm_start_point(prev, omega: float, spec: ConeSpec,
     return HsdPoint(x_w, omega * y_o, s_w, kappa=kappa, tau=1.0)
 
 
-@dataclass
-class _DiagnosticsCore:
-    """Omega-independent ingredients of the diagnostics."""
+@dataclass(kw_only=True)
+class WarmStartDiagnostics:
+    """Sufficient-condition constants evaluated at a stated omega.
 
-    spec: ConeSpec
-    k: int
-    gamma: float
-    delta: float
+    rho and xi_o carry the clamped values used by the admissibility
+    dichotomy; the raw signed evaluations are reported alongside.
+    omega_min is None exactly when `infeasible` is set (gamma <= gamma_o
+    with xi_o > 0).  at_omega sets the fields with defaults from the
+    others; soc_first and soc_beta hold the first components and betas
+    of the SOC blocks with nonzero tail.
+    """
+
     c_a: float
     c_b: float
     c_p: float
     c_at: float
     c_c: float
     c_d: float
+    c_mu: float
+    c_xs: float = math.nan
+    psi_o: float
+    rho: float = math.nan
+    rho_raw: float = math.nan
+    xi_o: float = math.nan
+    xi_o_raw: float = math.nan
+    omega_min: Optional[float] = None
+    infeasible: bool = False
+    gamma_o: float
+    c_w: float = math.inf
+    predicted_saving: int = 0
     primal_vacuous: bool
     dual_vacuous: bool
-    mu_o: float
-    psi_o: float
-    gamma_o: float
-    dev_norm: float        # ||(x_o+s_o) - psi_o e||
-    s_o_norm: float
-    soc_first: np.ndarray  # first components of SOC blocks with nonzero tail
-    soc_beta: np.ndarray   # their beta values
+    conditions_hold: bool = False
+    gamma: float
+    delta: float
+    omega_eval: float = math.nan
+    k: int = field(repr=False)
+    dev_norm: float = field(repr=False)    # ||(x_o+s_o) - psi_o e||
+    s_o_norm: float = field(repr=False)
+    soc_first: np.ndarray = field(repr=False)
+    soc_beta: np.ndarray = field(repr=False)
 
-    def rho_at(self, omega: float) -> Tuple[float, float]:
-        """(clamped rho, raw signed value) of the tail-projector bound."""
-        if self.soc_first.size == 0:
-            return 0.0, 0.0
-        x1, beta_o = self.soc_first, self.soc_beta
-        beta_w = np.sqrt(omega * omega * beta_o * beta_o
-                         + 2.0 * omega * (1.0 - omega) * x1
-                         + (1.0 - omega) ** 2)
-        frac = (2.0 * omega * x1 + 1.0 - omega) / (beta_w + omega * beta_o)
-        raw = float(np.max(1.0 - frac))
-        return max(0.0, float(np.max(frac - 1.0))), raw
-
-    def evaluate(self, omega: float) -> "WarmStartDiagnostics":
-        rho, rho_raw = self.rho_at(omega)
+    def at_omega(self, omega: float) -> "WarmStartDiagnostics":
+        """A copy with the omega-dependent fields evaluated at omega."""
+        rho = rho_raw = 0.0
+        if self.soc_first.size:
+            x1, beta_o = self.soc_first, self.soc_beta
+            beta_w = np.sqrt(omega * omega * beta_o * beta_o
+                             + 2.0 * omega * (1.0 - omega) * x1
+                             + (1.0 - omega) ** 2)
+            frac = (2.0 * omega * x1 + 1.0 - omega) / (beta_w + omega * beta_o)
+            rho_raw = float(np.max(1.0 - frac))
+            rho = max(0.0, float(np.max(frac - 1.0)))
         bracket = self.dev_norm + rho * self.s_o_norm
         xi_o = math.sqrt(2.0) * bracket - self.gamma * self.psi_o
         xi_o_raw = bracket - self.gamma * self.psi_o
@@ -109,7 +128,7 @@ class _DiagnosticsCore:
         if xi_o <= 0.0:
             omega_min: Optional[float] = 0.0
         elif self.gamma > self.gamma_o:
-            omega_min = xi_o / (xi_o + (self.gamma - self.gamma_o) * self.mu_o)
+            omega_min = xi_o / (xi_o + (self.gamma - self.gamma_o) * self.c_mu)
         else:
             omega_min = None
             infeasible = True
@@ -126,8 +145,8 @@ class _DiagnosticsCore:
                 bounds.append(1.0 - omega * (1.0 - (self.c_at + self.c_c + self.c_d)))
             else:
                 conditions_hold = False
-        if self.mu_o + c_xs <= 1.0:
-            bounds.append(omega * omega * self.mu_o + c_xs)
+        if self.c_mu + c_xs <= 1.0:
+            bounds.append(omega * omega * self.c_mu + c_xs)
         else:
             conditions_hold = False
         c_w = max(bounds) if (conditions_hold and bounds) else math.inf
@@ -136,60 +155,11 @@ class _DiagnosticsCore:
             predicted_saving = math.floor(-math.log(c_w) / (-math.log(nu)))
         else:
             predicted_saving = 0
-        return WarmStartDiagnostics(
-            c_a=self.c_a, c_b=self.c_b, c_p=self.c_p,
-            c_at=self.c_at, c_c=self.c_c, c_d=self.c_d,
-            c_mu=self.mu_o, c_xs=c_xs,
-            psi_o=self.psi_o, rho=rho, rho_raw=rho_raw,
-            xi_o=xi_o, xi_o_raw=xi_o_raw,
-            omega_min=omega_min, infeasible=infeasible,
-            gamma_o=self.gamma_o, c_w=c_w,
-            predicted_saving=predicted_saving,
-            primal_vacuous=self.primal_vacuous,
-            dual_vacuous=self.dual_vacuous,
-            conditions_hold=conditions_hold,
-            gamma=self.gamma, delta=self.delta, omega_eval=omega,
-            _core=self)
-
-
-@dataclass
-class WarmStartDiagnostics:
-    """Sufficient-condition constants evaluated at a stated omega.
-
-    rho and xi_o carry the clamped values used by the admissibility
-    dichotomy; the raw signed evaluations are reported alongside.
-    omega_min is None exactly when `infeasible` is set (gamma <= gamma_o
-    with xi_o > 0).
-    """
-
-    c_a: float
-    c_b: float
-    c_p: float
-    c_at: float
-    c_c: float
-    c_d: float
-    c_mu: float
-    c_xs: float
-    psi_o: float
-    rho: float
-    rho_raw: float
-    xi_o: float
-    xi_o_raw: float
-    omega_min: Optional[float]
-    infeasible: bool
-    gamma_o: float
-    c_w: float
-    predicted_saving: int
-    primal_vacuous: bool
-    dual_vacuous: bool
-    conditions_hold: bool
-    gamma: float
-    delta: float
-    omega_eval: float
-    _core: Optional[_DiagnosticsCore] = field(default=None, repr=False)
-
-    def at_omega(self, omega: float) -> "WarmStartDiagnostics":
-        return self._core.evaluate(omega)
+        return replace(
+            self, c_xs=c_xs, rho=rho, rho_raw=rho_raw, xi_o=xi_o,
+            xi_o_raw=xi_o_raw, omega_min=omega_min, infeasible=infeasible,
+            c_w=c_w, predicted_saving=predicted_saving,
+            conditions_hold=conditions_hold, omega_eval=omega)
 
 
 def _pair_centrality(x_o, s_o, spec: ConeSpec) -> Tuple[float, float]:
@@ -260,22 +230,19 @@ def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
     soc_first = []
     soc_beta = []
     for o, d in spec.blocks:
-        if d == 1:
-            continue
         tail = x_o[o + 1:o + d]
         t = float(np.linalg.norm(tail))
         if t == 0.0:
             continue
         soc_first.append(x_o[o])
         soc_beta.append(math.sqrt((x_o[o] - t) * (x_o[o] + t)))
-    core = _DiagnosticsCore(
-        spec=spec, k=spec.k, gamma=gamma, delta=delta,
-        c_a=c_a, c_b=c_b, c_p=c_p, c_at=c_at, c_c=c_c, c_d=c_d,
-        primal_vacuous=primal_vacuous, dual_vacuous=dual_vacuous,
-        mu_o=mu_o, psi_o=psi_o, gamma_o=gamma_o,
+    diag = WarmStartDiagnostics(
+        c_a=c_a, c_b=c_b, c_p=c_p, c_at=c_at, c_c=c_c, c_d=c_d, c_mu=mu_o,
+        psi_o=psi_o, gamma_o=gamma_o, primal_vacuous=primal_vacuous,
+        dual_vacuous=dual_vacuous, gamma=gamma, delta=delta, k=spec.k,
         dev_norm=dev_norm, s_o_norm=float(np.linalg.norm(s_o)),
         soc_first=np.asarray(soc_first), soc_beta=np.asarray(soc_beta))
-    return core.evaluate(omega_eval)
+    return diag.at_omega(omega_eval)
 
 
 def _admissible(d: WarmStartDiagnostics) -> bool:
@@ -284,30 +251,15 @@ def _admissible(d: WarmStartDiagnostics) -> bool:
     return d.omega_eval >= d.omega_min
 
 
-def choose_omega(diag: WarmStartDiagnostics,
-                 policy: Union[str, float] = "max-admissible") -> float:
-    """Select the blend weight from evaluated diagnostics.
-
-    "max-admissible" scans a 1e-4 grid downward from 1, re-evaluating
-    the omega-dependent quantities at each candidate; a float is treated
-    as a fixed request and clamped into [omega_min, 1].
-    """
-    if isinstance(policy, str):
-        if policy != "max-admissible":
-            raise ValueError(f"unknown policy {policy!r}")
-        steps = int(round(1.0 / OMEGA_GRID))
-        for i in range(steps + 1):
-            omega = max(0.0, 1.0 - i * OMEGA_GRID)
-            if _admissible(diag.at_omega(omega)):
-                return omega
-        raise EmptyAdmissibleSet("no omega on the grid is admissible")
-    omega = float(policy)
-    if not np.isfinite(omega):
-        raise ValueError("fixed omega must be finite")
-    if diag.infeasible:
-        raise EmptyAdmissibleSet(
-            "gamma does not exceed the previous solution's centrality")
-    return min(1.0, max(diag.omega_min, omega))
+def choose_omega(diag: WarmStartDiagnostics) -> float:
+    """The largest admissible blend weight on a 1e-4 grid scanned downward
+    from 1, re-evaluating the omega-dependent quantities at each candidate."""
+    steps = int(round(1.0 / OMEGA_GRID))
+    for i in range(steps + 1):
+        omega = max(0.0, 1.0 - i * OMEGA_GRID)
+        if _admissible(diag.at_omega(omega)):
+            return omega
+    raise EmptyAdmissibleSet("no omega on the grid is admissible")
 
 
 @dataclass
@@ -324,16 +276,16 @@ class WarmStart:
 def warm_start(prev_p: SocpProblem, new_p: SocpProblem, prev, gamma: float,
                delta: float = 0.03,
                omega: Union[str, float] = "max-admissible") -> WarmStart:
-    """Choose omega (a choose_omega policy, or a weight in [0,1] used as
-    given) and blend; fall back to the cold start when no weight is
-    admissible or the blend lies outside N_2(gamma)."""
+    """Choose omega ("max-admissible" for choose_omega's scan, or a weight
+    in [0,1] used as given) and blend; fall back to the cold start when no
+    weight is admissible or the blend lies outside N_2(gamma)."""
     check_omega(omega)
     diag = diagnostics(prev_p, new_p, prev, gamma=gamma, delta=delta)
     spec, p = new_p.cones, new_p.p
     fallback = None
     if isinstance(omega, str):
         try:
-            omega = choose_omega(diag, policy=omega)
+            omega = choose_omega(diag)
         except EmptyAdmissibleSet:
             fallback = "empty admissible set"
     if fallback is None:

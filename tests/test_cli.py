@@ -359,7 +359,8 @@ class TestBenchCommand:
         assert calls == []
         assert not (tmp_path / "bench.json").exists()
 
-    @pytest.mark.parametrize("omega", [1.5, -0.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("omega",
+                             [1.5, -0.5, float("nan"), float("inf"), "auto"])
     def test_run_bench_rejects_omega_before_solving(self, monkeypatch, omega):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before checking omega")

@@ -1,4 +1,7 @@
-"""The package's public surface."""
+"""The package's public surface and source hygiene."""
+
+import ast
+from pathlib import Path
 
 import socpath
 
@@ -9,3 +12,25 @@ def test_every_export_resolves():
     namespace = {}
     exec("from socpath import *", namespace)
     assert set(socpath.__all__) <= set(namespace)
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports():
+    """Every imported name is referenced (no linter is installed to check)."""
+    package = Path(socpath.__file__).parent
+    unused = [item for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py" for item in _unused_imports(path)]
+    assert unused == []

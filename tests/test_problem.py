@@ -63,6 +63,14 @@ def test_validate_dimension_finding():
     assert any(kind == "dimension" for kind, _ in rep.findings)
 
 
+def test_validate_reports_non_matrix_a():
+    spec = ConeSpec(l=2, soc_dims=())
+    prob = SocpProblem(A=np.ones((1, 2, 3)), b=np.ones(1), c=np.ones(2), cones=spec)
+    rep = sp.validate_problem(prob)
+    assert not rep.ok
+    assert rep.findings == [("dimension", "A must be a matrix")]
+
+
 def test_validate_wide_matrix():
     spec = ConeSpec(l=2, soc_dims=())
     prob = SocpProblem(A=np.ones((3, 2)), b=np.ones(3), c=np.ones(2), cones=spec)

@@ -230,8 +230,9 @@ def test_mixed_cone_exact_reduction_both_scalings():
         assert tr.neighborhood_violations == 0
 
 
+@pytest.mark.parametrize("stop_mode", ["relative", "unified"])
 @pytest.mark.parametrize("trace_enabled", [True, False])
-def test_each_iterate_evaluated_once(monkeypatch, trace_enabled):
+def test_each_iterate_evaluated_once(monkeypatch, trace_enabled, stop_mode):
     """Residuals and mu are computed once per iterate, start included."""
     counts = {"compute_residuals": 0, "mu": 0}
     for name in counts:
@@ -242,7 +243,8 @@ def test_each_iterate_evaluated_once(monkeypatch, trace_enabled):
             return _original(*args, **kwargs)
         monkeypatch.setattr(sp.solver, name, counted)
     prob = toy_lp()
-    params = SolverParams(epsilon=1e-2, trace_enabled=trace_enabled)
+    params = SolverParams(epsilon=1e-2, trace_enabled=trace_enabled,
+                          stop_mode=stop_mode)
     res = sp.solve(prob, cold_point(prob), params)
     assert res.iterations > 0
     assert counts == {"compute_residuals": res.iterations + 1,

@@ -356,7 +356,7 @@ class TestChooseOmega:
     def test_unconstrained_returns_grid_max(self):
         d = self._slack_diag()
         assert d.omega_min == 0.0
-        omega = sp.choose_omega(d, policy="max-admissible")
+        omega = sp.choose_omega(d)
         assert omega == 1.0
 
     def _lp3(self):
@@ -366,26 +366,6 @@ class TestChooseOmega:
             c=np.array([1.0, 2.0, 3.0]),
             cones=ConeSpec(l=3, soc_dims=()),
         )
-
-    def test_fixed_policy_clamps(self):
-        d = self._slack_diag()
-        assert sp.choose_omega(d, policy=0.5) == 0.5
-        assert sp.choose_omega(d, policy=1.7) == 1.0
-        assert sp.choose_omega(d, policy=-0.2) == 0.0
-
-    def test_fixed_policy_clamps_up_to_omega_min(self):
-        # equal products give gamma_o = 0 while the uneven sum keeps
-        # xi_o positive, so omega_min lands strictly inside (0,1)
-        lp3 = self._lp3()
-        x_o = np.array([2.0, 0.5, 1.0])
-        d = sp.diagnostics(
-            lp3, lp3, (x_o, np.array([0.0]), 1.0 / x_o), gamma=0.1
-        )
-        assert 0.5 < d.omega_min < 1.0
-        assert sp.choose_omega(d, policy=0.5) == d.omega_min
-        assert sp.choose_omega(d, policy=1.0) == 1.0
-        with pytest.raises(ValueError):
-            sp.choose_omega(d, policy=float("nan"))
 
     def test_infeasible_raises_empty_set(self):
         # an off-center previous solution has high measured centrality;
@@ -397,21 +377,19 @@ class TestChooseOmega:
         assert d.xi_o > 0
         assert d.infeasible and d.omega_min is None
         with pytest.raises(EmptyAdmissibleSet):
-            sp.choose_omega(d, policy="max-admissible")
-        with pytest.raises(EmptyAdmissibleSet):
-            sp.choose_omega(d, policy=0.9)
+            sp.choose_omega(d)
 
     def test_predicted_saving_formula(self):
         d = self._slack_diag()
-        omega = sp.choose_omega(d, policy="max-admissible")
+        omega = sp.choose_omega(d)
         da = d.at_omega(omega)
         if da.conditions_hold and 0 < da.c_w < 1:
-            nu = sp.centering_nu(0.03, d._core.k)
+            nu = sp.centering_nu(0.03, d.k)
             want = math.floor(-math.log(da.c_w) / (-math.log(nu)))
             assert da.predicted_saving == want
 
 
-@pytest.mark.parametrize("omega", [1.5, -0.5, float("nan")])
+@pytest.mark.parametrize("omega", [1.5, -0.5, float("nan"), "auto"])
 def test_warm_start_rejects_omega_first(monkeypatch, omega):
     def no_diagnostics(*args, **kwargs):
         raise AssertionError("diagnostics evaluated before checking omega")
