@@ -143,7 +143,7 @@ def cmd_check(args) -> int:
                 and membership(z.x, spec, strict=True)
                 and membership(z.s, spec, strict=True))
     m = mu(z, spec)
-    dist2, distinf = distances(z, spec) if interior else (math.nan, math.nan)
+    dist2, distinf = distances(z, spec, m) if interior else (math.nan, math.nan)
     lines = [
         f"mu={m:.17g}",
         f"d2={dist2:.17g}",

@@ -2,14 +2,21 @@
 
 The cone is K = R+^l x Q^{n_1} x ... x Q^{n_m}, where
 Q^d = {v in R^d : v_1 >= ||v_{2:}||} is the second-order (Lorentz) cone.
-One-dimensional second-order blocks coincide with nonnegative reals and are
-treated as linear entries everywhere.
 
 Each block carries the Jordan product u o v = (u'v, u_1 v_{2:} + v_1 u_{2:}),
 unit e = (1, 0, ..., 0), and spectral values v_1 -/+ ||v_{2:}||.  For an
 interior v the scaling matrix T_v is the symmetric positive definite square
 root of the quadratic representation of v; it is built in closed form here,
 no matrix square roots are taken.
+
+Every block, linear entries included, is a head v_1 and a possibly empty
+tail v_{2:}, and the primitives are whole-vector expressions over the
+layout that ConeSpec builds once: a 1-dimensional block (a linear entry or
+a (1,) second-order block) is a block with an empty tail, and the general
+formulas give its values.  Only the tail norms loop over the blocks, one
+np.linalg.norm per tail, so that a boundary point whose head was built as
+that same norm stays in the cone under the exact membership test; dense
+per-block matrices (T_v, ScalingMatrix blocks) are assembled block by block.
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ class ConeSpec:
     ----------
     l : number of linear entries (each is its own block).
     soc_dims : dimensions of the second-order blocks, in variable order.
+
+    The block layout is built once, as plain attributes that ==, hash and
+    repr do not see: `heads` (offset of each block's first entry),
+    `block_of` (block index of each entry) and `tail` (True off the heads).
     """
 
     l: int = 0
@@ -44,15 +55,16 @@ class ConeSpec:
             raise ValueError("every second-order block dimension must be >= 1")
         if self.l + len(self.soc_dims) < 1:
             raise ValueError("the cone must contain at least one block")
-        blocks = []
-        off = 0
-        for _ in range(self.l):
-            blocks.append((off, 1))
-            off += 1
-        for d in self.soc_dims:
-            blocks.append((off, d))
-            off += d
-        object.__setattr__(self, "_blocks", tuple(blocks))
+        dims = (1,) * self.l + self.soc_dims
+        heads = np.cumsum((0,) + dims[:-1])
+        tail = np.ones(sum(dims), dtype=bool)
+        tail[heads] = False
+        block_of = np.repeat(np.arange(len(dims)), dims)
+        for name, value in (("heads", heads), ("tail", tail),
+                            ("block_of", block_of)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_blocks", tuple(zip(heads.tolist(), dims)))
 
     @property
     def k(self) -> int:
@@ -70,8 +82,11 @@ class ConeSpec:
         return self._blocks
 
     def hat(self) -> "ConeSpec":
-        """Spec with one extra trailing 1-dimensional block (for tau/kappa)."""
-        return ConeSpec(self.l, self.soc_dims + (1,))
+        """Spec with one extra trailing 1-dimensional block (for tau/kappa),
+        built on first use and kept."""
+        if "_hat" not in self.__dict__:
+            object.__setattr__(self, "_hat", ConeSpec(self.l, self.soc_dims + (1,)))
+        return self._hat
 
 
 def check_vector(v, spec: ConeSpec) -> np.ndarray:
@@ -82,56 +97,58 @@ def check_vector(v, spec: ConeSpec) -> np.ndarray:
     return v
 
 
+def tail_norms(v: np.ndarray, spec: ConeSpec) -> np.ndarray:
+    """||v_{2:}|| per block, 0 for an empty tail.
+
+    One np.linalg.norm per tail: a segmented sum of squares rounds
+    differently, and a boundary point whose head was built as
+    np.linalg.norm(tail) would then fall outside the cone.
+    """
+    t = np.zeros(spec.k)
+    for i, (o, d) in enumerate(spec.blocks[spec.l:], spec.l):
+        t[i] = np.linalg.norm(v[o + 1:o + d])
+    return t
+
+
+def _det(v: np.ndarray, spec: ConeSpec) -> np.ndarray:
+    """Per-block determinant; the factored form (v_1 - t)(v_1 + t) avoids
+    cancellation near the boundary."""
+    h, t = v[spec.heads], tail_norms(v, spec)
+    return (h - t) * (h + t)
+
+
 def unit_element(spec: ConeSpec) -> np.ndarray:
     """Identity of the Jordan algebra: (1, 0, ..., 0) per block."""
     e = np.zeros(spec.n)
-    for o, _ in spec.blocks:
-        e[o] = 1.0
+    e[spec.heads] = 1.0
     return e
 
 
 def jordan_product(u, v, spec: ConeSpec) -> np.ndarray:
     u = check_vector(u, spec)
     v = check_vector(v, spec)
-    out = np.empty(spec.n)
-    for o, d in spec.blocks:
-        if d == 1:
-            out[o] = u[o] * v[o]
-        else:
-            ub, vb = u[o:o + d], v[o:o + d]
-            out[o] = ub @ vb
-            out[o + 1:o + d] = ub[0] * vb[1:] + vb[0] * ub[1:]
+    out = u[spec.heads][spec.block_of] * v + v[spec.heads][spec.block_of] * u
+    out[spec.heads] = np.add.reduceat(u * v, spec.heads)
     return out
 
 
 def arrow_matrix(v, spec: ConeSpec) -> np.ndarray:
     """Block-diagonal matrix representation of the Jordan product by v."""
     v = check_vector(v, spec)
+    head_of = spec.heads[spec.block_of]
+    idx = np.arange(spec.n)
     M = np.zeros((spec.n, spec.n))
-    for o, d in spec.blocks:
-        if d == 1:
-            M[o, o] = v[o]
-        else:
-            vb = v[o:o + d]
-            M[o, o:o + d] = vb
-            M[o:o + d, o] = vb
-            idx = np.arange(o + 1, o + d)
-            M[idx, idx] = vb[0]
+    M[head_of, idx] = v
+    M[idx, head_of] = v
+    M[idx, idx] = v[head_of]
     return M
 
 
 def spectral_bounds(v, spec: ConeSpec) -> np.ndarray:
     """Per-block spectral values, shape (k, 2): columns (lambda_min, lambda_max)."""
     v = check_vector(v, spec)
-    out = np.empty((spec.k, 2))
-    for i, (o, d) in enumerate(spec.blocks):
-        if d == 1:
-            out[i, 0] = out[i, 1] = v[o]
-        else:
-            t = np.linalg.norm(v[o + 1:o + d])
-            out[i, 0] = v[o] - t
-            out[i, 1] = v[o] + t
-    return out
+    h, t = v[spec.heads], tail_norms(v, spec)
+    return np.column_stack((h - t, h + t))
 
 
 def membership(v, spec: ConeSpec, strict: bool = False) -> bool:
@@ -140,29 +157,19 @@ def membership(v, spec: ConeSpec, strict: bool = False) -> bool:
     return bool(np.all(lo > 0.0)) if strict else bool(np.all(lo >= 0.0))
 
 
-def _block_beta(vb: np.ndarray) -> float:
-    # sqrt(det) of an interior block; factored form avoids cancellation
-    # near the boundary.
-    t = np.linalg.norm(vb[1:])
-    return math.sqrt((vb[0] - t) * (vb[0] + t))
-
-
 def _require_interior(v: np.ndarray, spec: ConeSpec, what: str) -> None:
     if not membership(v, spec, strict=True):
         raise NotInterior(f"{what} must lie strictly inside the cone")
 
 
-def _t_block(vb: np.ndarray) -> np.ndarray:
-    """Dense T_v of one interior block."""
-    beta = _block_beta(vb)
-    tail = vb[1:]
-    T = np.empty((vb.shape[0], vb.shape[0]))
-    T[0, 0] = vb[0]
-    T[0, 1:] = tail
-    T[1:, 0] = tail
-    B = np.outer(tail, tail) / (beta + vb[0])
-    B[np.diag_indices_from(B)] += beta
-    T[1:, 1:] = B
+def _t_block(vb: np.ndarray, beta: float) -> np.ndarray:
+    """Dense T_v of one interior block with sqrt(det) beta:
+    [[v_1, t'], [t, beta I + t t'/(beta + v_1)]] for the tail t."""
+    d = vb.shape[0]
+    T = np.outer(vb, vb) / (beta + vb[0])
+    T[0] = vb
+    T[:, 0] = vb
+    T.flat[d + 1::d + 1] += beta
     return T
 
 
@@ -170,9 +177,10 @@ def t_scaling_matrix(v, spec: ConeSpec) -> np.ndarray:
     """Dense symmetric PD square root of the quadratic representation of v."""
     v = check_vector(v, spec)
     _require_interior(v, spec, "argument of t_scaling_matrix")
+    beta = np.sqrt(_det(v, spec))
     M = np.zeros((spec.n, spec.n))
-    for o, d in spec.blocks:
-        M[o:o + d, o:o + d] = _t_block(v[o:o + d])
+    for (o, d), b in zip(spec.blocks, beta):
+        M[o:o + d, o:o + d] = _t_block(v[o:o + d], b)
     return M
 
 
@@ -181,34 +189,24 @@ def t_apply(v, u, spec: ConeSpec) -> np.ndarray:
     v = check_vector(v, spec)
     u = check_vector(u, spec)
     _require_interior(v, spec, "scaling point of t_apply")
-    out = np.empty(spec.n)
-    for o, d in spec.blocks:
-        if d == 1:
-            out[o] = v[o] * u[o]
-            continue
-        vb, ub = v[o:o + d], u[o:o + d]
-        beta = _block_beta(vb)
-        out[o] = vb @ ub
-        out[o + 1:o + d] = (ub[0] * vb[1:] + beta * ub[1:]
-                            + vb[1:] * (vb[1:] @ ub[1:]) / (beta + vb[0]))
+    heads, blk = spec.heads, spec.block_of
+    beta = np.sqrt(_det(v, spec))
+    vu = v * u
+    tail_dot = np.add.reduceat(np.where(spec.tail, vu, 0.0), heads)
+    out = (u[heads][blk] * v + beta[blk] * u
+           + v * tail_dot[blk] / (beta + v[heads])[blk])
+    out[heads] = np.add.reduceat(vu, heads)
     return out
 
 
 def t_inverse_apply(v, u, spec: ConeSpec) -> np.ndarray:
     """T_v^{-1} u via the reflection identity T_v^{-1} = Q T_v Q / det(v)."""
     v = check_vector(v, spec)
-    u = np.array(u, dtype=float)
+    u = check_vector(u, spec)
     _require_interior(v, spec, "scaling point of t_inverse_apply")
-    for o, d in spec.blocks:
-        u[o + 1:o + d] = -u[o + 1:o + d]
-    w = t_apply(v, u, spec)
-    for o, d in spec.blocks:
-        vb = v[o:o + d]
-        t = np.linalg.norm(vb[1:])
-        det = (vb[0] - t) * (vb[0] + t)
-        w[o] /= det
-        w[o + 1:o + d] /= -det
-    return w
+    w = t_apply(v, np.where(spec.tail, -u, u), spec)
+    det = _det(v, spec)[spec.block_of]
+    return w / np.where(spec.tail, -det, det)
 
 
 def u_p_matrices(v, spec: ConeSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -223,15 +221,14 @@ def u_p_matrices(v, spec: ConeSpec) -> Tuple[np.ndarray, np.ndarray]:
     _require_interior(v, spec, "argument of u_p_matrices")
     U = np.zeros((spec.n, spec.n))
     P = np.zeros((spec.n, spec.n))
-    for o, d in spec.blocks:
-        vb = v[o:o + d]
-        tail = vb[1:]
-        t = np.linalg.norm(tail)
+    beta = np.sqrt(_det(v, spec))
+    for (o, d), t, b in zip(spec.blocks, tail_norms(v, spec), beta):
         if t == 0.0:
             continue
+        tail = v[o + 1:o + d]
         proj = np.eye(d - 1) - np.outer(tail, tail) / (t * t)
         P[o + 1:o + d, o + 1:o + d] = proj
-        U[o + 1:o + d, o + 1:o + d] = (vb[0] - _block_beta(vb)) * proj
+        U[o + 1:o + d, o + 1:o + d] = (v[o] - b) * proj
     return U, P
 
 
@@ -338,7 +335,7 @@ def apply_scaling(D: ScalingMatrix, x, s) -> Tuple[np.ndarray, np.ndarray]:
 def nt_scaling(x, s, spec: ConeSpec) -> ScalingMatrix:
     """Nesterov-Todd scaling point in closed form: D^2 s = x exactly.
 
-    Per SOC block the normalized geometric mean
+    Per block the normalized geometric mean
     w = (x/beta_x + Q s/beta_s) / (2 gamma), gamma^2 = (1 + x's/(beta_x beta_s))/2,
     has unit determinant, and D = sqrt(beta_x/beta_s) T_w.  G = Q T_w Q is
     the inverse of T_w for det-one w, so no matrix inversion is needed.
@@ -347,33 +344,22 @@ def nt_scaling(x, s, spec: ConeSpec) -> ScalingMatrix:
     s = check_vector(s, spec)
     _require_interior(x, spec, "x in nt_scaling")
     _require_interior(s, spec, "s in nt_scaling")
+    heads, blk = spec.heads, spec.block_of
+    bx, bs = np.sqrt(_det(x, spec)), np.sqrt(_det(s, spec))
+    xt, st = x / bx[blk], s / bs[blk]
+    gam = np.sqrt((1.0 + np.add.reduceat(xt * st, heads)) / 2.0)
+    w = (xt + np.where(spec.tail, -st, st)) / (2.0 * gam)[blk]
+    eta = np.sqrt(bx / bs)
     g_blocks: List[np.ndarray] = []
     d_blocks: List[np.ndarray] = []
-    thetas = np.empty(spec.k)
-    for i, (o, d) in enumerate(spec.blocks):
-        if d == 1:
-            root = math.sqrt(x[o] / s[o])
-            g_blocks.append(np.array([[1.0]]))
-            d_blocks.append(np.array([[root]]))
-            thetas[i] = 1.0 / root
-            continue
-        xb, sb = x[o:o + d], s[o:o + d]
-        bx, bs = _block_beta(xb), _block_beta(sb)
-        xt, st = xb / bx, sb / bs
-        gam = math.sqrt((1.0 + xt @ st) / 2.0)
-        w = xt.copy()
-        w[0] += st[0]
-        w[1:] -= st[1:]
-        w /= 2.0 * gam
-        eta = math.sqrt(bx / bs)
-        Tw = _t_block(w)
+    for (o, d), bw, e in zip(spec.blocks, np.sqrt(_det(w, spec)), eta):
+        Tw = _t_block(w[o:o + d], bw)
         G = Tw.copy()
         G[0, 1:] *= -1.0
         G[1:, 0] *= -1.0
         g_blocks.append(G)
-        d_blocks.append(eta * Tw)
-        thetas[i] = 1.0 / eta
-    return ScalingMatrix(spec, g_blocks, thetas, d_blocks=d_blocks)
+        d_blocks.append(e * Tw)
+    return ScalingMatrix(spec, g_blocks, 1.0 / eta, d_blocks=d_blocks)
 
 
 def random_automorphism(spec: ConeSpec, seed=None) -> ScalingMatrix:
@@ -386,12 +372,10 @@ def random_automorphism(spec: ConeSpec, seed=None) -> ScalingMatrix:
     rng = np.random.default_rng(seed)
     g_blocks: List[np.ndarray] = []
     thetas = rng.uniform(0.5, 2.0, size=spec.k)
-    for o, d in spec.blocks:
-        if d == 1:
-            g_blocks.append(np.array([[1.0]]))
-            continue
+    for _, d in spec.blocks:
         G = np.eye(d)
-        for _ in range(2):
+        # both rotations need a tail; an empty tail keeps G = 1
+        for _ in range(2 if d > 1 else 0):
             R = np.eye(d)
             if d == 2:
                 R[1, 1] = rng.choice([-1.0, 1.0])

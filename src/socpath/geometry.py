@@ -57,9 +57,8 @@ def mu(z: HsdPoint, spec: ConeSpec) -> float:
     return float((x @ s + z.kappa * z.tau) / (spec.k + 1))
 
 
-def distances(z: HsdPoint, spec: ConeSpec) -> Tuple[float, float]:
-    """(d2, dinf) of z from one scaled product point w = T_x s."""
-    m = mu(z, spec)
+def distances(z: HsdPoint, spec: ConeSpec, m: float) -> Tuple[float, float]:
+    """(d2, dinf) of z at its mu m, from one scaled product point w = T_x s."""
     w = w_vector(z.x, z.s, spec)
     dev = w - m * unit_element(spec)
     extra = z.kappa * z.tau - m
@@ -71,12 +70,12 @@ def distances(z: HsdPoint, spec: ConeSpec) -> Tuple[float, float]:
 
 def d2(z: HsdPoint, spec: ConeSpec) -> float:
     """Euclidean centrality distance sqrt(2)*||(w, kappa tau) - mu*(e, 1)||."""
-    return distances(z, spec)[0]
+    return distances(z, spec, mu(z, spec))[0]
 
 
 def dinf(z: HsdPoint, spec: ConeSpec) -> float:
     """Worst spectral deviation of (w, kappa tau) from mu."""
-    return distances(z, spec)[1]
+    return distances(z, spec, mu(z, spec))[1]
 
 
 def in_neighborhood(z: HsdPoint, spec: ConeSpec,
@@ -88,8 +87,9 @@ def in_neighborhood(z: HsdPoint, spec: ConeSpec,
         return False
     if not membership(z.s, spec, strict=True):
         return False
-    dist = d2(z, spec) if params.flavor == "2" else dinf(z, spec)
-    return dist <= params.gamma * mu(z, spec)
+    m = mu(z, spec)
+    dist2, distinf = distances(z, spec, m)
+    return (dist2 if params.flavor == "2" else distinf) <= params.gamma * m
 
 
 @dataclass

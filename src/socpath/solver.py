@@ -113,19 +113,15 @@ def validate_params(gamma: float, delta: float, k: int) -> Tuple[bool, float]:
 
 
 def predicted_iterations(start: HsdPoint, problem: SocpProblem,
-                         params: SolverParams,
-                         eps_mode: Optional[str] = None) -> int:
+                         params: SolverParams) -> int:
     """Closed-form iteration count for the configured stop criterion.
 
     relative: ceil(log eps / log nu); the same count governs mu and both
     residual norms.  unified: ceil of log(max(||r_p||, ||r_d||, mu)/eps_u)
     over -log nu, and 0 when the start already meets the criterion.
     """
-    mode = (eps_mode or params.stop_mode).lower()
-    if mode not in STOP_MODES:
-        raise InvalidParams(f"eps_mode must be one of {STOP_MODES}")
     nu = centering_nu(params.delta, problem.cones.k)
-    if mode == "relative":
+    if params.stop_mode == "relative":
         return math.ceil(math.log(params.epsilon) / math.log(nu))
     res = compute_residuals(problem, start)
     return _unified_count(max(res.rp_norm, res.rd_norm, mu(start, problem.cones)),
@@ -197,7 +193,7 @@ def solve(problem: SocpProblem, start: HsdPoint,
         res = compute_residuals(problem, z)
         m = mu(z, spec)
         if trace is not None:
-            dist2, distinf = distances(z, spec)
+            dist2, distinf = distances(z, spec, m)
             if dist2 > params.gamma * m:
                 trace.neighborhood_violations += 1
             trace.rows.append(TraceRow(

@@ -15,7 +15,8 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .cones import ConeSpec, check_vector, membership, unit_element, w_vector
+from .cones import (ConeSpec, check_vector, membership, tail_norms,
+                    unit_element, w_vector)
 from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
                      NotInterior)
 from .geometry import HsdPoint, NeighborhoodParams, in_neighborhood
@@ -198,6 +199,8 @@ def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
     y_o = np.asarray(y_o, dtype=float).ravel()
     if y_o.shape != (new_p.p,):
         raise DimensionMismatch(f"y_o has length {y_o.shape[0]}, expected {new_p.p}")
+    if not membership(x_o, spec) or not membership(s_o, spec):
+        raise NotInterior("previous pair must lie in the cone")
 
     dA = new_p.A - prev_p.A
     db = new_p.b - prev_p.b
@@ -227,21 +230,15 @@ def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
     mu_o, gamma_o = _pair_centrality(x_o, s_o, spec)
     psi_o = float(e @ (x_o + s_o)) / spec.k
     dev_norm = float(np.linalg.norm((x_o + s_o) - psi_o * e))
-    soc_first = []
-    soc_beta = []
-    for o, d in spec.blocks:
-        tail = x_o[o + 1:o + d]
-        t = float(np.linalg.norm(tail))
-        if t == 0.0:
-            continue
-        soc_first.append(x_o[o])
-        soc_beta.append(math.sqrt((x_o[o] - t) * (x_o[o] + t)))
+    t = tail_norms(x_o, spec)
+    soc = t != 0.0
+    soc_first, t = x_o[spec.heads][soc], t[soc]
     diag = WarmStartDiagnostics(
         c_a=c_a, c_b=c_b, c_p=c_p, c_at=c_at, c_c=c_c, c_d=c_d, c_mu=mu_o,
         psi_o=psi_o, gamma_o=gamma_o, primal_vacuous=primal_vacuous,
         dual_vacuous=dual_vacuous, gamma=gamma, delta=delta, k=spec.k,
         dev_norm=dev_norm, s_o_norm=float(np.linalg.norm(s_o)),
-        soc_first=np.asarray(soc_first), soc_beta=np.asarray(soc_beta))
+        soc_first=soc_first, soc_beta=np.sqrt((soc_first - t) * (soc_first + t)))
     return diag.at_omega(omega_eval)
 
 

@@ -6,8 +6,8 @@ import pytest
 import socpath as sp
 from socpath import ConeSpec, NotInterior, ScalingMatrix
 
-from oracles import group_defect, spectral_oracle, t_oracle
-from util import boundary_vector, interior_vector, mixed_spec
+from oracles import arrow_oracle, group_defect, spectral_oracle, t_oracle
+from util import boundary_vector, interior_vector, mixed_spec, mixed_specs
 
 SQRT3 = np.sqrt(3.0)
 
@@ -26,6 +26,26 @@ def test_spec_hat_appends_unit_block():
     assert hat.soc_dims == (3, 1)
     assert hat.n == spec.n + 1
     assert hat.k == spec.k + 1
+
+
+def test_spec_layout():
+    spec = ConeSpec(l=2, soc_dims=(1, 4, 1, 3))
+    assert spec.heads.tolist() == [0, 1, 2, 3, 7, 8]
+    assert spec.block_of.tolist() == [0, 1, 2, 3, 3, 3, 3, 4, 5, 5, 5]
+    assert spec.tail.tolist() == [False] * 4 + [True] * 3 + [False] * 2 + [True] * 2
+    assert spec.blocks == ((0, 1), (1, 1), (2, 1), (3, 4), (7, 1), (8, 3))
+    assert spec.hat() is spec.hat()
+
+
+def test_spec_layout_is_not_a_field():
+    # the layout arrays and the cached hat spec stay out of ==, hash and repr
+    a, b = ConeSpec(2, (3,)), ConeSpec(2, (3,))
+    a.hat()
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert {a: "cone"}[b] == "cone"
+    assert repr(a) == repr(b) == "ConeSpec(l=2, soc_dims=(3,))"
+    assert a != ConeSpec(2, (3, 1)) and a != ConeSpec(3, (3,))
 
 
 def test_unit_element():
@@ -65,18 +85,17 @@ def test_jordan_product_norm_bound():
 
 def test_arrow_matrix_matches_product():
     rng = np.random.default_rng(23)
-    for _ in range(30):
-        spec = mixed_spec(rng)
+    for spec in mixed_specs(rng, 30):
         u = rng.standard_normal(spec.n)
         v = rng.standard_normal(spec.n)
         M = sp.arrow_matrix(u, spec)
+        assert np.array_equal(M, arrow_oracle(u, spec))
         assert np.allclose(M @ v, sp.jordan_product(u, v, spec), atol=1e-13)
 
 
 def test_spectral_bounds_against_eigensolver():
     rng = np.random.default_rng(31)
-    for _ in range(200):
-        spec = mixed_spec(rng)
+    for spec in mixed_specs(rng, 200):
         v = rng.standard_normal(spec.n)
         got = sp.spectral_bounds(v, spec)
         want = spectral_oracle(v, spec)
@@ -155,8 +174,7 @@ class TestTScaling:
 
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(53)
-        for _ in range(50):
-            spec = mixed_spec(rng)
+        for spec in mixed_specs(rng, 50):
             v = interior_vector(spec, rng)
             u = rng.standard_normal(spec.n)
             T = sp.t_scaling_matrix(v, spec)
@@ -336,8 +354,7 @@ class TestNtScaling:
 
     def test_contract(self):
         rng = np.random.default_rng(101)
-        for _ in range(200):
-            spec = mixed_spec(rng)
+        for spec in mixed_specs(rng, 200):
             x = interior_vector(spec, rng)
             s = interior_vector(spec, rng)
             D = sp.nt_scaling(x, s, spec)

@@ -34,3 +34,28 @@ def test_no_unused_imports():
     unused = [item for path in sorted(package.glob("*.py"))
               if path.name != "__init__.py" for item in _unused_imports(path)]
     assert unused == []
+
+
+def _private_definitions(path):
+    tree = ast.parse(path.read_text())
+    return [(node.name, node.lineno) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _references(path):
+    tree = ast.parse(path.read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)}
+
+
+def test_no_unreferenced_private_definitions():
+    """Every `_`-prefixed module-level function or class is referenced
+    somewhere in the package, so a helper left without callers fails."""
+    paths = sorted(Path(socpath.__file__).parent.glob("*.py"))
+    referenced = set().union(*(_references(path) for path in paths))
+    unused = [f"{path.name}:{line} {name}" for path in paths
+              for name, line in _private_definitions(path)
+              if name not in referenced]
+    assert unused == []

@@ -252,6 +252,19 @@ class TestDiagnostics:
         with pytest.raises(ConeSpecMismatch):
             sp.diagnostics(prob, other, (e, np.zeros(1), e), gamma=0.08)
 
+    @pytest.mark.parametrize("omega", ["max-admissible", 0.5])
+    def test_prev_outside_cone_raises(self, omega):
+        # a second-order block with head below its tail norm
+        spec = ConeSpec(l=1, soc_dims=(3,))
+        prob = SocpProblem(A=np.array([[1.0, 1.0, 0.0, 0.0]]), b=np.array([1.0]),
+                           c=np.ones(4), cones=spec)
+        x_o = np.array([1.0, 0.5, 1.0, 0.0])
+        with pytest.raises(NotInterior):
+            sp.diagnostics(prob, prob, (x_o, np.zeros(1), x_o.copy()), gamma=0.08)
+        with pytest.raises(NotInterior):
+            sp.warm_start(prob, prob, (x_o, np.zeros(1), x_o.copy()), 0.08,
+                          omega=omega)
+
     def test_vacuous_flags(self):
         # cold-start primal residual vanishes when b = A e
         rng = np.random.default_rng(569)

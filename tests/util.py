@@ -41,6 +41,18 @@ def mixed_spec(rng, max_linear=4, max_soc_blocks=4, max_soc_dim=6):
     return ConeSpec(l=l, soc_dims=dims)
 
 
+# 1-dimensional second-order blocks, which mixed_spec never draws
+UNIT_SOC_SPEC = ConeSpec(2, (1, 4, 1, 3))
+
+
+def mixed_specs(rng, count):
+    """`count` specs from mixed_spec, drawn lazily so the caller's draws
+    interleave as in a loop over mixed_spec, then UNIT_SOC_SPEC."""
+    for _ in range(count):
+        yield mixed_spec(rng)
+    yield UNIT_SOC_SPEC
+
+
 def spec_at_least(rng, min_n, **kwargs):
     """Random mixed spec with at least min_n total variables, so a row
     count below min_n keeps the constraint matrix strictly flat."""
