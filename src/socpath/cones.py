@@ -14,9 +14,11 @@ tail v_{2:}, and the primitives are whole-vector expressions over the
 layout that ConeSpec builds once: a 1-dimensional block (a linear entry or
 a (1,) second-order block) is a block with an empty tail, and the general
 formulas give its values.  Only the tail norms loop over the blocks, one
-np.linalg.norm per tail, so that a boundary point whose head was built as
-that same norm stays in the cone under the exact membership test; dense
-per-block matrices (T_v, ScalingMatrix blocks) are assembled block by block.
+dot product per tail, so that a boundary point whose head was built as
+np.linalg.norm of its tail stays in the cone under the exact membership
+test.  A Spectrum holds one vector's heads and tail norms; every spectral
+value, determinant, T_v and NT scaling of that vector reads them, so a
+caller that keeps the evaluation takes each tail norm once.
 """
 
 from __future__ import annotations
@@ -100,21 +102,48 @@ def check_vector(v, spec: ConeSpec) -> np.ndarray:
 def tail_norms(v: np.ndarray, spec: ConeSpec) -> np.ndarray:
     """||v_{2:}|| per block, 0 for an empty tail.
 
-    One np.linalg.norm per tail: a segmented sum of squares rounds
-    differently, and a boundary point whose head was built as
-    np.linalg.norm(tail) would then fall outside the cone.
+    One dot product per tail, sqrt(t't): the very operations that
+    np.linalg.norm carries out for a real vector, without its call
+    overhead.  A segmented sum of squares rounds differently, and a
+    boundary point whose head was built as np.linalg.norm(tail) would then
+    fall outside the cone.
     """
     t = np.zeros(spec.k)
     for i, (o, d) in enumerate(spec.blocks[spec.l:], spec.l):
-        t[i] = np.linalg.norm(v[o + 1:o + d])
+        seg = v[o + 1:o + d]
+        t[i] = math.sqrt(seg.dot(seg))
     return t
 
 
-def _det(v: np.ndarray, spec: ConeSpec) -> np.ndarray:
-    """Per-block determinant; the factored form (v_1 - t)(v_1 + t) avoids
-    cancellation near the boundary."""
-    h, t = v[spec.heads], tail_norms(v, spec)
-    return (h - t) * (h + t)
+class Spectrum:
+    """One evaluation of a vector v over the block layout of spec.
+
+    Per block: `head` v_1, `tail` ||v_{2:}|| and the spectral values
+    `lo` = v_1 - ||v_{2:}|| and `hi` = v_1 + ||v_{2:}||.
+    """
+
+    __slots__ = ("spec", "v", "head", "tail", "lo", "hi")
+
+    def __init__(self, v, spec: ConeSpec):
+        self.spec = spec
+        self.v = check_vector(v, spec)
+        self.head = self.v[spec.heads]
+        self.tail = tail_norms(self.v, spec)
+        self.lo = self.head - self.tail
+        self.hi = self.head + self.tail
+
+    def interior(self) -> bool:
+        return bool(np.all(self.lo > 0.0))
+
+    def require_interior(self, what: str) -> "Spectrum":
+        if not self.interior():
+            raise NotInterior(f"{what} must lie strictly inside the cone")
+        return self
+
+    def beta(self) -> np.ndarray:
+        """sqrt(det v) per block; the factored det (v_1 - t)(v_1 + t)
+        avoids cancellation near the boundary."""
+        return np.sqrt(self.lo * self.hi)
 
 
 def unit_element(spec: ConeSpec) -> np.ndarray:
@@ -146,66 +175,70 @@ def arrow_matrix(v, spec: ConeSpec) -> np.ndarray:
 
 def spectral_bounds(v, spec: ConeSpec) -> np.ndarray:
     """Per-block spectral values, shape (k, 2): columns (lambda_min, lambda_max)."""
-    v = check_vector(v, spec)
-    h, t = v[spec.heads], tail_norms(v, spec)
-    return np.column_stack((h - t, h + t))
+    sv = Spectrum(v, spec)
+    return np.column_stack((sv.lo, sv.hi))
 
 
 def membership(v, spec: ConeSpec, strict: bool = False) -> bool:
     """Exact cone membership test (no numerical slack)."""
-    lo = spectral_bounds(v, spec)[:, 0]
-    return bool(np.all(lo > 0.0)) if strict else bool(np.all(lo >= 0.0))
+    sv = Spectrum(v, spec)
+    return sv.interior() if strict else bool(np.all(sv.lo >= 0.0))
 
 
-def _require_interior(v: np.ndarray, spec: ConeSpec, what: str) -> None:
-    if not membership(v, spec, strict=True):
-        raise NotInterior(f"{what} must lie strictly inside the cone")
-
-
-def _t_block(vb: np.ndarray, beta: float) -> np.ndarray:
-    """Dense T_v of one interior block with sqrt(det) beta:
-    [[v_1, t'], [t, beta I + t t'/(beta + v_1)]] for the tail t."""
-    d = vb.shape[0]
-    T = np.outer(vb, vb) / (beta + vb[0])
-    T[0] = vb
-    T[:, 0] = vb
-    T.flat[d + 1::d + 1] += beta
+def _t_dense(v: Spectrum) -> np.ndarray:
+    """Dense block-diagonal T_v of an interior v, per block
+    [[v_1, t'], [t, beta I + t t'/(beta + v_1)]] for the tail t: one
+    masked outer(v, v) with the head rows, the head columns and the tail
+    diagonal written in."""
+    spec = v.spec
+    blk = spec.block_of
+    beta = v.beta()
+    T = np.outer(v.v, v.v)
+    T /= (beta + v.head)[blk][:, None]
+    T[blk[:, None] != blk] = 0.0
+    idx = np.arange(spec.n)
+    head_of = spec.heads[blk]
+    T[head_of, idx] = v.v
+    T[idx, head_of] = v.v
+    tail = idx[spec.tail]
+    T[tail, tail] += beta[blk[tail]]
     return T
 
 
 def t_scaling_matrix(v, spec: ConeSpec) -> np.ndarray:
     """Dense symmetric PD square root of the quadratic representation of v."""
-    v = check_vector(v, spec)
-    _require_interior(v, spec, "argument of t_scaling_matrix")
-    beta = np.sqrt(_det(v, spec))
-    M = np.zeros((spec.n, spec.n))
-    for (o, d), b in zip(spec.blocks, beta):
-        M[o:o + d, o:o + d] = _t_block(v[o:o + d], b)
-    return M
+    return _t_dense(
+        Spectrum(v, spec).require_interior("argument of t_scaling_matrix"))
+
+
+def t_apply_of(v: Spectrum, u: np.ndarray) -> np.ndarray:
+    """T_v u from the evaluation of an interior v, without the dense matrix."""
+    spec = v.spec
+    heads, blk = spec.heads, spec.block_of
+    beta = v.beta()
+    vu = v.v * u
+    tail_dot = np.add.reduceat(np.where(spec.tail, vu, 0.0), heads)
+    out = (u[heads][blk] * v.v + beta[blk] * u
+           + v.v * tail_dot[blk] / (beta + v.head)[blk])
+    out[heads] = np.add.reduceat(vu, heads)
+    return out
 
 
 def t_apply(v, u, spec: ConeSpec) -> np.ndarray:
     """T_v u without forming the dense matrix.  Requires interior v."""
     v = check_vector(v, spec)
     u = check_vector(u, spec)
-    _require_interior(v, spec, "scaling point of t_apply")
-    heads, blk = spec.heads, spec.block_of
-    beta = np.sqrt(_det(v, spec))
-    vu = v * u
-    tail_dot = np.add.reduceat(np.where(spec.tail, vu, 0.0), heads)
-    out = (u[heads][blk] * v + beta[blk] * u
-           + v * tail_dot[blk] / (beta + v[heads])[blk])
-    out[heads] = np.add.reduceat(vu, heads)
-    return out
+    return t_apply_of(
+        Spectrum(v, spec).require_interior("scaling point of t_apply"), u)
 
 
 def t_inverse_apply(v, u, spec: ConeSpec) -> np.ndarray:
     """T_v^{-1} u via the reflection identity T_v^{-1} = Q T_v Q / det(v)."""
     v = check_vector(v, spec)
     u = check_vector(u, spec)
-    _require_interior(v, spec, "scaling point of t_inverse_apply")
-    w = t_apply(v, np.where(spec.tail, -u, u), spec)
-    det = _det(v, spec)[spec.block_of]
+    sv = Spectrum(v, spec).require_interior("scaling point of t_inverse_apply")
+    w = t_apply_of(sv, np.where(spec.tail, -u, u))
+    det = (sv.lo * sv.hi)[spec.block_of]
     return w / np.where(spec.tail, -det, det)
 
 
@@ -217,12 +250,11 @@ def u_p_matrices(v, spec: ConeSpec) -> Tuple[np.ndarray, np.ndarray]:
     complement of the tail direction.  Blocks with zero tail (and linear
     blocks) contribute zero to both matrices.
     """
-    v = check_vector(v, spec)
-    _require_interior(v, spec, "argument of u_p_matrices")
+    sv = Spectrum(v, spec).require_interior("argument of u_p_matrices")
+    v = sv.v
     U = np.zeros((spec.n, spec.n))
     P = np.zeros((spec.n, spec.n))
-    beta = np.sqrt(_det(v, spec))
-    for (o, d), t, b in zip(spec.blocks, tail_norms(v, spec), beta):
+    for (o, d), t, b in zip(spec.blocks, sv.tail, sv.beta()):
         if t == 0.0:
             continue
         tail = v[o + 1:o + d]
@@ -239,11 +271,9 @@ def w_vector(x, s, spec: ConeSpec) -> np.ndarray:
 
 def r_matrix(x, s, spec: ConeSpec) -> np.ndarray:
     """Dense T_x mat(x)^{-1} mat(s) T_x.  Requires interior x and s."""
-    x = check_vector(x, spec)
-    s = check_vector(s, spec)
-    _require_interior(x, spec, "x in r_matrix")
-    _require_interior(s, spec, "s in r_matrix")
-    T = t_scaling_matrix(x, spec)
+    xs = Spectrum(x, spec).require_interior("x in r_matrix")
+    Spectrum(s, spec).require_interior("s in r_matrix")
+    T = _t_dense(xs)
     X = arrow_matrix(x, spec)
     S = arrow_matrix(s, spec)
     return T @ np.linalg.solve(X, S @ T)
@@ -255,7 +285,7 @@ class ScalingMatrix:
     Per block i, G_i preserves the reflection form (G_i' Q G_i = Q with
     Q = diag(1, -I)) and theta_i > 0 scales it.  Linear blocks carry
     G_i = 1.  Application methods avoid forming the full dense matrix;
-    dense forms are available for assembly and tests.
+    the dense forms for assembly and tests are built once and read-only.
     """
 
     def __init__(self, spec: ConeSpec, g_blocks: Sequence[np.ndarray],
@@ -275,11 +305,26 @@ class ScalingMatrix:
             d_blocks = [np.linalg.inv(th * g)
                         for th, g in zip(self.thetas, self.g_blocks)]
         self.d_blocks = [np.asarray(db, dtype=float) for db in d_blocks]
+        self._matrix: Optional[np.ndarray] = None
+        self._inverse: Optional[np.ndarray] = None
+
+    @classmethod
+    def _dense(cls, spec: ConeSpec, G: np.ndarray, thetas: np.ndarray,
+               D: np.ndarray, D_inv: np.ndarray) -> "ScalingMatrix":
+        """Scaling from dense block-diagonal G, D and D^{-1}, made
+        read-only; the G and D blocks are views into them."""
+        for M in (G, D, D_inv):
+            M.setflags(write=False)
+        scaling = cls(spec, [G[o:o + d, o:o + d] for o, d in spec.blocks],
+                      thetas,
+                      d_blocks=[D[o:o + d, o:o + d] for o, d in spec.blocks])
+        scaling._matrix, scaling._inverse = D, D_inv
+        return scaling
 
     @classmethod
     def identity(cls, spec: ConeSpec) -> "ScalingMatrix":
-        gs = [np.eye(d) for _, d in spec.blocks]
-        return cls(spec, gs, np.ones(spec.k), d_blocks=[g.copy() for g in gs])
+        eye = np.eye(spec.n)
+        return cls._dense(spec, eye, np.ones(spec.k), eye, eye)
 
     def _blockwise(self, v, mats) -> np.ndarray:
         v = check_vector(v, self.spec)
@@ -306,17 +351,25 @@ class ScalingMatrix:
         return self._blockwise(
             v, [th * g.T for th, g in zip(self.thetas, self.g_blocks)])
 
-    def matrix(self) -> np.ndarray:
+    def _block_diagonal(self, blocks) -> np.ndarray:
         M = np.zeros((self.spec.n, self.spec.n))
-        for (o, d), db in zip(self.spec.blocks, self.d_blocks):
-            M[o:o + d, o:o + d] = db
+        for (o, d), B in zip(self.spec.blocks, blocks):
+            M[o:o + d, o:o + d] = B
+        M.setflags(write=False)
         return M
 
+    def matrix(self) -> np.ndarray:
+        """Dense D, built once and read-only."""
+        if self._matrix is None:
+            self._matrix = self._block_diagonal(self.d_blocks)
+        return self._matrix
+
     def inverse_matrix(self) -> np.ndarray:
-        M = np.zeros((self.spec.n, self.spec.n))
-        for (o, d), th, g in zip(self.spec.blocks, self.thetas, self.g_blocks):
-            M[o:o + d, o:o + d] = th * g
-        return M
+        """Dense D^{-1} = Theta G, built once and read-only."""
+        if self._inverse is None:
+            self._inverse = self._block_diagonal(
+                [th * g for th, g in zip(self.thetas, self.g_blocks)])
+        return self._inverse
 
     def group_residual(self) -> float:
         """Largest per-block Frobenius defect ||G'QG - Q||_F."""
@@ -342,24 +395,28 @@ def nt_scaling(x, s, spec: ConeSpec) -> ScalingMatrix:
     """
     x = check_vector(x, spec)
     s = check_vector(s, spec)
-    _require_interior(x, spec, "x in nt_scaling")
-    _require_interior(s, spec, "s in nt_scaling")
+    return nt_scaling_of(Spectrum(x, spec).require_interior("x in nt_scaling"),
+                         Spectrum(s, spec).require_interior("s in nt_scaling"))
+
+
+def nt_scaling_of(x: Spectrum, s: Spectrum) -> ScalingMatrix:
+    """nt_scaling from the evaluations of an interior pair x, s."""
+    spec = x.spec
     heads, blk = spec.heads, spec.block_of
-    bx, bs = np.sqrt(_det(x, spec)), np.sqrt(_det(s, spec))
-    xt, st = x / bx[blk], s / bs[blk]
+    bx, bs = x.beta(), s.beta()
+    xt, st = x.v / bx[blk], s.v / bs[blk]
     gam = np.sqrt((1.0 + np.add.reduceat(xt * st, heads)) / 2.0)
     w = (xt + np.where(spec.tail, -st, st)) / (2.0 * gam)[blk]
     eta = np.sqrt(bx / bs)
-    g_blocks: List[np.ndarray] = []
-    d_blocks: List[np.ndarray] = []
-    for (o, d), bw, e in zip(spec.blocks, np.sqrt(_det(w, spec)), eta):
-        Tw = _t_block(w[o:o + d], bw)
-        G = Tw.copy()
-        G[0, 1:] *= -1.0
-        G[1:, 0] *= -1.0
-        g_blocks.append(G)
-        d_blocks.append(e * Tw)
-    return ScalingMatrix(spec, g_blocks, 1.0 / eta, d_blocks=d_blocks)
+    theta = 1.0 / eta
+    G = _t_dense(Spectrum(w, spec))
+    D = eta[blk][:, None] * G
+    # G = Q T_w Q: negate each head row and head column off the diagonal
+    tail = np.flatnonzero(spec.tail)
+    head_of = heads[blk[tail]]
+    G[head_of, tail] *= -1.0
+    G[tail, head_of] *= -1.0
+    return ScalingMatrix._dense(spec, G, theta, D, theta[blk][:, None] * G)
 
 
 def random_automorphism(spec: ConeSpec, seed=None) -> ScalingMatrix:

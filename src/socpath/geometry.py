@@ -13,8 +13,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .cones import (ConeSpec, check_vector, membership, spectral_bounds,
-                    unit_element, w_vector)
+from .cones import (ConeSpec, Spectrum, check_vector, spectral_bounds,
+                    t_apply_of, unit_element)
 from .errors import InvalidPoint
 from .problem import SocpProblem
 
@@ -59,7 +59,14 @@ def mu(z: HsdPoint, spec: ConeSpec) -> float:
 
 def distances(z: HsdPoint, spec: ConeSpec, m: float) -> Tuple[float, float]:
     """(d2, dinf) of z at its mu m, from one scaled product point w = T_x s."""
-    w = w_vector(z.x, z.s, spec)
+    x = Spectrum(z.x, spec).require_interior("scaling point of t_apply")
+    return distances_of(z, x, m)
+
+
+def distances_of(z: HsdPoint, x: Spectrum, m: float) -> Tuple[float, float]:
+    """distances from the evaluation x of an interior z.x."""
+    spec = x.spec
+    w = t_apply_of(x, check_vector(z.s, spec))
     dev = w - m * unit_element(spec)
     extra = z.kappa * z.tau - m
     dist2 = math.sqrt(2.0) * math.sqrt(float(dev @ dev) + extra * extra)
@@ -83,12 +90,11 @@ def in_neighborhood(z: HsdPoint, spec: ConeSpec,
     """Membership in N_2(gamma) or N_inf(gamma); non-interior points are out."""
     if z.kappa <= 0.0 or z.tau <= 0.0:
         return False
-    if not membership(z.x, spec, strict=True):
-        return False
-    if not membership(z.s, spec, strict=True):
+    x = Spectrum(z.x, spec)
+    if not x.interior() or not Spectrum(z.s, spec).interior():
         return False
     m = mu(z, spec)
-    dist2, distinf = distances(z, spec, m)
+    dist2, distinf = distances_of(z, x, m)
     return (dist2 if params.flavor == "2" else distinf) <= params.gamma * m
 
 

@@ -14,11 +14,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cones import ScalingMatrix, nt_scaling, spectral_bounds
-from .errors import (InvalidParams, MaxIterationsExceeded,
-                     StartOutsideNeighborhood)
+from .cones import ConeSpec, ScalingMatrix, Spectrum, nt_scaling_of
+from .errors import (DimensionMismatch, InvalidParams, MaxIterationsExceeded,
+                     NotInterior, StartOutsideNeighborhood)
 from .geometry import (Classification, HsdPoint, NeighborhoodParams,
-                       classify_status, distances, in_neighborhood, mu)
+                       classify_status, distances_of, in_neighborhood, mu)
 from .kkt import assemble, solve_direction, step_point
 from .problem import SocpProblem, compute_residuals
 
@@ -144,11 +144,35 @@ def _stopped(params: SolverParams, res, m: float, start) -> bool:
     return ok_p and ok_d and m <= eps * mu0
 
 
+def _evaluate(z: HsdPoint, spec: ConeSpec,
+              iteration: int) -> Tuple[Spectrum, Spectrum]:
+    """The one cone evaluation of an iterate, which every later reader of
+    its spectral values shares, and the interior check it makes cheap."""
+    x, s = Spectrum(z.x, spec), Spectrum(z.s, spec)
+    lam_x, lam_s = float(x.lo.min()), float(s.lo.min())
+    if not (z.tau > 0.0 and z.kappa > 0.0 and lam_x > 0.0 and lam_s > 0.0):
+        raise NotInterior(
+            f"iteration {iteration} left the interior: tau={z.tau:.3e}, "
+            f"kappa={z.kappa:.3e}, lambda_min(x)={lam_x:.3e}, "
+            f"lambda_min(s)={lam_s:.3e}")
+    return x, s
+
+
 def solve(problem: SocpProblem, start: HsdPoint,
           params: SolverParams) -> SolveResult:
-    """Run the fixed-step loop from `start` until the stop criterion holds."""
+    """Run the fixed-step loop from `start` until the stop criterion holds.
+
+    Every iterate, the start included, must stay strictly interior
+    (tau, kappa > 0 and x, s inside the cone); one that leaves raises
+    NotInterior naming its iteration.
+    """
     problem.check_shapes()
     problem.check_finite()
+    if problem.p > problem.n + 1:
+        # [A, -b] then has dependent rows, and every Newton system is singular
+        raise DimensionMismatch(
+            f"{problem.p} equality rows exceed the {problem.n + 1} columns "
+            f"of [A, -b]")
     spec = problem.cones
     k = spec.k
     ok, margin = validate_params(params.gamma, params.delta, k)
@@ -161,7 +185,9 @@ def solve(problem: SocpProblem, start: HsdPoint,
             "start must lie in the 2-norm neighborhood of the central path")
     nu = centering_nu(params.delta, k)
     z = start.copy()
-    # one evaluation per iterate feeds its stop check and its trace row
+    # one evaluation per iterate feeds its stop check, its trace row and
+    # the next step's scaling
+    xs, ss = _evaluate(z, spec, 0)
     res = compute_residuals(problem, z)
     m = mu(z, spec)
     start_norms = (m, res.rp_norm, res.rd_norm)
@@ -180,7 +206,7 @@ def solve(problem: SocpProblem, start: HsdPoint,
         if iters >= max_iter:
             raise MaxIterationsExceeded(f"no convergence in {max_iter} steps")
         D = identity if params.scaling == "identity" \
-            else nt_scaling(z.x, z.s, spec)
+            else nt_scaling_of(xs, ss)
         # `system` stays referenced until the next one is built: freeing
         # the dense matrix between steps lets the allocator return its
         # pages to the OS, and the next assembly faults them in again.
@@ -190,18 +216,19 @@ def solve(problem: SocpProblem, start: HsdPoint,
             directions.append((z.copy(), direction, m))
         z = step_point(z, direction, 1.0)
         iters += 1
+        xs, ss = _evaluate(z, spec, iters)
         res = compute_residuals(problem, z)
         m = mu(z, spec)
         if trace is not None:
-            dist2, distinf = distances(z, spec, m)
+            dist2, distinf = distances_of(z, xs, m)
             if dist2 > params.gamma * m:
                 trace.neighborhood_violations += 1
             trace.rows.append(TraceRow(
                 iteration=iters, mu=m, d2=dist2, dinf=distinf,
                 rp_norm=res.rp_norm, rd_norm=res.rd_norm,
                 rg_abs=res.rg_abs, tau=z.tau, kappa=z.kappa,
-                lambda_min_x=float(spectral_bounds(z.x, spec)[:, 0].min()),
-                lambda_min_s=float(spectral_bounds(z.s, spec)[:, 0].min()),
+                lambda_min_x=float(xs.lo.min()),
+                lambda_min_s=float(ss.lo.min()),
                 orth_defect=direction.orthogonality_defect,
                 kkt_residual=direction.system_residual))
     status = classify_status(z, problem, params.epsilon)

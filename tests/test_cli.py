@@ -9,8 +9,8 @@ from socpath import SocpProblem
 from socpath.cli import main, perturb_problem, run_bench
 from socpath.fileio import TRACE_COLUMNS, parse_point, write_problem
 
-from util import (infeasible_lp, mixed_spec, random_problem, soc_fixture,
-                  toy_lp)
+from util import (feasible_problem, infeasible_lp, mixed_spec, random_problem,
+                  soc_fixture, toy_lp)
 
 
 @pytest.fixture
@@ -101,6 +101,36 @@ class TestSolveCommand:
                            "--output", tmp_path / "o.json")
         assert code == 3
         assert json.loads(err)["error"]["type"] == "SingularSystem"
+
+    def test_more_rows_than_embedding_columns_exits_2(self, run, tmp_path):
+        # 3 equality rows on a 1-variable cone: refused before assembly
+        rng = np.random.default_rng(11)
+        prob = feasible_problem(mixed_spec(rng), 3, rng)
+        assert (prob.p, prob.n) == (3, 1)
+        path = tmp_path / "wide.json"
+        path.write_text(write_problem(prob))
+        code, _, err = run("solve", "--problem", path,
+                           "--output", tmp_path / "o.json")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "DimensionMismatch"
+
+    def test_iterate_leaving_interior_exits_3(self, run, toy_file, tmp_path,
+                                              monkeypatch):
+        original = sp.solver.step_point
+
+        def step(*args, **kwargs):
+            z = original(*args, **kwargs)
+            z.tau = -1.0
+            return z
+        monkeypatch.setattr(sp.solver, "step_point", step)
+        out_file = tmp_path / "sol.json"
+        code, _, err = run("solve", "--problem", toy_file, "--epsilon", "1e-2",
+                           "--output", out_file)
+        assert code == 3
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "NotInterior"
+        assert doc["message"].startswith("iteration 1 left the interior")
+        assert not out_file.exists()
 
 
 class TestCheckCommand:

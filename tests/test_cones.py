@@ -378,3 +378,96 @@ class TestNtScaling:
         spec = ConeSpec(l=0, soc_dims=(2,))
         with pytest.raises(NotInterior):
             sp.nt_scaling(np.array([1.0, 1.0]), np.array([2.0, 1.0]), spec)
+
+
+def _tail_norms_per_tail(v, spec):
+    return np.array([np.linalg.norm(v[o + 1:o + d]) for o, d in spec.blocks])
+
+
+def test_tail_norms_equal_linalg_norm_bitwise():
+    rng = np.random.default_rng(107)
+    for spec in mixed_specs(rng, 150):
+        # squares of 1e300 entries overflow to inf, in util too
+        with np.errstate(over="ignore"):
+            vectors = (rng.standard_normal(spec.n),
+                       interior_vector(spec, rng),
+                       boundary_vector(spec, rng),
+                       boundary_vector(spec, rng, scale=1e300),
+                       boundary_vector(spec, rng, scale=1e-300),
+                       1e300 * rng.standard_normal(spec.n),
+                       1e-300 * rng.standard_normal(spec.n))
+            for v in vectors:
+                got = sp.cones.tail_norms(v, spec)
+                assert got.tobytes() == _tail_norms_per_tail(v, spec).tobytes()
+
+
+def _nt_block_by_block(x, s, spec):
+    """Dense D and D^{-1} of the NT scaling, each block's T_w built from
+    its own outer product and placed into zero matrices."""
+    heads, blk = spec.heads, spec.block_of
+    t_x, t_s = _tail_norms_per_tail(x, spec), _tail_norms_per_tail(s, spec)
+    bx = np.sqrt((x[heads] - t_x) * (x[heads] + t_x))
+    bs = np.sqrt((s[heads] - t_s) * (s[heads] + t_s))
+    xt, st = x / bx[blk], s / bs[blk]
+    gam = np.sqrt((1.0 + np.add.reduceat(xt * st, heads)) / 2.0)
+    w = (xt + np.where(spec.tail, -st, st)) / (2.0 * gam)[blk]
+    t_w = _tail_norms_per_tail(w, spec)
+    bw = np.sqrt((w[heads] - t_w) * (w[heads] + t_w))
+    eta = np.sqrt(bx / bs)
+    D, D_inv = np.zeros((spec.n, spec.n)), np.zeros((spec.n, spec.n))
+    for (o, d), beta, e, th in zip(spec.blocks, bw, eta, 1.0 / eta):
+        wb = w[o:o + d]
+        T = np.outer(wb, wb) / (beta + wb[0])
+        T[0] = wb
+        T[:, 0] = wb
+        T.flat[d + 1::d + 1] += beta
+        G = T.copy()
+        G[0, 1:] *= -1.0
+        G[1:, 0] *= -1.0
+        D[o:o + d, o:o + d] = e * T
+        D_inv[o:o + d, o:o + d] = th * G
+    return D, D_inv
+
+
+def test_nt_dense_forms_equal_block_by_block_bitwise():
+    rng = np.random.default_rng(109)
+    for spec in mixed_specs(rng, 150):
+        x = interior_vector(spec, rng)
+        s = interior_vector(spec, rng)
+        D = sp.nt_scaling(x, s, spec)
+        D_ref, D_inv_ref = _nt_block_by_block(x, s, spec)
+        assert D.matrix().tobytes() == D_ref.tobytes()
+        assert D.inverse_matrix().tobytes() == D_inv_ref.tobytes()
+
+
+def test_t_scaling_matrix_equals_block_by_block_bitwise():
+    rng = np.random.default_rng(113)
+    for spec in mixed_specs(rng, 100):
+        v = interior_vector(spec, rng)
+        t = _tail_norms_per_tail(v, spec)
+        betas = np.sqrt((v[spec.heads] - t) * (v[spec.heads] + t))
+        ref = np.zeros((spec.n, spec.n))
+        for (o, d), beta in zip(spec.blocks, betas):
+            vb = v[o:o + d]
+            T = np.outer(vb, vb) / (beta + vb[0])
+            T[0] = vb
+            T[:, 0] = vb
+            T.flat[d + 1::d + 1] += beta
+            ref[o:o + d, o:o + d] = T
+        assert sp.t_scaling_matrix(v, spec).tobytes() == ref.tobytes()
+
+
+def test_dense_scaling_forms_cached_read_only():
+    rng = np.random.default_rng(127)
+    spec = ConeSpec(l=2, soc_dims=(3, 1, 4))
+    x = interior_vector(spec, rng)
+    s = interior_vector(spec, rng)
+    for D in (sp.nt_scaling(x, s, spec), ScalingMatrix.identity(spec),
+              sp.random_automorphism(spec, rng)):
+        for dense in (D.matrix, D.inverse_matrix):
+            M = dense()
+            assert dense() is M
+            assert not M.flags.writeable
+            with pytest.raises(ValueError):
+                M[0, 0] = 2.0
+    assert np.array_equal(ScalingMatrix.identity(spec).matrix(), np.eye(spec.n))

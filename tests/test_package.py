@@ -4,6 +4,9 @@ import ast
 from pathlib import Path
 
 import socpath
+import socpath.solver
+
+from util import cold_point, toy_lp
 
 
 def test_every_export_resolves():
@@ -59,3 +62,24 @@ def test_no_unreferenced_private_definitions():
               for name, line in _private_definitions(path)
               if name not in referenced]
     assert unused == []
+
+
+def test_one_step_point_call_per_iteration(monkeypatch):
+    """`solve` takes every Newton step through `socpath.solver.step_point`,
+    the name that the benchmark's per-step clock wraps; a step taken
+    another way would leave that clock without stamps."""
+    calls = []
+    original = socpath.solver.step_point
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(socpath.solver, "step_point", counted)
+    problem = toy_lp()
+    for scaling in ("identity", "nt"):
+        calls.clear()
+        result = socpath.solve(problem, cold_point(problem),
+                               socpath.SolverParams(epsilon=1e-2,
+                                                    scaling=scaling))
+        assert result.iterations > 0
+        assert len(calls) == result.iterations

@@ -5,10 +5,12 @@ import pytest
 
 import socpath as sp
 from socpath import (
+    DimensionMismatch,
     HsdPoint,
     InvalidParams,
     MaxIterationsExceeded,
     NonFiniteData,
+    NotInterior,
     SocpathError,
     SolverParams,
     StartOutsideNeighborhood,
@@ -264,3 +266,77 @@ def test_trace_does_not_change_iterates(scaling):
     assert on.iterations == off.iterations == len(on.trace.rows)
     for name in ("x", "y", "s", "kappa", "tau"):
         assert np.array_equal(getattr(on.point, name), getattr(off.point, name))
+
+
+def _leave_x(z):
+    z.x[0] = -1.0
+
+
+def _leave_s(z):
+    z.s[0] = -1.0
+
+
+def _leave_tau(z):
+    z.tau = -1.0
+
+
+@pytest.mark.parametrize("leave", [_leave_x, _leave_s, _leave_tau],
+                         ids=["x", "s", "tau"])
+def test_iterate_leaving_interior_raises(monkeypatch, leave):
+    """The interior check runs on every iterate, also under the identity
+    scaling with the trace off, and names the iteration that left."""
+    original = sp.solver.step_point
+    steps = []
+
+    def step(*args, **kwargs):
+        z = original(*args, **kwargs)
+        steps.append(z)
+        if len(steps) == 3:
+            leave(z)
+        return z
+    monkeypatch.setattr(sp.solver, "step_point", step)
+    prob = soc_fixture()
+    params = SolverParams(epsilon=1e-2, scaling="identity",
+                          trace_enabled=False)
+    with pytest.raises(NotInterior, match="^iteration 3 left the interior"):
+        sp.solve(prob, cold_point(prob), params)
+    assert len(steps) == 3
+
+
+@pytest.mark.parametrize("scaling, trace_enabled, per_iteration",
+                         [("nt", True, 4), ("identity", False, 2)])
+def test_tail_norms_per_iteration(monkeypatch, scaling, trace_enabled,
+                                  per_iteration):
+    """Each iterate's heads and tail norms of x and s are taken once.  An
+    NT step adds the scaling point w, a trace row the product point T_x s.
+    The start adds 3 more for its neighborhood check (x, s and T_x s)."""
+    calls = []
+    original = sp.cones.tail_norms
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(sp.cones, "tail_norms", counted)
+    rng = np.random.default_rng(439)
+    prob = feasible_problem(sp.ConeSpec(l=2, soc_dims=(3, 3)), 2, rng)
+    params = SolverParams(epsilon=1e-2, scaling=scaling,
+                          trace_enabled=trace_enabled)
+    res = sp.solve(prob, cold_point(prob), params)
+    assert res.iterations > 0
+    assert len(calls) == per_iteration * res.iterations + 2 + 3
+
+
+def test_more_rows_than_embedding_columns_rejected(monkeypatch):
+    """p > n+1 makes [A, -b] row-dependent and every Newton system
+    singular: refused at entry as input, before any assembly."""
+    rng = np.random.default_rng(11)
+    prob = feasible_problem(mixed_spec(rng), 3, rng)
+    assert (prob.p, prob.n) == (3, 1)
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled a Newton system")
+    monkeypatch.setattr(sp.solver, "assemble", no_assembly)
+    with pytest.raises(DimensionMismatch, match="3 equality rows") as info:
+        sp.solve(prob, cold_point(prob), SolverParams(epsilon=1e-2))
+    assert isinstance(info.value, SocpathError)
+    assert isinstance(info.value, ValueError)
