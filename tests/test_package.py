@@ -39,6 +39,28 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _matrix_inversions(path):
+    tree = ast.parse(path.read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "inv"
+             and isinstance(node.value, ast.Attribute)
+             and node.value.attr == "linalg"]
+    found += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)
+              and node.module == "numpy.linalg"
+              and any(alias.name == "inv" for alias in node.names)]
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_no_matrix_inversion():
+    """Every inverse in the package is closed form (the group inverse
+    Q G' Q, the reflection identity for T_v^{-1}); no np.linalg.inv."""
+    package = Path(socpath.__file__).parent
+    found = [item for path in sorted(package.glob("*.py"))
+             for item in _matrix_inversions(path)]
+    assert found == []
+
+
 def _private_definitions(path):
     tree = ast.parse(path.read_text())
     return [(node.name, node.lineno) for node in tree.body

@@ -152,6 +152,11 @@ def test_start_outside_neighborhood_rejected():
     )
     with pytest.raises(StartOutsideNeighborhood):
         sp.solve(prob, off, SolverParams(epsilon=1e-2))
+    # a start off the interior is refused the same way, not as NotInterior
+    for tau, x in ((0.0, z.x), (-1.0, z.x), (z.tau, np.array([1.0, -0.5]))):
+        bad = HsdPoint(x=x, y=z.y, s=z.s, kappa=z.kappa, tau=tau)
+        with pytest.raises(StartOutsideNeighborhood):
+            sp.solve(prob, bad, SolverParams(epsilon=1e-2))
 
 
 @pytest.mark.parametrize("field", ["A", "b", "c"])
@@ -309,7 +314,7 @@ def test_tail_norms_per_iteration(monkeypatch, scaling, trace_enabled,
                                   per_iteration):
     """Each iterate's heads and tail norms of x and s are taken once.  An
     NT step adds the scaling point w, a trace row the product point T_x s.
-    The start adds 3 more for its neighborhood check (x, s and T_x s)."""
+    The start's neighborhood check adds 1, for its T_x s."""
     calls = []
     original = sp.cones.tail_norms
 
@@ -323,7 +328,7 @@ def test_tail_norms_per_iteration(monkeypatch, scaling, trace_enabled,
                           trace_enabled=trace_enabled)
     res = sp.solve(prob, cold_point(prob), params)
     assert res.iterations > 0
-    assert len(calls) == per_iteration * res.iterations + 2 + 3
+    assert len(calls) == per_iteration * res.iterations + 3
 
 
 def test_more_rows_than_embedding_columns_rejected(monkeypatch):

@@ -186,6 +186,23 @@ class TestDiagnostics:
             assert abs(d.xi_o_raw - (bracket - 0.08 * d.psi_o)) < 1e-12
             assert abs(d.c_xs - (1.0 - omega) * (d.psi_o + 1.0)) < 1e-14
 
+    def test_previous_pair_evaluated_once(self, monkeypatch):
+        """The heads and tail norms of x_o and s_o are taken once each and
+        read by the membership tests, gamma_o's T_x s and the SOC betas."""
+        calls = []
+        original = sp.cones.tail_norms
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(sp.cones, "tail_norms", counted)
+        rng = np.random.default_rng(563)
+        spec = ConeSpec(l=2, soc_dims=(3, 4))
+        prob, pair = feasible_problem_with_pair(spec, 2, rng)
+        d = sp.diagnostics(prob, prob, pair, gamma=0.08)
+        assert math.isfinite(d.gamma_o) and d.soc_first.size == 2
+        assert len(calls) == 2
+
     def test_exact_prev_zero_constants(self):
         rng = np.random.default_rng(557)
         spec = mixed_spec(rng)
