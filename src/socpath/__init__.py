@@ -9,8 +9,9 @@ from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
                      InvalidParams, InvalidPoint, MaxIterationsExceeded,
                      NonFiniteData, NotInterior, ParseError, SingularSystem,
                      SocpathError, StartOutsideNeighborhood)
-from .geometry import (Classification, HsdPoint, NeighborhoodParams,
-                       classify_status, d2, dinf, in_neighborhood, mu)
+from .geometry import (Classification, Evaluation, HsdPoint,
+                       NeighborhoodParams, classify_status, d2, dinf,
+                       in_neighborhood, mu)
 from .kkt import (KktSystem, NewtonDirection, assemble,
                   scaled_increment_diagnostics, solve_direction, step_point)
 from .problem import (Residuals, SocpProblem, ValidationReport,
@@ -34,7 +35,7 @@ __all__ = [
     "InvalidParams", "InvalidPoint", "MaxIterationsExceeded",
     "NonFiniteData", "NotInterior", "ParseError", "SingularSystem",
     "SocpathError", "StartOutsideNeighborhood",
-    "Classification", "HsdPoint", "NeighborhoodParams",
+    "Classification", "Evaluation", "HsdPoint", "NeighborhoodParams",
     "classify_status", "d2", "dinf", "in_neighborhood", "mu",
     "KktSystem", "NewtonDirection", "assemble",
     "scaled_increment_diagnostics", "solve_direction", "step_point",

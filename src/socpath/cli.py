@@ -15,12 +15,11 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .cones import membership
 from .errors import (ConeSpecMismatch, DimensionMismatch, InvalidParams,
                      InvalidPoint, MaxIterationsExceeded, NotInterior,
                      ParseError, SingularSystem, StartOutsideNeighborhood)
 from .fileio import parse_point, parse_problem, write_solution, write_trace
-from .geometry import NeighborhoodParams, distances, in_neighborhood, mu
+from .geometry import Evaluation, NeighborhoodParams
 from .problem import SocpProblem, compute_residuals
 from .solver import SolverParams, predicted_iterations, solve
 from .warmstart import check_omega, cold_start, warm_start
@@ -48,16 +47,16 @@ def _load_problem(path: str) -> SocpProblem:
     return parse_problem(Path(path).read_text())
 
 
-def _solver_params(args, stop_mode: str) -> SolverParams:
+def _solver_params(args, trace: bool) -> SolverParams:
     return SolverParams(gamma=args.gamma, delta=args.delta,
                         epsilon=args.epsilon, scaling=args.scaling,
                         max_iterations=args.max_iter,
-                        stop_mode=stop_mode, trace_enabled=True)
+                        stop_mode=args.stop_mode, trace_enabled=trace)
 
 
 def cmd_solve(args) -> int:
     problem = _load_problem(args.problem)
-    params = _solver_params(args, args.stop_mode)
+    params = _solver_params(args, bool(args.trace))
     start = cold_start(problem.cones, p=problem.p)
     result = solve(problem, start, params)
     Path(args.output).write_text(write_solution(problem, result, params))
@@ -97,7 +96,7 @@ def cmd_warmstart(args) -> int:
     if sol.tau <= 0.0:
         raise InvalidPoint("previous solution must have tau > 0")
     prev = (sol.x / sol.tau, sol.y / sol.tau, sol.s / sol.tau)
-    params = _solver_params(args, args.stop_mode)
+    params = _solver_params(args, False)
     ws = warm_start(prev_problem, new_problem, prev, args.gamma, args.delta,
                     _omega_policy(args.omega))
     warm = solve(new_problem, ws.start, params)
@@ -137,23 +136,20 @@ def cmd_check(args) -> int:
     if z.y.shape != (problem.p,):
         raise DimensionMismatch(
             f"point has {z.y.shape[0]} dual entries, expected {problem.p}")
-    spec = problem.cones
     res = compute_residuals(problem, z)
-    interior = (z.kappa > 0.0 and z.tau > 0.0
-                and membership(z.x, spec, strict=True)
-                and membership(z.s, spec, strict=True))
-    m = mu(z, spec)
-    dist2, distinf = distances(z, spec, m) if interior else (math.nan, math.nan)
+    ev = Evaluation(z, problem.cones)
+    interior = ev.interior()
+    dist2, distinf = (ev.d2(), ev.dinf()) if interior else (math.nan, math.nan)
     lines = [
-        f"mu={m:.17g}",
+        f"mu={ev.mu:.17g}",
         f"d2={dist2:.17g}",
         f"dinf={distinf:.17g}",
         f"rp_norm={res.rp_norm:.17g}",
         f"rd_norm={res.rd_norm:.17g}",
         f"rg_abs={res.rg_abs:.17g}",
         f"interior={'true' if interior else 'false'}",
-        f"in_n2={'true' if in_neighborhood(z, spec, NeighborhoodParams(args.gamma, '2')) else 'false'}",
-        f"in_ninf={'true' if in_neighborhood(z, spec, NeighborhoodParams(args.gamma, 'inf')) else 'false'}",
+        f"in_n2={'true' if ev.within(NeighborhoodParams(args.gamma, '2')) else 'false'}",
+        f"in_ninf={'true' if ev.within(NeighborhoodParams(args.gamma, 'inf')) else 'false'}",
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

@@ -133,7 +133,7 @@ class Spectrum:
         self.hi = self.head + self.tail
 
     def interior(self) -> bool:
-        return bool(np.all(self.lo > 0.0))
+        return bool(self.lo.min() > 0.0)
 
     def require_interior(self, what: str) -> "Spectrum":
         if not self.interior():

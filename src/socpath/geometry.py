@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -57,45 +58,62 @@ def mu(z: HsdPoint, spec: ConeSpec) -> float:
     return float((x @ s + z.kappa * z.tau) / (spec.k + 1))
 
 
-def distances(z: HsdPoint, spec: ConeSpec, m: float) -> Tuple[float, float]:
-    """(d2, dinf) of z at its mu m, from one scaled product point w = T_x s."""
-    x = Spectrum(z.x, spec).require_interior("scaling point of t_apply")
-    return distances_of(z, x, m)
+class Evaluation:
+    """One evaluation of an HSD point z, which every reader of its
+    interiority, mu and centrality shares.
 
+    It holds the Spectrum of x and of s and mu.  interior() asks for tau,
+    kappa > 0 and both spectra interior; within(params) is membership in
+    N_2(gamma) or N_inf(gamma), and a non-interior point is out.  The
+    scaled product point w = T_x s is taken once, on first use; d2 reads
+    w alone, and only dinf takes the spectral bounds of w.
+    """
 
-def distances_of(z: HsdPoint, x: Spectrum, m: float) -> Tuple[float, float]:
-    """distances from the evaluation x of an interior z.x."""
-    spec = x.spec
-    w = t_apply_of(x, check_vector(z.s, spec))
-    dev = w - m * unit_element(spec)
-    extra = z.kappa * z.tau - m
-    dist2 = math.sqrt(2.0) * math.sqrt(float(dev @ dev) + extra * extra)
-    bounds = spectral_bounds(w, spec)
-    worst = float(np.max(np.abs(bounds - m)))
-    return dist2, max(worst, abs(extra))
+    def __init__(self, z: HsdPoint, spec: ConeSpec):
+        self.z = z
+        self.x, self.s = Spectrum(z.x, spec), Spectrum(z.s, spec)
+        self.mu = float((self.x.v @ self.s.v + z.kappa * z.tau) / (spec.k + 1))
+
+    def interior(self) -> bool:
+        return (self.z.tau > 0.0 and self.z.kappa > 0.0
+                and self.x.interior() and self.s.interior())
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return t_apply_of(self.x.require_interior("scaling point of t_apply"),
+                          self.s.v)
+
+    def d2(self) -> float:
+        dev = self.w - self.mu * unit_element(self.x.spec)
+        extra = self.z.kappa * self.z.tau - self.mu
+        return math.sqrt(2.0) * math.sqrt(float(dev @ dev) + extra * extra)
+
+    def dinf(self) -> float:
+        bounds = spectral_bounds(self.w, self.x.spec)
+        worst = float(np.max(np.abs(bounds - self.mu)))
+        return max(worst, abs(self.z.kappa * self.z.tau - self.mu))
+
+    def within(self, params: NeighborhoodParams) -> bool:
+        if not self.interior():
+            return False
+        dist = self.d2() if params.flavor == "2" else self.dinf()
+        return dist <= params.gamma * self.mu
 
 
 def d2(z: HsdPoint, spec: ConeSpec) -> float:
     """Euclidean centrality distance sqrt(2)*||(w, kappa tau) - mu*(e, 1)||."""
-    return distances(z, spec, mu(z, spec))[0]
+    return Evaluation(z, spec).d2()
 
 
 def dinf(z: HsdPoint, spec: ConeSpec) -> float:
     """Worst spectral deviation of (w, kappa tau) from mu."""
-    return distances(z, spec, mu(z, spec))[1]
+    return Evaluation(z, spec).dinf()
 
 
 def in_neighborhood(z: HsdPoint, spec: ConeSpec,
                     params: NeighborhoodParams) -> bool:
     """Membership in N_2(gamma) or N_inf(gamma); non-interior points are out."""
-    if z.kappa <= 0.0 or z.tau <= 0.0:
-        return False
-    x = Spectrum(z.x, spec)
-    if not x.interior() or not Spectrum(z.s, spec).interior():
-        return False
-    m = mu(z, spec)
-    dist2, distinf = distances_of(z, x, m)
-    return (dist2 if params.flavor == "2" else distinf) <= params.gamma * m
+    return Evaluation(z, spec).within(params)
 
 
 @dataclass

@@ -14,11 +14,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cones import ConeSpec, ScalingMatrix, Spectrum, nt_scaling_of
+from .cones import ScalingMatrix, nt_scaling_of
 from .errors import (DimensionMismatch, InvalidParams, MaxIterationsExceeded,
                      NotInterior, StartOutsideNeighborhood)
-from .geometry import (Classification, HsdPoint, classify_status,
-                       distances_of, mu)
+from .geometry import (Classification, Evaluation, HsdPoint,
+                       NeighborhoodParams, classify_status, mu)
 from .kkt import assemble, solve_direction, step_point
 from .problem import SocpProblem, compute_residuals
 
@@ -144,21 +144,6 @@ def _stopped(params: SolverParams, res, m: float, start) -> bool:
     return ok_p and ok_d and m <= eps * mu0
 
 
-def _evaluate(z: HsdPoint, spec: ConeSpec,
-              iteration: int) -> Tuple[Spectrum, Spectrum]:
-    """The one cone evaluation of an iterate after the start, which every
-    later reader of its spectral values shares, and the interior check it
-    makes cheap."""
-    x, s = Spectrum(z.x, spec), Spectrum(z.s, spec)
-    lam_x, lam_s = float(x.lo.min()), float(s.lo.min())
-    if not (z.tau > 0.0 and z.kappa > 0.0 and lam_x > 0.0 and lam_s > 0.0):
-        raise NotInterior(
-            f"iteration {iteration} left the interior: tau={z.tau:.3e}, "
-            f"kappa={z.kappa:.3e}, lambda_min(x)={lam_x:.3e}, "
-            f"lambda_min(s)={lam_s:.3e}")
-    return x, s
-
-
 def solve(problem: SocpProblem, start: HsdPoint,
           params: SolverParams) -> SolveResult:
     """Run the fixed-step loop from `start` until the stop criterion holds.
@@ -183,54 +168,56 @@ def solve(problem: SocpProblem, start: HsdPoint,
             f"(gamma, delta) inadmissible for k={k}: margin {margin:.3e}")
     nu = centering_nu(params.delta, k)
     z = start.copy()
-    # one evaluation per iterate feeds its stop check, its trace row and
-    # the next step's scaling; the start's also feeds its N_2(gamma) check
-    xs, ss = Spectrum(z.x, spec), Spectrum(z.s, spec)
-    m = mu(z, spec)
-    if not (z.tau > 0.0 and z.kappa > 0.0 and xs.interior() and ss.interior()
-            and distances_of(z, xs, m)[0] <= params.gamma * m):
+    # one evaluation per iterate feeds its interior and stop checks, its
+    # trace row and the next step's scaling; the start's, its N_2 check
+    ev = Evaluation(z, spec)
+    if not ev.within(NeighborhoodParams(params.gamma)):
         raise StartOutsideNeighborhood(
             "start must lie in the 2-norm neighborhood of the central path")
     res = compute_residuals(problem, z)
-    start_norms = (m, res.rp_norm, res.rd_norm)
+    start_norms = (ev.mu, res.rp_norm, res.rd_norm)
     predicted = predicted_iterations(start, problem, params) \
-        if params.stop_mode == "relative" \
-        else _unified_count(max(res.rp_norm, res.rd_norm, m), params.epsilon, nu)
+        if params.stop_mode == "relative" else _unified_count(
+            max(res.rp_norm, res.rd_norm, ev.mu), params.epsilon, nu)
     max_iter = params.max_iterations
     if max_iter is None:
         max_iter = 2 * predicted + 100
-    trace = SolveTrace(m, res.rp_norm, res.rd_norm, res.rg_abs) \
+    trace = SolveTrace(ev.mu, res.rp_norm, res.rd_norm, res.rg_abs) \
         if params.trace_enabled else None
     directions = [] if params.collect_directions else None
     identity = ScalingMatrix.identity(spec)
     iters = 0
-    while not _stopped(params, res, m, start_norms):
+    while not _stopped(params, res, ev.mu, start_norms):
         if iters >= max_iter:
             raise MaxIterationsExceeded(f"no convergence in {max_iter} steps")
         D = identity if params.scaling == "identity" \
-            else nt_scaling_of(xs, ss)
+            else nt_scaling_of(ev.x, ev.s)
         # `system` stays referenced until the next one is built: freeing
         # the dense matrix between steps lets the allocator return its
         # pages to the OS, and the next assembly faults them in again.
-        system = assemble(problem, z, D, nu, m)
+        system = assemble(problem, z, D, nu, ev.mu)
         direction = solve_direction(system)
         if directions is not None:
-            directions.append((z.copy(), direction, m))
+            directions.append((z.copy(), direction, ev.mu))
         z = step_point(z, direction, 1.0)
         iters += 1
-        xs, ss = _evaluate(z, spec, iters)
+        ev = Evaluation(z, spec)
+        if not ev.interior():
+            raise NotInterior(
+                f"iteration {iters} left the interior: tau={z.tau:.3e}, "
+                f"kappa={z.kappa:.3e}, lambda_min(x)={ev.x.lo.min():.3e}, "
+                f"lambda_min(s)={ev.s.lo.min():.3e}")
         res = compute_residuals(problem, z)
-        m = mu(z, spec)
         if trace is not None:
-            dist2, distinf = distances_of(z, xs, m)
-            if dist2 > params.gamma * m:
+            dist2 = ev.d2()
+            if dist2 > params.gamma * ev.mu:
                 trace.neighborhood_violations += 1
             trace.rows.append(TraceRow(
-                iteration=iters, mu=m, d2=dist2, dinf=distinf,
+                iteration=iters, mu=ev.mu, d2=dist2, dinf=ev.dinf(),
                 rp_norm=res.rp_norm, rd_norm=res.rd_norm,
                 rg_abs=res.rg_abs, tau=z.tau, kappa=z.kappa,
-                lambda_min_x=float(xs.lo.min()),
-                lambda_min_s=float(ss.lo.min()),
+                lambda_min_x=float(ev.x.lo.min()),
+                lambda_min_s=float(ev.s.lo.min()),
                 orth_defect=direction.orthogonality_defect,
                 kkt_residual=direction.system_residual))
     status = classify_status(z, problem, params.epsilon)

@@ -15,8 +15,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .cones import (ConeSpec, Spectrum, check_vector, membership,
-                    t_apply_of, unit_element)
+from .cones import ConeSpec, Spectrum, t_apply_of, unit_element
 from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
                      NotInterior)
 from .geometry import HsdPoint, NeighborhoodParams, in_neighborhood
@@ -51,16 +50,15 @@ def warm_start_point(prev, omega: float, spec: ConeSpec,
     kappa*tau coordinate exactly at its own mu.
     """
     x_o, y_o, s_o = prev
-    x_o = check_vector(x_o, spec)
-    s_o = check_vector(s_o, spec)
+    xs, ss = Spectrum(x_o, spec), Spectrum(s_o, spec)
+    x_o, s_o = xs.v, ss.v
     y_o = np.asarray(y_o, dtype=float).ravel()
     if p is not None and y_o.shape != (p,):
         raise DimensionMismatch(f"y_o has length {y_o.shape[0]}, expected {p}")
     check_omega(omega)
-    if not membership(x_o, spec) or not membership(s_o, spec):
+    if not (np.all(xs.lo >= 0.0) and np.all(ss.lo >= 0.0)):
         raise NotInterior("previous pair must lie in the cone")
-    if omega == 1.0 and not (membership(x_o, spec, strict=True)
-                             and membership(s_o, spec, strict=True)):
+    if omega == 1.0 and not (xs.interior() and ss.interior()):
         raise NotInterior("omega=1 requires a strictly interior previous pair")
     e = unit_element(spec)
     x_w = omega * x_o + (1.0 - omega) * e

@@ -9,8 +9,8 @@ from socpath import SocpProblem
 from socpath.cli import main, perturb_problem, run_bench
 from socpath.fileio import TRACE_COLUMNS, parse_point, write_problem
 
-from util import (feasible_problem, infeasible_lp, mixed_spec, random_problem,
-                  soc_fixture, toy_lp)
+from util import (count_calls, feasible_problem, infeasible_lp, mixed_spec,
+                  random_problem, soc_fixture, toy_lp)
 
 
 @pytest.fixture
@@ -161,6 +161,20 @@ class TestCheckCommand:
         assert kv["interior"] == "false"
         assert kv["in_n2"] == "false"
 
+    def test_point_evaluated_once(self, run, toy_file, tmp_path,
+                                  monkeypatch):
+        """One evaluation of the point serves every line: x and s take
+        their tail norms once, and T_x s is taken once."""
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({
+            "x": [1.0, 2.0], "y": [0.0], "s": [2.0, 1.0],
+            "kappa": 1.0, "tau": 1.0,
+        }))
+        calls = count_calls(monkeypatch, sp.cones, "tail_norms")
+        code, out, _ = run("check", "--problem", toy_file, "--point", point)
+        assert code == 0 and parse_kv(out)["interior"] == "true"
+        assert len(calls) <= 4
+
     def test_dimension_mismatch_exits_2(self, run, toy_file, tmp_path):
         point = tmp_path / "point.json"
         point.write_text(json.dumps({
@@ -294,6 +308,23 @@ class TestWarmstartCommand:
                            "--report", tmp_path / "report.json")
         assert code == 3
         assert json.loads(err)["error"]["type"] == "MaxIterationsExceeded"
+
+    def test_trace_built_only_when_written(self, run, toy_file, tmp_path,
+                                           capsys, monkeypatch):
+        """solve traces only for --trace; warmstart writes no trace, so
+        none of its solves builds one, with or without --report."""
+        argv = self._warmstart_argv(tmp_path, 623)
+        capsys.readouterr()
+        calls = count_calls(monkeypatch, socpath.cli, "solve")
+        solve = ["solve", "--problem", toy_file, "--epsilon", "1e-2",
+                 "--output", tmp_path / "sol.json"]
+        assert run(*solve)[0] == 0
+        assert run(*solve, "--trace", tmp_path / "trace.csv")[0] == 0
+        assert [params.trace_enabled for _, _, params in calls] == [False, True]
+        calls.clear()
+        assert run(*argv)[0] == 0
+        assert run(*argv, "--report", tmp_path / "report.json")[0] == 0
+        assert [params.trace_enabled for _, _, params in calls] == [False] * 3
 
     def test_boundary_prev_exits_3(self, run, toy_file, tmp_path):
         sol_file = tmp_path / "prev.json"

@@ -6,6 +6,7 @@ import pytest
 import socpath as sp
 from socpath import (
     ConeSpec,
+    DimensionMismatch,
     HsdPoint,
     InvalidPoint,
     NeighborhoodParams,
@@ -13,7 +14,8 @@ from socpath import (
 )
 
 from oracles import d2_oracle, mu_oracle
-from util import interior_hsd_point, mixed_spec, random_problem, toy_lp
+from util import (count_calls, interior_hsd_point, mixed_spec, random_problem,
+                  toy_lp)
 
 
 def _rand_z(rng, spec, p=2):
@@ -114,6 +116,27 @@ def test_non_interior_point_outside_every_neighborhood():
     z2 = HsdPoint(x=np.ones(2), y=np.zeros(1), s=np.ones(2), kappa=0.0, tau=1.0)
     assert not sp.in_neighborhood(z2, spec, wide)
 
+
+
+@pytest.mark.parametrize("flavor, tail_norm_calls", [("2", 2), ("inf", 3)])
+def test_in_neighborhood_evaluates_once(monkeypatch, flavor, tail_norm_calls):
+    """x and s are evaluated once each; only the inf flavor takes the
+    spectral bounds of T_x s."""
+    rng = np.random.default_rng(251)
+    spec = ConeSpec(l=1, soc_dims=(3, 4))
+    z = interior_hsd_point(random_problem(spec, 2, rng), rng)
+    calls = count_calls(monkeypatch, sp.cones, "tail_norms")
+    sp.in_neighborhood(z, spec, NeighborhoodParams(0.5, flavor))
+    assert len(calls) == tail_norm_calls
+
+
+def test_in_neighborhood_rejects_wrong_length_first():
+    """A wrong-length x or s raises, also when tau or kappa is not positive."""
+    spec = ConeSpec(l=2, soc_dims=())
+    for x, s in ((np.ones(3), np.ones(2)), (np.ones(2), np.ones(3))):
+        z = HsdPoint(x=x, y=np.zeros(1), s=s, kappa=0.0, tau=1.0)
+        with pytest.raises(DimensionMismatch):
+            sp.in_neighborhood(z, spec, NeighborhoodParams(0.5, "2"))
 
 class TestClassify:
     def test_optimal(self):

@@ -21,6 +21,7 @@ from util import (
     boundary_vector,
     spec_at_least,
     cold_point,
+    count_calls,
     feasible_problem_with_pair,
     interior_vector,
     mixed_spec,
@@ -428,3 +429,15 @@ def test_warm_start_rejects_omega_first(monkeypatch, omega):
     prev = (np.ones(prob.n), np.zeros(prob.p), np.ones(prob.n))
     with pytest.raises(ValueError, match=r"\[0,1\]"):
         sp.warm_start(prob, prob, prev, 0.08, omega=omega)
+
+
+def test_warm_start_tail_norms(monkeypatch):
+    """At omega 1, x_o and s_o are evaluated once for the diagnostics and
+    once for the blend's two membership tests, and the blend's N_2 check
+    evaluates its x and s without the spectral bounds of T_x s."""
+    rng = np.random.default_rng(563)
+    prob, pair = feasible_problem_with_pair(ConeSpec(l=2, soc_dims=(3, 4)),
+                                            2, rng)
+    calls = count_calls(monkeypatch, sp.cones, "tail_norms")
+    sp.warm_start(prob, prob, pair, 0.08, omega=1.0)
+    assert len(calls) == 6

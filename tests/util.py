@@ -1,4 +1,5 @@
-"""Shared generators for the test suite. Everything is seeded."""
+"""Shared generators for the test suite, and a call counter. Everything
+is seeded."""
 
 import numpy as np
 
@@ -158,3 +159,16 @@ def interior_hsd_point(problem, rng, centered=False):
         kappa = rng.uniform(0.2, 2.0)
         tau = rng.uniform(0.2, 2.0)
     return HsdPoint(x=x, y=y, s=s, kappa=kappa, tau=tau)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Rebind owner.name to a wrapper that records each call's arguments
+    in the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
