@@ -11,9 +11,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Union
-
-import numpy as np
+from typing import Dict, Union
 
 from .errors import (ConeSpecMismatch, DimensionMismatch, InvalidParams,
                      InvalidPoint, MaxIterationsExceeded, NotInterior,
@@ -22,16 +20,12 @@ from .fileio import parse_point, parse_problem, write_solution, write_trace
 from .geometry import Evaluation, NeighborhoodParams
 from .problem import SocpProblem, compute_residuals
 from .solver import SolverParams, predicted_iterations, solve
-from .warmstart import check_omega, cold_start, warm_start
+from .warmstart import _finite_or_none, cold_start, run_bench, warm_start
 
 NUMERICAL_ERRORS = (SingularSystem, MaxIterationsExceeded,
                     StartOutsideNeighborhood, NotInterior)
 INPUT_ERRORS = (ParseError, DimensionMismatch, ConeSpecMismatch,
                 InvalidParams, InvalidPoint, ValueError, OSError, KeyError)
-
-
-def _finite_or_none(v: float) -> Optional[float]:
-    return float(v) if math.isfinite(v) else None
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -153,112 +147,6 @@ def cmd_check(args) -> int:
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
-
-
-def perturb_problem(problem: SocpProblem, bound_a: float, bound_b: float,
-                    bound_c: float, rng: np.random.Generator) -> SocpProblem:
-    """Additive Gaussian drift projected to the requested norm bounds.
-
-    Matrix noise is applied to the stored nonzero pattern of A only and
-    projected to the spectral-norm bound; b and c get dense noise
-    projected to the Euclidean bound.  A zero bound leaves the term
-    untouched.
-    """
-    A = problem.A.copy()
-    if bound_a > 0.0:
-        mask = A != 0.0
-        E = rng.standard_normal(A.shape) * mask
-        norm = float(np.linalg.norm(E, 2)) if np.any(E) else 0.0
-        if norm > bound_a:
-            E *= bound_a / norm
-        A = A + E
-    b = problem.b.copy()
-    if bound_b > 0.0:
-        eb = rng.standard_normal(b.shape)
-        norm = float(np.linalg.norm(eb))
-        if norm > bound_b:
-            eb *= bound_b / norm
-        b = b + eb
-    c = problem.c.copy()
-    if bound_c > 0.0:
-        ec = rng.standard_normal(c.shape)
-        norm = float(np.linalg.norm(ec))
-        if norm > bound_c:
-            ec *= bound_c / norm
-        c = c + ec
-    return SocpProblem(A, b, c, problem.cones, name=problem.name)
-
-
-def run_bench(base: SocpProblem, steps: int, perturb_a: float,
-              perturb_b: float, perturb_c: float, seed: int,
-              gamma: float = 0.08, delta: float = 0.03,
-              epsilon: float = 1e-3,
-              omega_policy: Union[str, float] = "max-admissible") -> Dict:
-    """Drift sequence benchmark: cold vs warm iteration counts.
-
-    Each step perturbs the previous instance within the given bounds,
-    solves it cold under the unified stop at `epsilon`, and warm-starts
-    from the previous instance's cold solution when diagnostics admit
-    an omega.  Fully deterministic for a given seed.  A fixed omega
-    outside [0,1] raises ValueError before any solve.
-    """
-    check_omega(omega_policy)
-    rng = np.random.default_rng(seed)
-    params = SolverParams(gamma=gamma, delta=delta, epsilon=epsilon,
-                          stop_mode="unified", trace_enabled=False)
-    prev_problem = base
-    prev_result = solve(base, cold_start(base.cones, p=base.p), params)
-    baseline_iterations = prev_result.iterations
-    rows = []
-    for step in range(1, steps + 1):
-        new_problem = perturb_problem(prev_problem, perturb_a, perturb_b,
-                                      perturb_c, rng)
-        cold_result = solve(new_problem, cold_start(new_problem.cones,
-                                                    p=new_problem.p), params)
-        row: Dict = {
-            "step": step,
-            "status": cold_result.status.status,
-            "cold_iterations": cold_result.iterations,
-            "omega": None,
-            "c_w": None,
-            "predicted_saving": None,
-            "warm_iterations": None,
-            "measured_saving": None,
-            "fallback": None,
-        }
-        z = prev_result.point
-        if prev_result.status.status != "optimal" or z.tau <= 0.0:
-            row["fallback"] = "previous solve not optimal"
-        else:
-            prev = (z.x / z.tau, z.y / z.tau, z.s / z.tau)
-            ws = warm_start(prev_problem, new_problem, prev, gamma, delta,
-                            omega_policy)
-            row["fallback"] = ws.fallback
-            if ws.fallback is None:
-                warm_result = cold_result if ws.omega == 0.0 \
-                    else solve(new_problem, ws.start, params)
-                diag_at = ws.diagnostics.at_omega(ws.omega)
-                row["omega"] = ws.omega
-                row["c_w"] = _finite_or_none(diag_at.c_w)
-                row["predicted_saving"] = diag_at.predicted_saving
-                row["warm_iterations"] = warm_result.iterations
-                row["measured_saving"] = (cold_result.iterations
-                                          - warm_result.iterations)
-        rows.append(row)
-        prev_problem, prev_result = new_problem, cold_result
-    return {
-        "base": base.name,
-        "steps": steps,
-        "seed": seed,
-        "epsilon": epsilon,
-        "gamma": gamma,
-        "delta": delta,
-        "perturb": {"a": perturb_a, "b": perturb_b, "c": perturb_c},
-        "omega_policy": omega_policy if isinstance(omega_policy, str)
-        else float(omega_policy),
-        "baseline_iterations": baseline_iterations,
-        "rows": rows,
-    }
 
 
 def cmd_bench(args) -> int:

@@ -66,7 +66,7 @@ class Evaluation:
     kappa > 0 and both spectra interior; within(params) is membership in
     N_2(gamma) or N_inf(gamma), and a non-interior point is out.  The
     scaled product point w = T_x s is taken once, on first use; d2 reads
-    w alone, and only dinf takes the spectral bounds of w.
+    w alone, and only dinf takes the spectral bounds of w, also once.
     """
 
     def __init__(self, z: HsdPoint, spec: ConeSpec):
@@ -88,9 +88,12 @@ class Evaluation:
         extra = self.z.kappa * self.z.tau - self.mu
         return math.sqrt(2.0) * math.sqrt(float(dev @ dev) + extra * extra)
 
+    @cached_property
+    def w_bounds(self) -> np.ndarray:
+        return spectral_bounds(self.w, self.x.spec)
+
     def dinf(self) -> float:
-        bounds = spectral_bounds(self.w, self.x.spec)
-        worst = float(np.max(np.abs(bounds - self.mu)))
+        worst = float(np.max(np.abs(self.w_bounds - self.mu)))
         return max(worst, abs(self.z.kappa * self.z.tau - self.mu))
 
     def within(self, params: NeighborhoodParams) -> bool:

@@ -4,14 +4,15 @@ A previous primal-dual pair (x_o, y_o, s_o) is blended with the cold
 start along omega in [0,1]; the diagnostics quantify how the blend's
 residuals, duality gap, and centrality relate to a cold start on the
 new instance, and bound the iteration savings under the unified stop
-criterion.
+criterion.  run_bench measures those savings along a drift sequence of
+perturbed instances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -20,9 +21,18 @@ from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
                      NotInterior)
 from .geometry import HsdPoint, NeighborhoodParams, in_neighborhood
 from .problem import SocpProblem
-from .solver import centering_nu
+from .solver import SolverParams, centering_nu, solve
 
 OMEGA_GRID = 1e-4
+# choose_omega takes the grid this many weights at a time from the top: the
+# whole grid at once costs milliseconds when a weight near 1 is admissible
+OMEGA_BLOCK = 128
+
+_Pair = Tuple[Spectrum, np.ndarray, Spectrum]  # x_o, y_o, s_o evaluated
+
+
+def _finite_or_none(v: float) -> Optional[float]:
+    return float(v) if math.isfinite(v) else None
 
 
 def cold_start(spec: ConeSpec, p: int = 0) -> HsdPoint:
@@ -42,6 +52,19 @@ def check_omega(omega: Union[str, float]) -> None:
         raise ValueError("omega must lie in [0,1]")
 
 
+def _previous_pair(prev, spec: ConeSpec, p: Optional[int]) -> _Pair:
+    """Spectra of x_o and s_o, which must lie in the cone, and y_o, which
+    must have length p when p is given."""
+    x_o, y_o, s_o = prev
+    xs, ss = Spectrum(x_o, spec), Spectrum(s_o, spec)
+    y_o = np.asarray(y_o, dtype=float).ravel()
+    if p is not None and y_o.shape != (p,):
+        raise DimensionMismatch(f"y_o has length {y_o.shape[0]}, expected {p}")
+    if not (np.all(xs.lo >= 0.0) and np.all(ss.lo >= 0.0)):
+        raise NotInterior("previous pair must lie in the cone")
+    return xs, y_o, ss
+
+
 def warm_start_point(prev, omega: float, spec: ConeSpec,
                      p: Optional[int] = None) -> HsdPoint:
     """Blend of the previous pair with the cold start at weight omega.
@@ -49,20 +72,18 @@ def warm_start_point(prev, omega: float, spec: ConeSpec,
     kappa is set to x_w's_w/k and tau to 1, which puts the blend's
     kappa*tau coordinate exactly at its own mu.
     """
-    x_o, y_o, s_o = prev
-    xs, ss = Spectrum(x_o, spec), Spectrum(s_o, spec)
-    x_o, s_o = xs.v, ss.v
-    y_o = np.asarray(y_o, dtype=float).ravel()
-    if p is not None and y_o.shape != (p,):
-        raise DimensionMismatch(f"y_o has length {y_o.shape[0]}, expected {p}")
     check_omega(omega)
-    if not (np.all(xs.lo >= 0.0) and np.all(ss.lo >= 0.0)):
-        raise NotInterior("previous pair must lie in the cone")
+    return _blend(_previous_pair(prev, spec, p), omega)
+
+
+def _blend(pair: _Pair, omega: float) -> HsdPoint:
+    xs, y_o, ss = pair
     if omega == 1.0 and not (xs.interior() and ss.interior()):
         raise NotInterior("omega=1 requires a strictly interior previous pair")
+    spec = xs.spec
     e = unit_element(spec)
-    x_w = omega * x_o + (1.0 - omega) * e
-    s_w = omega * s_o + (1.0 - omega) * e
+    x_w = omega * xs.v + (1.0 - omega) * e
+    s_w = omega * ss.v + (1.0 - omega) * e
     kappa = float(x_w @ s_w) / spec.k
     return HsdPoint(x_w, omega * y_o, s_w, kappa=kappa, tau=1.0)
 
@@ -76,7 +97,8 @@ class WarmStartDiagnostics:
     omega_min is None exactly when `infeasible` is set (gamma <= gamma_o
     with xi_o > 0).  at_omega sets the fields with defaults from the
     others; soc_first and soc_beta hold the first components and betas
-    of the SOC blocks with nonzero tail.
+    of the SOC blocks with nonzero tail, and `pair` the evaluated previous
+    pair, which warm_start blends.
     """
 
     c_a: float
@@ -108,70 +130,55 @@ class WarmStartDiagnostics:
     s_o_norm: float = field(repr=False)
     soc_first: np.ndarray = field(repr=False)
     soc_beta: np.ndarray = field(repr=False)
+    pair: _Pair = field(repr=False)
+
+    def _at(self, omega: np.ndarray) -> Dict[str, np.ndarray]:
+        """The omega-dependent fields at each weight of `omega`, omega_min
+        NaN where infeasible; at_omega is its one-point case."""
+        rho = rho_raw = np.zeros_like(omega)
+        if self.soc_first.size:
+            x1, beta_o, w = self.soc_first, self.soc_beta, omega[:, None]
+            # float_power is C pow, as Python's ** on a float; numpy's
+            # ** 2 squares, which can differ in the last bit
+            beta_w = np.sqrt(w * w * beta_o * beta_o
+                             + 2.0 * w * (1.0 - w) * x1
+                             + np.float_power(1.0 - w, 2))
+            frac = (2.0 * w * x1 + 1.0 - w) / (beta_w + w * beta_o)
+            rho_raw = np.max(1.0 - frac, axis=1)
+            rho = np.maximum(0.0, np.max(frac - 1.0, axis=1))
+        bracket = self.dev_norm + rho * self.s_o_norm
+        xi_o = math.sqrt(2.0) * bracket - self.gamma * self.psi_o
+        positive = ~(xi_o <= 0.0)
+        infeasible = positive & (not self.gamma > self.gamma_o)
+        omega_min = np.divide(xi_o, xi_o + (self.gamma - self.gamma_o) * self.c_mu,
+                              out=np.where(infeasible, math.nan, 0.0),
+                              where=positive & ~infeasible)
+        c_xs = (1.0 - omega) * (self.psi_o + 1.0)
+        conditions_hold = self.c_mu + c_xs <= 1.0
+        bounds = []
+        for vacuous, c_sum in ((self.primal_vacuous, self.c_a + self.c_b + self.c_p),
+                               (self.dual_vacuous, self.c_at + self.c_c + self.c_d)):
+            if not vacuous:
+                conditions_hold &= c_sum <= 1.0
+                bounds.append(1.0 - omega * (1.0 - c_sum))
+        bounds.append(omega * omega * self.c_mu + c_xs)
+        c_w = np.where(conditions_hold, np.max(bounds, axis=0), math.inf)
+        return dict(c_xs=c_xs, rho=rho, rho_raw=rho_raw, xi_o=xi_o,
+                    xi_o_raw=bracket - self.gamma * self.psi_o,
+                    omega_min=omega_min, infeasible=infeasible, c_w=c_w,
+                    conditions_hold=conditions_hold)
 
     def at_omega(self, omega: float) -> "WarmStartDiagnostics":
         """A copy with the omega-dependent fields evaluated at omega."""
-        rho = rho_raw = 0.0
-        if self.soc_first.size:
-            x1, beta_o = self.soc_first, self.soc_beta
-            beta_w = np.sqrt(omega * omega * beta_o * beta_o
-                             + 2.0 * omega * (1.0 - omega) * x1
-                             + (1.0 - omega) ** 2)
-            frac = (2.0 * omega * x1 + 1.0 - omega) / (beta_w + omega * beta_o)
-            rho_raw = float(np.max(1.0 - frac))
-            rho = max(0.0, float(np.max(frac - 1.0)))
-        bracket = self.dev_norm + rho * self.s_o_norm
-        xi_o = math.sqrt(2.0) * bracket - self.gamma * self.psi_o
-        xi_o_raw = bracket - self.gamma * self.psi_o
-        infeasible = False
-        if xi_o <= 0.0:
-            omega_min: Optional[float] = 0.0
-        elif self.gamma > self.gamma_o:
-            omega_min = xi_o / (xi_o + (self.gamma - self.gamma_o) * self.c_mu)
-        else:
-            omega_min = None
-            infeasible = True
-        c_xs = (1.0 - omega) * (self.psi_o + 1.0)
-        bounds: List[float] = []
-        conditions_hold = True
-        if not self.primal_vacuous:
-            if self.c_a + self.c_b + self.c_p <= 1.0:
-                bounds.append(1.0 - omega * (1.0 - (self.c_a + self.c_b + self.c_p)))
-            else:
-                conditions_hold = False
-        if not self.dual_vacuous:
-            if self.c_at + self.c_c + self.c_d <= 1.0:
-                bounds.append(1.0 - omega * (1.0 - (self.c_at + self.c_c + self.c_d)))
-            else:
-                conditions_hold = False
-        if self.c_mu + c_xs <= 1.0:
-            bounds.append(omega * omega * self.c_mu + c_xs)
-        else:
-            conditions_hold = False
-        c_w = max(bounds) if (conditions_hold and bounds) else math.inf
+        at = {f: v[0].item() for f, v in self._at(np.array([omega], float)).items()}
+        if at["infeasible"]:
+            at["omega_min"] = None
         nu = centering_nu(self.delta, self.k)
-        if conditions_hold and 0.0 < c_w < 1.0:
-            predicted_saving = math.floor(-math.log(c_w) / (-math.log(nu)))
-        else:
-            predicted_saving = 0
-        return replace(
-            self, c_xs=c_xs, rho=rho, rho_raw=rho_raw, xi_o=xi_o,
-            xi_o_raw=xi_o_raw, omega_min=omega_min, infeasible=infeasible,
-            c_w=c_w, predicted_saving=predicted_saving,
-            conditions_hold=conditions_hold, omega_eval=omega)
-
-
-def _pair_centrality(xs: Spectrum, ss: Spectrum) -> Tuple[float, float]:
-    """(mu, gamma) of a primal-dual pair from its evaluations; inf when
-    not strictly interior."""
-    spec = xs.spec
-    mu_o = float(xs.v @ ss.v) / spec.k
-    if not (xs.interior() and ss.interior()):
-        return mu_o, math.inf
-    w = t_apply_of(xs, ss.v)
-    dev = w - mu_o * unit_element(spec)
-    d2_pair = math.sqrt(2.0) * float(np.linalg.norm(dev))
-    return mu_o, d2_pair / mu_o
+        predicted_saving = 0
+        if at["conditions_hold"] and 0.0 < at["c_w"] < 1.0:
+            predicted_saving = math.floor(-math.log(at["c_w"]) / (-math.log(nu)))
+        return replace(self, **at, predicted_saving=predicted_saving,
+                       omega_eval=omega)
 
 
 def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
@@ -192,14 +199,8 @@ def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
     if not (0.0 <= omega_eval <= 1.0):
         raise ValueError("omega_eval must lie in [0,1]")
     spec = new_p.cones
-    x_o, y_o, s_o = prev
-    xs, ss = Spectrum(x_o, spec), Spectrum(s_o, spec)
+    pair = xs, y_o, ss = _previous_pair(prev, spec, new_p.p)
     x_o, s_o = xs.v, ss.v
-    y_o = np.asarray(y_o, dtype=float).ravel()
-    if y_o.shape != (new_p.p,):
-        raise DimensionMismatch(f"y_o has length {y_o.shape[0]}, expected {new_p.p}")
-    if not (np.all(xs.lo >= 0.0) and np.all(ss.lo >= 0.0)):
-        raise NotInterior("previous pair must lie in the cone")
 
     dA = new_p.A - prev_p.A
     db = new_p.b - prev_p.b
@@ -226,7 +227,10 @@ def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
         c_c = float(np.linalg.norm(dc)) / rd_cold
         c_d = rd_prev / rd_cold
 
-    mu_o, gamma_o = _pair_centrality(xs, ss)
+    mu_o, gamma_o = float(x_o @ s_o) / spec.k, math.inf
+    if xs.interior() and ss.interior():
+        dev = t_apply_of(xs, s_o) - mu_o * e
+        gamma_o = math.sqrt(2.0) * float(np.linalg.norm(dev)) / mu_o
     psi_o = float(e @ (x_o + s_o)) / spec.k
     dev_norm = float(np.linalg.norm((x_o + s_o) - psi_o * e))
     soc = xs.tail != 0.0
@@ -235,24 +239,22 @@ def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
         psi_o=psi_o, gamma_o=gamma_o, primal_vacuous=primal_vacuous,
         dual_vacuous=dual_vacuous, gamma=gamma, delta=delta, k=spec.k,
         dev_norm=dev_norm, s_o_norm=float(np.linalg.norm(s_o)),
-        soc_first=xs.head[soc], soc_beta=xs.beta()[soc])
+        soc_first=xs.head[soc], soc_beta=xs.beta()[soc], pair=pair)
     return diag.at_omega(omega_eval)
-
-
-def _admissible(d: WarmStartDiagnostics) -> bool:
-    if d.infeasible or not d.conditions_hold or not d.c_w < 1.0:
-        return False
-    return d.omega_eval >= d.omega_min
 
 
 def choose_omega(diag: WarmStartDiagnostics) -> float:
     """The largest admissible blend weight on a 1e-4 grid scanned downward
-    from 1, re-evaluating the omega-dependent quantities at each candidate."""
-    steps = int(round(1.0 / OMEGA_GRID))
-    for i in range(steps + 1):
-        omega = max(0.0, 1.0 - i * OMEGA_GRID)
-        if _admissible(diag.at_omega(omega)):
-            return omega
+    from 1, OMEGA_BLOCK weights at a time."""
+    grid = np.maximum(0.0, 1.0 - np.arange(round(1.0 / OMEGA_GRID) + 1)
+                      * OMEGA_GRID)
+    for start in range(0, grid.size, OMEGA_BLOCK):
+        omega = grid[start:start + OMEGA_BLOCK]
+        at = diag._at(omega)
+        # c_w < 1 implies conditions_hold; a NaN omega_min (infeasible) is never met
+        hit = np.flatnonzero((at["c_w"] < 1.0) & (omega >= at["omega_min"]))
+        if hit.size:
+            return float(omega[hit[0]])
     raise EmptyAdmissibleSet("no omega on the grid is admissible")
 
 
@@ -283,8 +285,115 @@ def warm_start(prev_p: SocpProblem, new_p: SocpProblem, prev, gamma: float,
         except EmptyAdmissibleSet:
             fallback = "empty admissible set"
     if fallback is None:
-        start = warm_start_point(prev, omega, spec, p=p)
+        start = _blend(diag.pair, omega)
         if in_neighborhood(start, spec, NeighborhoodParams(gamma, "2")):
             return WarmStart(start, float(omega), None, diag)
         fallback = "outside neighborhood"
     return WarmStart(cold_start(spec, p=p), 0.0, fallback, diag)
+
+
+def perturb_problem(problem: SocpProblem, bound_a: float, bound_b: float,
+                    bound_c: float, rng: np.random.Generator) -> SocpProblem:
+    """Additive Gaussian drift projected to the requested norm bounds.
+
+    Matrix noise is applied to the stored nonzero pattern of A only and
+    projected to the spectral-norm bound; b and c get dense noise
+    projected to the Euclidean bound.  A zero bound leaves the term
+    untouched.
+    """
+    A = problem.A.copy()
+    if bound_a > 0.0:
+        mask = A != 0.0
+        E = rng.standard_normal(A.shape) * mask
+        norm = float(np.linalg.norm(E, 2)) if np.any(E) else 0.0
+        if norm > bound_a:
+            E *= bound_a / norm
+        A = A + E
+    b = problem.b.copy()
+    if bound_b > 0.0:
+        eb = rng.standard_normal(b.shape)
+        norm = float(np.linalg.norm(eb))
+        if norm > bound_b:
+            eb *= bound_b / norm
+        b = b + eb
+    c = problem.c.copy()
+    if bound_c > 0.0:
+        ec = rng.standard_normal(c.shape)
+        norm = float(np.linalg.norm(ec))
+        if norm > bound_c:
+            ec *= bound_c / norm
+        c = c + ec
+    return SocpProblem(A, b, c, problem.cones, name=problem.name)
+
+
+def run_bench(base: SocpProblem, steps: int, perturb_a: float,
+              perturb_b: float, perturb_c: float, seed: int,
+              gamma: float = 0.08, delta: float = 0.03,
+              epsilon: float = 1e-3,
+              omega_policy: Union[str, float] = "max-admissible") -> Dict:
+    """Drift sequence benchmark: cold vs warm iteration counts.
+
+    Each step perturbs the previous instance within the given bounds,
+    solves it cold under the unified stop at `epsilon`, and warm-starts
+    from the previous instance's cold solution when diagnostics admit
+    an omega.  Fully deterministic for a given seed.  A fixed omega
+    outside [0,1] raises ValueError before any solve.
+    """
+    check_omega(omega_policy)
+    rng = np.random.default_rng(seed)
+    params = SolverParams(gamma=gamma, delta=delta, epsilon=epsilon,
+                          stop_mode="unified", trace_enabled=False)
+    prev_problem = base
+    prev_result = solve(base, cold_start(base.cones, p=base.p), params)
+    baseline_iterations = prev_result.iterations
+    rows = []
+    for step in range(1, steps + 1):
+        new_problem = perturb_problem(prev_problem, perturb_a, perturb_b,
+                                      perturb_c, rng)
+        cold_result = solve(new_problem, cold_start(new_problem.cones,
+                                                    p=new_problem.p), params)
+        row: Dict = {
+            "step": step,
+            "status": cold_result.status.status,
+            "cold_iterations": cold_result.iterations,
+            "omega": None,
+            "c_w": None,
+            "predicted_saving": None,
+            "warm_iterations": None,
+            "measured_saving": None,
+            "fallback": None,
+        }
+        z = prev_result.point
+        if prev_result.status.status != "optimal" or z.tau <= 0.0:
+            row["fallback"] = "previous solve not optimal"
+        else:
+            prev = (z.x / z.tau, z.y / z.tau, z.s / z.tau)
+            ws = warm_start(prev_problem, new_problem, prev, gamma, delta,
+                            omega_policy)
+            row["fallback"] = ws.fallback
+            if ws.fallback is None:
+                warm_result = cold_result if ws.omega == 0.0 \
+                    else solve(new_problem, ws.start, params)
+                diag_at = ws.diagnostics.at_omega(ws.omega)
+                row["omega"] = ws.omega
+                row["c_w"] = _finite_or_none(diag_at.c_w)
+                row["predicted_saving"] = diag_at.predicted_saving
+                row["warm_iterations"] = warm_result.iterations
+                row["measured_saving"] = (cold_result.iterations
+                                          - warm_result.iterations)
+        rows.append(row)
+        prev_problem, prev_result = new_problem, cold_result
+    return {
+        "base": base.name,
+        "steps": steps,
+        "seed": seed,
+        "epsilon": epsilon,
+        "gamma": gamma,
+        "delta": delta,
+        "perturb": {"a": perturb_a, "b": perturb_b, "c": perturb_c},
+        "omega_policy": omega_policy if isinstance(omega_policy, str)
+        else float(omega_policy),
+        "baseline_iterations": baseline_iterations,
+        "rows": rows,
+    }
+

@@ -160,3 +160,16 @@ def group_defect(D_mat, spec):
         G = blk / np.sqrt(theta2)
         worst = max(worst, np.linalg.norm(G.T @ Q @ G - Q))
     return worst
+
+
+def choose_omega_oracle(diag):
+    """The largest admissible weight on the 1e-4 grid, one at_omega record
+    per candidate from 1 downward (this reads the package's at_omega; it
+    is the reference for the scan, not for the formulas), or None."""
+    for i in range(10001):
+        d = diag.at_omega(max(0.0, 1.0 - i * 1e-4))
+        if d.infeasible or not d.conditions_hold or not d.c_w < 1.0:
+            continue
+        if d.omega_eval >= d.omega_min:
+            return d.omega_eval
+    return None

@@ -6,8 +6,9 @@ import pytest
 import socpath as sp
 import socpath.cli
 from socpath import SocpProblem
-from socpath.cli import main, perturb_problem, run_bench
+from socpath.cli import main, run_bench
 from socpath.fileio import TRACE_COLUMNS, parse_point, write_problem
+from socpath.warmstart import perturb_problem
 
 from util import (count_calls, feasible_problem, infeasible_lp, mixed_spec,
                   random_problem, soc_fixture, toy_lp)
@@ -164,7 +165,7 @@ class TestCheckCommand:
     def test_point_evaluated_once(self, run, toy_file, tmp_path,
                                   monkeypatch):
         """One evaluation of the point serves every line: x and s take
-        their tail norms once, and T_x s is taken once."""
+        their tail norms once, and T_x s and its spectral bounds once."""
         point = tmp_path / "point.json"
         point.write_text(json.dumps({
             "x": [1.0, 2.0], "y": [0.0], "s": [2.0, 1.0],
@@ -173,7 +174,7 @@ class TestCheckCommand:
         calls = count_calls(monkeypatch, sp.cones, "tail_norms")
         code, out, _ = run("check", "--problem", toy_file, "--point", point)
         assert code == 0 and parse_kv(out)["interior"] == "true"
-        assert len(calls) <= 4
+        assert len(calls) <= 3
 
     def test_dimension_mismatch_exits_2(self, run, toy_file, tmp_path):
         point = tmp_path / "point.json"
@@ -408,8 +409,8 @@ class TestBenchCommand:
         base_file = tmp_path / "base.json"
         base_file.write_text(write_problem(base()))
         calls = []
-        solve = socpath.cli.solve
-        monkeypatch.setattr(socpath.cli, "solve",
+        solve = socpath.warmstart.solve
+        monkeypatch.setattr(socpath.warmstart, "solve",
                             lambda *a, **k: calls.append(1) or solve(*a, **k))
         code, _, err = run("bench", "--base-problem", base_file,
                            "--steps", "2", "--perturb-a", "1e-6",
@@ -425,7 +426,7 @@ class TestBenchCommand:
     def test_run_bench_rejects_omega_before_solving(self, monkeypatch, omega):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before checking omega")
-        monkeypatch.setattr(socpath.cli, "solve", no_solve)
+        monkeypatch.setattr(socpath.warmstart, "solve", no_solve)
         with pytest.raises(ValueError, match=r"\[0,1\]"):
             run_bench(toy_lp(), steps=2, perturb_a=1e-6, perturb_b=0.0,
                       perturb_c=0.0, seed=0, omega_policy=omega)

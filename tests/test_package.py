@@ -1,9 +1,11 @@
 """The package's public surface and source hygiene."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import socpath
+import socpath.cli
 import socpath.solver
 
 from util import cold_point, toy_lp
@@ -88,6 +90,20 @@ def test_no_unreferenced_private_definitions():
               for name, line in _definitions(path)
               if name not in (referenced if name.startswith("_") else public)]
     assert unused == []
+
+
+def test_cli_only_parses_and_writes():
+    """socpath.cli defines only the parser, the entry point, the command
+    handlers and the diagnostics document; warm-start and benchmark logic
+    live in the library, and the CLI imports what it runs."""
+    cli = socpath.cli
+    defined = [name for name, obj in vars(cli).items()
+               if inspect.isfunction(obj) and obj.__module__ == cli.__name__
+               and not name.startswith("_")]
+    allowed = {"main", "build_parser", "diagnostics_document"}
+    assert [name for name in defined
+            if name not in allowed and not name.startswith("cmd_")] == []
+    assert cli.run_bench.__module__ == "socpath.warmstart"
 
 
 def test_one_step_point_call_per_iteration(monkeypatch):

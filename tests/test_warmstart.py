@@ -16,7 +16,7 @@ from socpath import (
     SolverParams,
 )
 
-from oracles import t_oracle
+from oracles import choose_omega_oracle, t_oracle
 from util import (
     boundary_vector,
     spec_at_least,
@@ -410,6 +410,47 @@ class TestChooseOmega:
         with pytest.raises(EmptyAdmissibleSet):
             sp.choose_omega(d)
 
+    def _interior_diag(self, seed):
+        # SOC blocks of both x_o and s_o just inside the boundary, head at
+        # (1+t)||tail||, push rho up near omega 1; seeds picked so that the
+        # largest admissible weight lies strictly inside (0, 1)
+        rng = np.random.default_rng(seed)
+        spec = mixed_spec(rng)
+
+        def near_boundary():
+            v = np.empty(spec.n)
+            for start, dim in spec.blocks:
+                if dim == 1:
+                    v[start] = rng.uniform(0.2, 2.0)
+                else:
+                    tail = rng.standard_normal(dim - 1)
+                    t = 10.0 ** rng.uniform(-3.0, 0.0)
+                    v[start] = (1.0 + t) * np.linalg.norm(tail)
+                    v[start + 1 : start + dim] = tail
+            return v
+        x_o, s_o = near_boundary(), near_boundary()
+        A = rng.standard_normal((1, spec.n))
+        y_o = rng.standard_normal(1)
+        prob = SocpProblem(A=A, b=A @ x_o, c=A.T @ y_o + s_o, cones=spec)
+        return sp.diagnostics(prob, prob, (x_o, y_o, s_o), gamma=0.9)
+
+    @pytest.mark.parametrize("seed", [15587, 11178, 10144])
+    def test_interior_weight_matches_scan_oracle(self, seed):
+        d = self._interior_diag(seed)
+        omega = sp.choose_omega(d)
+        assert 0.0 < omega < 1.0
+        assert omega == choose_omega_oracle(d)
+
+    def test_slack_and_empty_match_scan_oracle(self):
+        d = self._slack_diag()
+        assert sp.choose_omega(d) == choose_omega_oracle(d) == 1.0
+        lp3 = self._lp3()
+        x_s = np.array([1.2, 1.0 / 1.2, 1.0])
+        d = sp.diagnostics(lp3, lp3, (x_s, np.array([0.0]), x_s.copy()), gamma=0.3)
+        assert choose_omega_oracle(d) is None
+        with pytest.raises(EmptyAdmissibleSet):
+            sp.choose_omega(d)
+
     def test_predicted_saving_formula(self):
         d = self._slack_diag()
         omega = sp.choose_omega(d)
@@ -432,12 +473,12 @@ def test_warm_start_rejects_omega_first(monkeypatch, omega):
 
 
 def test_warm_start_tail_norms(monkeypatch):
-    """At omega 1, x_o and s_o are evaluated once for the diagnostics and
-    once for the blend's two membership tests, and the blend's N_2 check
-    evaluates its x and s without the spectral bounds of T_x s."""
+    """At omega 1, x_o and s_o are evaluated once, for both the
+    diagnostics and the blend, and the blend's N_2 check evaluates its x
+    and s without the spectral bounds of T_x s."""
     rng = np.random.default_rng(563)
     prob, pair = feasible_problem_with_pair(ConeSpec(l=2, soc_dims=(3, 4)),
                                             2, rng)
     calls = count_calls(monkeypatch, sp.cones, "tail_norms")
     sp.warm_start(prob, prob, pair, 0.08, omega=1.0)
-    assert len(calls) == 6
+    assert len(calls) == 4
