@@ -285,8 +285,11 @@ class ScalingMatrix:
     Per block i, G_i preserves the reflection form (G_i' Q G_i = Q with
     Q = diag(1, -I)) and theta_i > 0 scales it; linear blocks carry
     G_i = 1.  A scaling is its dense D and D^{-1} = Theta G, both
-    read-only, and the k-vector of thetas.
+    read-only, and the k-vector of thetas.  `is_identity` marks the one
+    built by `identity`, whose products a caller may skip.
     """
+
+    is_identity = False
 
     def __init__(self, spec: ConeSpec, D: np.ndarray, D_inv: np.ndarray,
                  thetas):
@@ -310,7 +313,9 @@ class ScalingMatrix:
     @classmethod
     def identity(cls, spec: ConeSpec) -> "ScalingMatrix":
         eye = np.eye(spec.n)
-        return cls(spec, eye, eye, np.ones(spec.k))
+        scaling = cls(spec, eye, eye, np.ones(spec.k))
+        scaling.is_identity = True
+        return scaling
 
     def apply(self, v) -> np.ndarray:
         """D v"""

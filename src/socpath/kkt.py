@@ -1,33 +1,51 @@
-"""Assembly and solution of the scaled Newton system on the embedding.
+"""The scaled Newton system on the embedding, solved at order n+1+p.
 
-`assemble` works in hat variables: tau joins x as one extra
-1-dimensional block and kappa joins s, so the system has order
-2(n+1) + p and three row groups
+In hat variables tau joins x as one extra 1-dimensional block and kappa
+joins s.  The Newton system has three row groups
 
-    A_hat dxh                    = -(1-nu) A_hat xh
-    C_hat dxh + A_hat' dy + dsh  = -(1-nu) (A_hat'y + C_hat xh + sh)
-    Sb Dh^{-T} dxh + Xb Dh dsh   = nu mu e_hat - xb o sb
+    A_hat dxh                    = r1 = -(1-nu) A_hat xh
+    C_hat dxh + A_hat' dy + dsh  = r2 = -(1-nu) (A_hat'y + C_hat xh + sh)
+    Sb Dh^{-T} dxh + Xb Dh dsh   = r3 = nu mu e_hat - xb o sb
 
 with A_hat = [A, -b], C_hat skew from c, xb = Dh^{-T}xh, sb = Dh sh,
-and Dh = blkdiag(D, 1).  `solve_direction` factors it densely and
-returns the 5-variable form (dx, dy, ds, dkappa, dtau).
+Dh = blkdiag(D, 1), and Xb, Sb the arrow matrices of xb and sb.  The
+third row gives dsh = F (r3 - Sb Dh^{-T} dxh) with F = Dh^{-1} Xb^{-1}, so
+(dxh, dy) solves the order-(n+1+p) system
+
+    [[C_hat - H, A_hat'], [A_hat, 0]] (dxh, dy) = (r2 - F r3, r1)
+
+with H = F Sb Dh^{-T}, and then dsh = F r3 - H dxh.  Per block, with a the
+head of xb, det = a^2 - ||xb_{2:}||^2 and Q = diag(1, -I), the arrow
+inverse is Xb^{-1} = (Q xb)(Q xb)'/(a det) + (I - e e')/a, so
+Xb^{-1} Sb = (Q xb) (sb o Q xb)'/(a det) + (the tail rows of Sb)/a.  H and
+F are block-diagonal, and only their block-diagonal entries are formed;
+a general D enters through its dense forms.
+
+A `KktWorkspace` holds what one solve keeps: A_hat, the matrix with
+A_hat, A_hat' and C_hat written once, and the index sets of the
+block-diagonal entries.  Each step writes -H and the right-hand side.
+`solve_direction` factors the matrix with LAPACK getrf, runs one
+refinement pass against the full three-row system, kept when it lowers
+that system's residual, and reports the relative residual, which it
+computes without forming the system.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
-from .cones import (ConeSpec, ScalingMatrix, arrow_matrix, check_vector,
-                    jordan_product, t_apply, t_inverse_apply, unit_element)
+from .cones import (ConeSpec, ScalingMatrix, check_vector, t_apply,
+                    t_inverse_apply)
 from .errors import DimensionMismatch, SingularSystem
 from .geometry import HsdPoint
 from .problem import SocpProblem
+
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 @dataclass
@@ -41,91 +59,188 @@ class NewtonDirection:
     orthogonality_defect: float
 
 
+class KktWorkspace:
+    """The solve-constant part of the reduced Newton system of one problem.
+
+    `base` is [[C_hat, A_hat'], [A_hat, 0]] of order N = n+1+p, in Fortran
+    order for getrf; its entries on the block diagonal of the hat cone
+    are zero.  Each step copies it into `matrix`, which it factors in
+    place.  (rows[k], cols[k]) runs over the block-diagonal entries of the
+    hat cone, block by block, and `flat` is their position in `matrix`.
+    """
+
+    def __init__(self, problem: SocpProblem):
+        problem.check_shapes()
+        spec = problem.cones.hat()
+        n, p = problem.n, problem.p
+        m = n + 1
+        self.n, self.p, self.m = n, p, m
+        self.row_blocks = {"primal": slice(0, p), "dual": slice(p, p + m),
+                           "complementarity": slice(p + m, p + 2 * m)}
+        self.A_hat = np.hstack([problem.A, -problem.b[:, None]])
+        base = np.zeros((m + p, m + p), order="F")
+        base[:n, n] = -problem.c
+        base[n, :n] = problem.c
+        base[:m, m:] = self.A_hat.T
+        base[m:, :m] = self.A_hat
+        self.base = base
+        self.matrix = np.empty_like(base)
+        self._matrix_flat = self.matrix.reshape(-1, order="F")
+        blk, tail = spec.block_of, spec.tail
+        rows, cols = np.nonzero(blk[:, None] == blk)
+        self.rows, self.cols = rows, cols
+        self.flat = rows + cols * (m + p)
+        self.heads = spec.heads
+        self.head_of = spec.heads[blk]
+        self.block_of = blk
+        self.unit = (~tail).astype(float)
+        self.reflect = np.where(tail, -1.0, 1.0)
+        # per entry pair: the tail rows, the tail diagonal, and which
+        # entry of v the arrow matrix of v holds there (0 off its pattern)
+        self.tail_row = tail[rows].astype(float)
+        self.tail_diag = (tail[rows] & (rows == cols)).astype(float)
+        head_row, head_col = ~tail[rows], ~tail[cols]
+        self.arrow_src = np.where(head_row, cols,
+                                  np.where(head_col, rows, self.head_of[rows]))
+        self.arrow_mask = (head_row | head_col | (rows == cols)).astype(float)
+        # dense work arrays for a scaling other than the identity: Dh and
+        # Dh^{-1}, whose tau entry stays 1, and Xb^{-1} Sb, whose entries
+        # off the block diagonal stay 0
+        self.dh_inv = np.eye(m)
+        self.dh = np.eye(m)
+        self.w_dense = np.zeros((m, m))
+        self.dense_flat = rows * m + cols
+
+    def blockdiag(self, values: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """M v for the block-diagonal M whose entries at the pairs are
+        `values`."""
+        return np.bincount(self.rows, values * v[self.cols], minlength=self.m)
+
+
 @dataclass
 class KktSystem:
+    """One step's Newton system.
+
+    `rhs` is the full three-row right-hand side, split by `row_blocks`;
+    `matrix` is the workspace's reduced matrix with -H written in, which
+    `solve_direction` overwrites with its LU factors.  The arrays of a
+    system belong to its workspace until the next `assemble` on it.
+    """
+
     matrix: np.ndarray
     rhs: np.ndarray
     row_blocks: Dict[str, slice]
     n: int
     p: int
+    work: KktWorkspace
+    h: np.ndarray
+    xinv: np.ndarray
+    xarrow: np.ndarray
+    sarrow: np.ndarray
+    scaled: bool
+
+    def apply_f(self, v: np.ndarray) -> np.ndarray:
+        """F v = Dh^{-1} Xb^{-1} v."""
+        u = self.work.blockdiag(self.xinv, v)
+        return self.work.dh_inv @ u if self.scaled else u
 
 
 def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
-             nu: float, mu: float) -> KktSystem:
-    """Build the order-(2n+p+2) system for the current iterate."""
+             nu: float, mu: float,
+             work: Optional[KktWorkspace] = None) -> KktSystem:
+    """Build the reduced system for the current iterate.
+
+    `work` is the problem's workspace, built here when not given.
+    """
     if D.spec.n != problem.cones.n:
         raise DimensionMismatch("scaling and problem cones disagree")
-    problem.check_shapes()
+    if work is None:
+        work = KktWorkspace(problem)
     spec = problem.cones
-    hat_spec = spec.hat()
-    n, p = problem.n, problem.p
-    m = n + 1
-    N = 2 * m + p
-    x_hat = np.r_[check_vector(z.x, spec), z.tau]
-    s_hat = np.r_[check_vector(z.s, spec), z.kappa]
-    A_hat = np.hstack([problem.A, -problem.b[:, None]])
-    C_hat = np.zeros((m, m))
-    C_hat[:n, n] = -problem.c
-    C_hat[n, :n] = problem.c
-    Dh = np.zeros((m, m))
-    Dh[:n, :n] = D.matrix()
-    Dh[n, n] = 1.0
-    Dh_inv = np.zeros((m, m))
-    Dh_inv[:n, :n] = D.inverse_matrix()
-    Dh_inv[n, n] = 1.0
-    xb = Dh_inv.T @ x_hat
-    sb = Dh @ s_hat
-    Xb = arrow_matrix(xb, hat_spec)
-    Sb = arrow_matrix(sb, hat_spec)
-    row_blocks = {
-        "primal": slice(0, p),
-        "dual": slice(p, p + m),
-        "complementarity": slice(p + m, N),
-    }
-    r1, r2, r3 = row_blocks.values()
-    cx, cy, cs = slice(0, m), slice(m, m + p), slice(m + p, N)
-    M = np.zeros((N, N))
-    rhs = np.empty(N)
-    M[r1, cx] = A_hat
-    M[r2, cx] = C_hat
-    M[r2, cy] = A_hat.T
-    M[r2, cs] = np.eye(m)
-    M[r3, cx] = Sb @ Dh_inv.T
-    M[r3, cs] = Xb @ Dh
-    rhs[r1] = -(1.0 - nu) * (A_hat @ x_hat)
-    rhs[r2] = -(1.0 - nu) * (A_hat.T @ z.y + C_hat @ x_hat + s_hat)
-    rhs[r3] = nu * mu * unit_element(hat_spec) - jordan_product(xb, sb, hat_spec)
-    return KktSystem(M, rhs, row_blocks, n, p)
+    n, p, m = work.n, work.p, work.m
+    rows, cols = work.rows, work.cols
+    xh, sh = np.empty(m), np.empty(m)
+    xh[:n] = check_vector(z.x, spec)
+    sh[:n] = check_vector(z.s, spec)
+    xh[n], sh[n] = z.tau, z.kappa
+    scaled = not D.is_identity
+    if scaled:
+        work.dh[:n, :n] = D.matrix()
+        work.dh_inv[:n, :n] = D.inverse_matrix()
+        xb, sb = work.dh_inv.T @ xh, work.dh @ sh
+    else:
+        xb, sb = xh, sh
+    xq = work.reflect * xb
+    det = np.add.reduceat(xq * xb, work.heads)[work.block_of]
+    a = xb[work.head_of]
+    xarrow = xb[work.arrow_src] * work.arrow_mask
+    sarrow = sb[work.arrow_src] * work.arrow_mask
+    r = work.blockdiag(sarrow, xq) / det  # (sb o Q xb) / det
+    xq_rows, a_rows = xq[rows], a[rows]
+    h = (xq_rows * r[cols] + work.tail_row * sarrow) / a_rows
+    xinv = (xq_rows * xq[cols] / det[rows] + work.tail_diag) / a_rows
+    if scaled:
+        work.w_dense.ravel()[work.dense_flat] = h
+        h = (work.dh_inv @ work.w_dense @ work.dh_inv.T).ravel()[work.dense_flat]
+    np.copyto(work.matrix, work.base)
+    work._matrix_flat[work.flat] = -h
+    v = work.base @ np.concatenate((xh, z.y))
+    rhs = np.concatenate((-(1.0 - nu) * v[m:], -(1.0 - nu) * (v[:m] + sh),
+                          nu * mu * work.unit - work.blockdiag(xarrow, sb)))
+    return KktSystem(work.matrix, rhs, work.row_blocks, n, p, work, h, xinv,
+                     xarrow, sarrow, scaled)
 
 
-def solve_dense(M: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, float]:
-    """LU with partial pivoting, one refinement pass, and a residual check."""
-    with warnings.catch_warnings():
-        # singularity is diagnosed by the pivot check below
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = lu_factor(M)
-    diag = np.abs(np.diag(lu))
-    if diag.max() == 0.0 or diag.min() < 1e-14 * diag.max():
-        raise SingularSystem(
-            f"pivot ratio {diag.min():.3e} / {diag.max():.3e}")
-    u = lu_solve((lu, piv), rhs)
-    resid = rhs - M @ u
-    u = u + lu_solve((lu, piv), resid)
-    resid = rhs - M @ u
-    rel = float(np.linalg.norm(resid)) / (1.0 + float(np.linalg.norm(rhs)))
-    return u, rel
+def solve_dense(K: np.ndarray, rhs: np.ndarray
+                ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+    """Solve K u = rhs by LU with partial pivoting, factoring the
+    Fortran-ordered K in place; returns u and the factors (lu, piv)."""
+    lu, piv, info = _getrf(K, overwrite_a=1)
+    if info > 0:
+        raise SingularSystem(f"exactly zero pivot in column {info}")
+    u, _ = _getrs(lu, piv, rhs)
+    return u, (lu, piv)
+
+
+def _residual(sys: KktSystem, u: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """The full three-row residual rhs - M (dxh, dy, dsh), matrix-free:
+    A_hat dxh, C_hat dxh + A_hat' dy + dsh, sb o (Dh^{-T} dxh) + xb o (Dh dsh)."""
+    work, m = sys.work, sys.work.m
+    v = work.base @ u
+    dxb, dsb = u[:m], ds
+    if sys.scaled:
+        dxb, dsb = work.dh_inv.T @ dxb, work.dh @ dsb
+    jordan = work.blockdiag(sys.sarrow, dxb) + work.blockdiag(sys.xarrow, dsb)
+    return sys.rhs - np.concatenate((v[m:], v[:m] + ds, jordan))
 
 
 def solve_direction(sys: KktSystem) -> NewtonDirection:
-    u, rel = solve_dense(sys.matrix, sys.rhs)
-    n, p = sys.n, sys.p
-    m = n + 1
-    dx_hat = u[:m]
-    dy = u[m:m + p]
-    ds_hat = u[m + p:]
-    defect = abs(float(dx_hat @ ds_hat))
-    return NewtonDirection(dx=dx_hat[:n], dy=dy, ds=ds_hat[:n],
-                           dkappa=float(ds_hat[n]), dtau=float(dx_hat[n]),
+    """Factor the reduced system, solve, and refine once against the full
+    system.  The refined direction is kept only if its residual is
+    smaller: late in a tight solve the reduced matrix is too
+    ill-conditioned for its LU to shrink every error, and a pass that
+    grows the residual would spoil the step.  An exactly zero pivot or a
+    non-finite residual raises SingularSystem."""
+    work, m = sys.work, sys.work.m
+    primal, dual, comp = sys.row_blocks.values()
+    f3 = sys.apply_f(sys.rhs[comp])
+    u, factors = solve_dense(
+        sys.matrix, np.concatenate((sys.rhs[dual] - f3, sys.rhs[primal])))
+    ds = f3 - work.blockdiag(sys.h, u[:m])
+    e = _residual(sys, u, ds)
+    f3 = sys.apply_f(e[comp])
+    du, _ = _getrs(*factors, np.concatenate((e[dual] - f3, e[primal])))
+    refined = (u + du, ds + f3 - work.blockdiag(sys.h, du[:m]))
+    e_refined = _residual(sys, *refined)
+    if e_refined @ e_refined < e @ e:
+        (u, ds), e = refined, e_refined
+    rel = math.sqrt(e @ e) / (1.0 + float(np.linalg.norm(sys.rhs)))
+    if not math.isfinite(rel):
+        raise SingularSystem("the Newton direction is not finite")
+    n = sys.n
+    defect = abs(float(u[:m] @ ds))
+    return NewtonDirection(dx=u[:n], dy=u[m:], ds=ds[:n],
+                           dkappa=float(ds[n]), dtau=float(u[n]),
                            system_residual=rel, orthogonality_defect=defect)
 
 

@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cones import ConeSpec, check_vector
-from .errors import DimensionMismatch, NonFiniteData
+from .errors import DimensionMismatch, NonFiniteData, SingularSystem
 
 
 @dataclass
@@ -58,6 +58,28 @@ class SocpProblem:
         for name in ("A", "b", "c"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise NonFiniteData(f"{name} contains NaN or inf")
+
+    def check_rows(self) -> None:
+        """[A, -b] must have independent rows, or every Newton system of
+        the embedding is singular.  More rows than its n+1 columns raise
+        DimensionMismatch, numerically dependent rows SingularSystem.  The
+        rank test scales the -b column to A's largest column norm first,
+        so that a large b alone does not read as dependent rows."""
+        p, n = self.A.shape
+        if p > n + 1:
+            raise DimensionMismatch(
+                f"{p} equality rows exceed the {n + 1} columns of [A, -b]")
+        if p == 0:
+            return
+        b_norm = float(np.linalg.norm(self.b))
+        a_norm = float(np.sqrt((self.A * self.A).sum(axis=0).max()))
+        scale = a_norm / b_norm if a_norm > 0.0 and b_norm > 0.0 else 1.0
+        sv = np.linalg.svd(np.column_stack((self.A, scale * self.b)),
+                           compute_uv=False)
+        if sv[-1] <= 1e-10 * sv[0]:
+            raise SingularSystem(
+                f"the rows of [A, -b] are dependent (sigma_min/sigma_max = "
+                f"{sv[-1] / sv[0] if sv[0] > 0.0 else 0.0:.3e})")
 
 
 @dataclass

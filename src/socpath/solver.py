@@ -14,12 +14,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .cones import ScalingMatrix, nt_scaling_of
-from .errors import (DimensionMismatch, InvalidParams, MaxIterationsExceeded,
-                     NotInterior, StartOutsideNeighborhood)
+from .errors import (InvalidParams, MaxIterationsExceeded, NotInterior,
+                     StartOutsideNeighborhood)
 from .geometry import (Classification, Evaluation, HsdPoint,
                        NeighborhoodParams, classify_status, mu)
-from .kkt import assemble, solve_direction, step_point
+from .kkt import KktWorkspace, assemble, solve_direction, step_point
 from .problem import SocpProblem, compute_residuals
 
 SCALINGS = ("identity", "nt")
@@ -144,6 +145,7 @@ def _stopped(params: SolverParams, res, m: float, start) -> bool:
     return ok_p and ok_d and m <= eps * mu0
 
 
+@one_blas_thread()
 def solve(problem: SocpProblem, start: HsdPoint,
           params: SolverParams) -> SolveResult:
     """Run the fixed-step loop from `start` until the stop criterion holds.
@@ -151,15 +153,14 @@ def solve(problem: SocpProblem, start: HsdPoint,
     The start must lie in N_2(gamma), strictly interior included, or
     StartOutsideNeighborhood is raised.  Every later iterate must stay
     strictly interior (tau, kappa > 0 and x, s inside the cone); one that
-    leaves raises NotInterior naming its iteration.
+    leaves raises NotInterior naming its iteration.  Data whose [A, -b]
+    has dependent rows is refused at entry (`SocpProblem.check_rows`).
+    The solve runs on one BLAS thread, so that its bytes do not depend on
+    the machine's thread count.
     """
     problem.check_shapes()
     problem.check_finite()
-    if problem.p > problem.n + 1:
-        # [A, -b] then has dependent rows, and every Newton system is singular
-        raise DimensionMismatch(
-            f"{problem.p} equality rows exceed the {problem.n + 1} columns "
-            f"of [A, -b]")
+    problem.check_rows()
     spec = problem.cones
     k = spec.k
     ok, margin = validate_params(params.gamma, params.delta, k)
@@ -186,17 +187,14 @@ def solve(problem: SocpProblem, start: HsdPoint,
         if params.trace_enabled else None
     directions = [] if params.collect_directions else None
     identity = ScalingMatrix.identity(spec)
+    work = KktWorkspace(problem)
     iters = 0
     while not _stopped(params, res, ev.mu, start_norms):
         if iters >= max_iter:
             raise MaxIterationsExceeded(f"no convergence in {max_iter} steps")
         D = identity if params.scaling == "identity" \
             else nt_scaling_of(ev.x, ev.s)
-        # `system` stays referenced until the next one is built: freeing
-        # the dense matrix between steps lets the allocator return its
-        # pages to the OS, and the next assembly faults them in again.
-        system = assemble(problem, z, D, nu, ev.mu)
-        direction = solve_direction(system)
+        direction = solve_direction(assemble(problem, z, D, nu, ev.mu, work))
         if directions is not None:
             directions.append((z.copy(), direction, ev.mu))
         z = step_point(z, direction, 1.0)

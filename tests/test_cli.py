@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +119,33 @@ class TestSolveCommand:
                            "--output", tmp_path / "o.json")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DimensionMismatch"
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """`socpath solve` writes the same solution and trace at 1 and 2
+        OpenBLAS threads: the solve pins its own thread to one.  At order
+        181 (n=120, p=60) an unpinned 2-thread LU sums in another order."""
+        prob = feasible_problem(sp.ConeSpec(20, (10,) * 10), 60,
+                                np.random.default_rng(7))
+        path = tmp_path / "p.json"
+        path.write_text(write_problem(prob))
+        package_root = str(Path(sp.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            out, trace = tmp_path / f"s{threads}.json", tmp_path / f"t{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")])))
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from socpath.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))",
+                 "solve", "--problem", str(path), "--output", str(out),
+                 "--epsilon", "1e-2", "--trace", str(trace)],
+                env=env, check=True, timeout=120, stdout=subprocess.DEVNULL)
+            digests.append(hashlib.sha256(
+                out.read_bytes() + trace.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
 
     def test_iterate_leaving_interior_exits_3(self, run, toy_file, tmp_path,
                                               monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import socpath as sp
-from socpath import ConeSpec, DimensionMismatch, HsdPoint, SocpProblem
+from socpath import (ConeSpec, DimensionMismatch, HsdPoint, SingularSystem,
+                     SocpProblem)
 
 from util import (
     cold_point,
@@ -76,6 +77,37 @@ def test_validate_wide_matrix():
     prob = SocpProblem(A=np.ones((3, 2)), b=np.ones(3), c=np.ones(2), cones=spec)
     rep = sp.validate_problem(prob)
     assert not rep.ok
+
+
+def test_check_rows_refuses_dependent_rows():
+    """Dependent rows of [A, -b] raise SingularSystem; more rows than its
+    n+1 columns raise DimensionMismatch."""
+    spec = ConeSpec(l=2, soc_dims=())
+    dup = SocpProblem(A=np.array([[1.0, 1.0], [1.0, 1.0]]),
+                      b=np.array([1.0, 1.0]), c=np.ones(2), cones=spec)
+    with pytest.raises(SingularSystem, match="rows of \\[A, -b\\]"):
+        dup.check_rows()
+    # dependent rows of A alone, made independent by b
+    SocpProblem(A=dup.A, b=np.array([1.0, 2.0]), c=np.ones(2),
+                cones=spec).check_rows()
+    wide = SocpProblem(A=np.ones((4, 2)), b=np.ones(4), c=np.ones(2),
+                       cones=spec)
+    with pytest.raises(DimensionMismatch, match="4 equality rows"):
+        wide.check_rows()
+
+
+@pytest.mark.parametrize("factor", [1e-8, 1.0, 1e8])
+def test_check_rows_is_scale_free(factor):
+    """The -b column is scaled to A's column norms before the rank test,
+    so a large or small b, or a scaled A, does not read as dependence."""
+    rng = np.random.default_rng(23)
+    prob = feasible_problem(mixed_spec(rng), 2, rng)
+    for A, b in ((prob.A, factor * prob.b), (factor * prob.A, prob.b)):
+        SocpProblem(A=A, b=b, c=prob.c, cones=prob.cones).check_rows()
+    dependent = np.vstack([prob.A, 3.0 * prob.A[:1]])
+    b = factor * np.append(prob.b, 3.0 * prob.b[0])
+    with pytest.raises(SingularSystem):
+        SocpProblem(A=dependent, b=b, c=prob.c, cones=prob.cones).check_rows()
 
 
 class TestResiduals:

@@ -11,6 +11,7 @@ from socpath import (
     MaxIterationsExceeded,
     NonFiniteData,
     NotInterior,
+    SingularSystem,
     SocpathError,
     SolverParams,
     StartOutsideNeighborhood,
@@ -347,3 +348,41 @@ def test_more_rows_than_embedding_columns_rejected(monkeypatch):
         sp.solve(prob, cold_point(prob), SolverParams(epsilon=1e-2))
     assert isinstance(info.value, SocpathError)
     assert isinstance(info.value, ValueError)
+
+
+def test_dependent_rows_rejected_at_entry(monkeypatch):
+    """p <= n rows of [A, -b] that are dependent make every Newton system
+    singular: refused at entry, before any assembly."""
+    prob = sp.SocpProblem(A=np.array([[1.0, 1.0], [1.0, 1.0]]),
+                          b=np.array([1.0, 1.0]), c=np.array([1.0, 0.0]),
+                          cones=sp.ConeSpec(l=2, soc_dims=()))
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled a Newton system")
+    monkeypatch.setattr(sp.solver, "assemble", no_assembly)
+    with pytest.raises(SingularSystem, match="rows of"):
+        sp.solve(prob, cold_point(prob), SolverParams(epsilon=1e-2))
+
+
+@pytest.mark.parametrize("scaling", ["identity", "nt"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tight_epsilon_keeps_the_law(seed, scaling):
+    """At eps 1e-10 the reduced Newton solve keeps the closed-form count,
+    stays interior, contracts mu and ||r_p|| by nu at every step and
+    solves the full system to 1e-9.  Rounding in mu and r_p alone moves a
+    ratio by about 1e-16 start/value, so the tolerance grows as the
+    value falls."""
+    spec = sp.ConeSpec(3, (4, 5, 6))
+    prob = feasible_problem(spec, 5, np.random.default_rng(seed))
+    params = SolverParams(epsilon=1e-10, scaling=scaling)
+    res = sp.solve(prob, cold_point(prob), params)
+    assert res.iterations == res.predicted == 2861
+    nu = sp.centering_nu(params.delta, spec.k)
+    tr = res.trace
+    for start, values in ((tr.start_mu, [row.mu for row in tr.rows]),
+                          (tr.start_rp_norm, [row.rp_norm for row in tr.rows])):
+        prev = start
+        for value in values:
+            assert abs(value / prev - nu) <= 1e-9 + 1e-12 * start / prev
+            prev = value
+    assert max(row.kkt_residual for row in tr.rows) <= 1e-9
