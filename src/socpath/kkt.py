@@ -1,4 +1,4 @@
-"""The scaled Newton system on the embedding, solved at order n+1+p.
+"""The scaled Newton system on the embedding, solved in reduced form.
 
 In hat variables tau joins x as one extra 1-dimensional block and kappa
 joins s.  The Newton system has three row groups
@@ -8,26 +8,40 @@ joins s.  The Newton system has three row groups
     Sb Dh^{-T} dxh + Xb Dh dsh   = r3 = nu mu e_hat - xb o sb
 
 with A_hat = [A, -b], C_hat skew from c, xb = Dh^{-T}xh, sb = Dh sh,
-Dh = blkdiag(D, 1), and Xb, Sb the arrow matrices of xb and sb.  The
-third row gives dsh = F (r3 - Sb Dh^{-T} dxh) with F = Dh^{-1} Xb^{-1}, so
-(dxh, dy) solves the order-(n+1+p) system
+Dh = blkdiag(D, 1), and Xb, Sb the arrow matrices of xb and sb.
 
-    [[C_hat - H, A_hat'], [A_hat, 0]] (dxh, dy) = (r2 - F r3, r1)
+It is solved in the scaled unknowns u = Dh^{-T} dxh and v = Dh dsh, in
+which it is the identity-scaled system of the data (A_hat Dh', Dh C_hat
+Dh') at (xb, sb); the second row is multiplied by Dh.  The third row
+gives v = Xb^{-1} r3 - M u with M = Xb^{-1} Sb.  Per cone block, with a
+the head of xb, t its tail, det = (a - ||t||)(a + ||t||), Q = diag(1, -I)
+and Xb^{-1} = (Q xb)(Q xb)'/(a det) + (I - e e')/a,
 
-with H = F Sb Dh^{-T}, and then dsh = F r3 - H dxh.  Per block, with a the
-head of xb, det = a^2 - ||xb_{2:}||^2 and Q = diag(1, -I), the arrow
-inverse is Xb^{-1} = (Q xb)(Q xb)'/(a det) + (I - e e')/a, so
-Xb^{-1} Sb = (Q xb) (sb o Q xb)'/(a det) + (the tail rows of Sb)/a.  H and
-F are block-diagonal, and only their block-diagonal entries are formed;
-a general D enters through its dense forms.
+    M = g rho'/det + E,   g = Q xb / a,   rho = sb o Q xb,
+
+where E holds the tail rows of Sb over a.  A 1-dimensional block has
+M = sb/xb, which E holds whole.  A block with a tail keeps its rank-one
+part as one extra unknown w = rho'u / det, so (u, dy, w) solves
+
+    [[Dh C_hat Dh' - E, Dh A_hat', -G], [A_hat Dh', 0, 0], [-R, 0, diag(det)]]
+        (u, dy, w) = (Dh r2 - Xb^{-1} r3, r1, 0)
+
+of order n+1+p+q, q the number of blocks with a tail (G holds each
+block's g in its column, R each block's rho' in its row), and then
+v = Xb^{-1} r3 - E u - G w.  Late in a solve M spans about 1/mu^2
+between its eigenvalues under the identity scaling, and D^{-1}D^{-T}
+does under NT; formed densely, such a block loses its small
+eigenvalues.  In this form the entries stay moderate: the rank-one part
+of M is never formed, and the spread of D sits in A_hat Dh' and Dh c,
+with M near I under NT.
 
 A `KktWorkspace` holds what one solve keeps: A_hat, the matrix with
-A_hat, A_hat' and C_hat written once, and the index sets of the
-block-diagonal entries.  Each step writes -H and the right-hand side.
-`solve_direction` factors the matrix with LAPACK getrf, runs one
-refinement pass against the full three-row system, kept when it lowers
-that system's residual, and reports the relative residual, which it
-computes without forming the system.
+A_hat, A_hat' and C_hat written once, a factor buffer, and the positions
+of the entries each step writes.  `solve_direction` writes the step's
+entries into a fresh copy of that matrix, factors it with LAPACK getrf,
+runs one refinement pass against the full three-row system in dxh =
+Dh' u and dsh = Dh^{-1} v, and reports that system's relative residual,
+which it computes without forming the system.
 """
 
 from __future__ import annotations
@@ -62,11 +76,13 @@ class NewtonDirection:
 class KktWorkspace:
     """The solve-constant part of the reduced Newton system of one problem.
 
-    `base` is [[C_hat, A_hat'], [A_hat, 0]] of order N = n+1+p, in Fortran
-    order for getrf; its entries on the block diagonal of the hat cone
-    are zero.  Each step copies it into `matrix`, which it factors in
-    place.  (rows[k], cols[k]) runs over the block-diagonal entries of the
-    hat cone, block by block, and `flat` is their position in `matrix`.
+    `base` is [[C_hat, A_hat', 0], [A_hat, 0, 0], [0, 0, 0]] of order
+    N = n+1+p+q, in Fortran order for getrf, and `core` its leading block
+    of order n+1+p; `matrix` is the buffer that each solve copies `base`
+    into and factors in place.  `pos` lists the flat
+    positions each step writes, in the order of `KktSystem.values`: the
+    g entries of the columns of w, the rho entries of its rows, its
+    diagonal, then E's diagonal and E's head column.
     """
 
     def __init__(self, problem: SocpProblem):
@@ -74,75 +90,103 @@ class KktWorkspace:
         spec = problem.cones.hat()
         n, p = problem.n, problem.p
         m = n + 1
+        heads, blk, tail = spec.heads, spec.block_of, spec.tail
+        expanded = np.add.reduceat(tail, heads) > 0  # blocks with a tail
+        N = m + p + int(expanded.sum())
         self.n, self.p, self.m = n, p, m
         self.row_blocks = {"primal": slice(0, p), "dual": slice(p, p + m),
                            "complementarity": slice(p + m, p + 2 * m)}
         self.A_hat = np.hstack([problem.A, -problem.b[:, None]])
-        base = np.zeros((m + p, m + p), order="F")
+        self.c = problem.c
+        base = np.zeros((N, N), order="F")
         base[:n, n] = -problem.c
         base[n, :n] = problem.c
-        base[:m, m:] = self.A_hat.T
-        base[m:, :m] = self.A_hat
+        base[:m, m:m + p] = self.A_hat.T
+        base[m:m + p, :m] = self.A_hat
         self.base = base
+        self.core = base[:m + p, :m + p]
         self.matrix = np.empty_like(base)
+        self.eye = np.eye(m)
         self._matrix_flat = self.matrix.reshape(-1, order="F")
-        blk, tail = spec.block_of, spec.tail
-        rows, cols = np.nonzero(blk[:, None] == blk)
-        self.rows, self.cols = rows, cols
-        self.flat = rows + cols * (m + p)
-        self.heads = spec.heads
-        self.head_of = spec.heads[blk]
-        self.block_of = blk
-        self.unit = (~tail).astype(float)
+        self.heads, self.block_of, self.head_of = heads, blk, heads[blk]
+        self.tail = tail.astype(float)
         self.reflect = np.where(tail, -1.0, 1.0)
-        # per entry pair: the tail rows, the tail diagonal, and which
-        # entry of v the arrow matrix of v holds there (0 off its pattern)
-        self.tail_row = tail[rows].astype(float)
-        self.tail_diag = (tail[rows] & (rows == cols)).astype(float)
-        head_row, head_col = ~tail[rows], ~tail[cols]
-        self.arrow_src = np.where(head_row, cols,
-                                  np.where(head_col, rows, self.head_of[rows]))
-        self.arrow_mask = (head_row | head_col | (rows == cols)).astype(float)
-        # dense work arrays for a scaling other than the identity: Dh and
-        # Dh^{-1}, whose tau entry stays 1, and Xb^{-1} Sb, whose entries
-        # off the block diagonal stay 0
-        self.dh_inv = np.eye(m)
-        self.dh = np.eye(m)
-        self.w_dense = np.zeros((m, m))
-        self.dense_flat = rows * m + cols
+        self.unit = (~tail).astype(float)
+        on = expanded[blk]
+        self.on = on.astype(float)
+        # E's diagonal: every entry but the head of a block with a tail
+        self.on_diag = (tail | ~on).astype(float)
+        # the unknown w of each entry's block; any index where g is 0
+        w_col = np.cumsum(expanded) - 1 + m + p
+        self.w_of = np.where(on, w_col[blk], 0)
+        self.zeros_w = np.zeros(N - m - p)
+        ex, diag, ti = np.flatnonzero(on), np.flatnonzero(self.on_diag), \
+            np.flatnonzero(tail)
+        self.ex, self.diag, self.ti, self.expanded = ex, diag, ti, expanded
+        self.pos = np.concatenate((
+            ex + self.w_of[ex] * N, self.w_of[ex] + ex * N,
+            w_col[expanded] * (N + 1), diag * (N + 1),
+            ti + self.head_of[ti] * N))
 
-    def blockdiag(self, values: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """M v for the block-diagonal M whose entries at the pairs are
-        `values`."""
-        return np.bincount(self.rows, values * v[self.cols], minlength=self.m)
+
+def _jordan(u: np.ndarray, v: np.ndarray, work: KktWorkspace) -> np.ndarray:
+    """u o v over the hat cone."""
+    out = u[work.head_of] * v + v[work.head_of] * u
+    out[work.heads] = np.add.reduceat(u * v, work.heads)
+    return out
 
 
 @dataclass
 class KktSystem:
     """One step's Newton system.
 
-    `rhs` is the full three-row right-hand side, split by `row_blocks`;
-    `matrix` is the workspace's reduced matrix with -H written in, which
-    `solve_direction` overwrites with its LU factors.  The arrays of a
-    system belong to its workspace until the next `assemble` on it.
+    `rhs` is the full three-row right-hand side, split by `row_blocks`.
+    The rest is what the reduced solve reads: the scaled point (xb, sb),
+    Q xb, the head a of each entry's block, det per block, g, the
+    diagonal and head column of E, the step's entries `values` (see
+    `KktWorkspace.pos`) and, for a scaling other than the identity, Dh,
+    Dh^{-1}, A_hat Dh' and D c.  A system owns its arrays, so it may be
+    solved again after other systems of its workspace.
     """
 
-    matrix: np.ndarray
     rhs: np.ndarray
     row_blocks: Dict[str, slice]
     n: int
     p: int
     work: KktWorkspace
-    h: np.ndarray
-    xinv: np.ndarray
-    xarrow: np.ndarray
-    sarrow: np.ndarray
-    scaled: bool
+    xb: np.ndarray
+    sb: np.ndarray
+    xq: np.ndarray
+    a: np.ndarray
+    det: np.ndarray
+    g: np.ndarray
+    e_diag: np.ndarray
+    e_head: np.ndarray
+    values: np.ndarray
+    dh: Optional[np.ndarray] = None
+    dh_inv: Optional[np.ndarray] = None
+    ad: Optional[np.ndarray] = None
+    dc: Optional[np.ndarray] = None
 
-    def apply_f(self, v: np.ndarray) -> np.ndarray:
-        """F v = Dh^{-1} Xb^{-1} v."""
-        u = self.work.blockdiag(self.xinv, v)
-        return self.work.dh_inv @ u if self.scaled else u
+    def matrix(self) -> np.ndarray:
+        """The reduced matrix, written into a fresh copy of the
+        workspace's base in its factor buffer."""
+        work, n, m = self.work, self.n, self.work.m
+        K = work.matrix
+        np.copyto(K, work.base)
+        work._matrix_flat[work.pos] = self.values
+        if self.dh is not None:
+            K[m:m + self.p, :m] = self.ad
+            K[:m, m:m + self.p] = self.ad.T
+            K[:n, n] = -self.dc
+            K[n, :n] = self.dc
+        return K
+
+    def xinv(self, r: np.ndarray) -> np.ndarray:
+        """Xb^{-1} r."""
+        work = self.work
+        dot = np.add.reduceat(self.xq * r, work.heads) / self.det
+        return (self.xq * dot[work.block_of] + work.tail * r) / self.a
 
 
 def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
@@ -157,38 +201,37 @@ def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
     if work is None:
         work = KktWorkspace(problem)
     spec = problem.cones
-    n, p, m = work.n, work.p, work.m
-    rows, cols = work.rows, work.cols
+    n, m = work.n, work.m
     xh, sh = np.empty(m), np.empty(m)
     xh[:n] = check_vector(z.x, spec)
     sh[:n] = check_vector(z.s, spec)
     xh[n], sh[n] = z.tau, z.kappa
-    scaled = not D.is_identity
-    if scaled:
-        work.dh[:n, :n] = D.matrix()
-        work.dh_inv[:n, :n] = D.inverse_matrix()
-        xb, sb = work.dh_inv.T @ xh, work.dh @ sh
-    else:
+    dh = dh_inv = ad = dc = None
+    if D.is_identity:
         xb, sb = xh, sh
+    else:
+        dh, dh_inv = work.eye.copy(), work.eye.copy()
+        dh[:n, :n] = D.matrix()
+        dh_inv[:n, :n] = D.inverse_matrix()
+        xb, sb = dh_inv.T @ xh, dh @ sh
+        ad, dc = work.A_hat @ dh.T, dh[:n, :n] @ work.c
+    heads, blk, head_of = work.heads, work.block_of, work.head_of
+    head = xb[heads]
+    t = np.sqrt(np.add.reduceat(work.tail * xb * xb, heads))
+    det = (head - t) * (head + t)
+    a = head[blk]
     xq = work.reflect * xb
-    det = np.add.reduceat(xq * xb, work.heads)[work.block_of]
-    a = xb[work.head_of]
-    xarrow = xb[work.arrow_src] * work.arrow_mask
-    sarrow = sb[work.arrow_src] * work.arrow_mask
-    r = work.blockdiag(sarrow, xq) / det  # (sb o Q xb) / det
-    xq_rows, a_rows = xq[rows], a[rows]
-    h = (xq_rows * r[cols] + work.tail_row * sarrow) / a_rows
-    xinv = (xq_rows * xq[cols] / det[rows] + work.tail_diag) / a_rows
-    if scaled:
-        work.w_dense.ravel()[work.dense_flat] = h
-        h = (work.dh_inv @ work.w_dense @ work.dh_inv.T).ravel()[work.dense_flat]
-    np.copyto(work.matrix, work.base)
-    work._matrix_flat[work.flat] = -h
-    v = work.base @ np.concatenate((xh, z.y))
+    g = work.on * xq / a
+    rho = _jordan(sb, xq, work)
+    e_diag = work.on_diag * sb[head_of] / a
+    e_head = work.tail * sb / a
+    values = np.concatenate((-g[work.ex], -rho[work.ex], det[work.expanded],
+                             -e_diag[work.diag], -e_head[work.ti]))
+    v = work.core @ np.concatenate((xh, z.y))
     rhs = np.concatenate((-(1.0 - nu) * v[m:], -(1.0 - nu) * (v[:m] + sh),
-                          nu * mu * work.unit - work.blockdiag(xarrow, sb)))
-    return KktSystem(work.matrix, rhs, work.row_blocks, n, p, work, h, xinv,
-                     xarrow, sarrow, scaled)
+                          nu * mu * work.unit - _jordan(xb, sb, work)))
+    return KktSystem(rhs, work.row_blocks, n, work.p, work, xb, sb, xq, a,
+                     det, g, e_diag, e_head, values, dh, dh_inv, ad, dc)
 
 
 def solve_dense(K: np.ndarray, rhs: np.ndarray
@@ -202,46 +245,61 @@ def solve_dense(K: np.ndarray, rhs: np.ndarray
     return u, (lu, piv)
 
 
-def _residual(sys: KktSystem, u: np.ndarray, ds: np.ndarray) -> np.ndarray:
+def _reduced_rhs(sys: KktSystem, r: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Xb^{-1} r3 and the reduced right-hand side of the three-row r."""
+    primal, dual, comp = sys.row_blocks.values()
+    f3 = sys.xinv(r[comp])
+    top = r[dual] if sys.dh is None else sys.dh @ r[dual]
+    return f3, np.concatenate((top - f3, r[primal], sys.work.zeros_w))
+
+
+def _recover(sys: KktSystem, u: np.ndarray, f3: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dxh, dy, dsh) from the reduced solution u = (Dh^{-T} dxh, dy, w)."""
+    work, m = sys.work, sys.work.m
+    ub = u[:m]
+    vb = f3 - (sys.g * u[work.w_of] + sys.e_diag * ub
+               + sys.e_head * ub[work.head_of])
+    dy = u[m:m + sys.p]
+    if sys.dh is None:
+        return ub, dy, vb
+    return sys.dh.T @ ub, dy, sys.dh_inv @ vb
+
+
+def _residual(sys: KktSystem, dxh: np.ndarray, dy: np.ndarray,
+              dsh: np.ndarray) -> np.ndarray:
     """The full three-row residual rhs - M (dxh, dy, dsh), matrix-free:
     A_hat dxh, C_hat dxh + A_hat' dy + dsh, sb o (Dh^{-T} dxh) + xb o (Dh dsh)."""
     work, m = sys.work, sys.work.m
-    v = work.base @ u
-    dxb, dsb = u[:m], ds
-    if sys.scaled:
-        dxb, dsb = work.dh_inv.T @ dxb, work.dh @ dsb
-    jordan = work.blockdiag(sys.sarrow, dxb) + work.blockdiag(sys.xarrow, dsb)
-    return sys.rhs - np.concatenate((v[m:], v[:m] + ds, jordan))
+    v = work.core @ np.concatenate((dxh, dy))
+    dxb, dsb = dxh, dsh
+    if sys.dh is not None:
+        dxb, dsb = sys.dh_inv.T @ dxh, sys.dh @ dsh
+    jordan = _jordan(sys.sb, dxb, work) + _jordan(sys.xb, dsb, work)
+    return sys.rhs - np.concatenate((v[m:], v[:m] + dsh, jordan))
 
 
 def solve_direction(sys: KktSystem) -> NewtonDirection:
     """Factor the reduced system, solve, and refine once against the full
-    system.  The refined direction is kept only if its residual is
-    smaller: late in a tight solve the reduced matrix is too
-    ill-conditioned for its LU to shrink every error, and a pass that
-    grows the residual would spoil the step.  An exactly zero pivot or a
-    non-finite residual raises SingularSystem."""
-    work, m = sys.work, sys.work.m
-    primal, dual, comp = sys.row_blocks.values()
-    f3 = sys.apply_f(sys.rhs[comp])
-    u, factors = solve_dense(
-        sys.matrix, np.concatenate((sys.rhs[dual] - f3, sys.rhs[primal])))
-    ds = f3 - work.blockdiag(sys.h, u[:m])
-    e = _residual(sys, u, ds)
-    f3 = sys.apply_f(e[comp])
-    du, _ = _getrs(*factors, np.concatenate((e[dual] - f3, e[primal])))
-    refined = (u + du, ds + f3 - work.blockdiag(sys.h, du[:m]))
-    e_refined = _residual(sys, *refined)
-    if e_refined @ e_refined < e @ e:
-        (u, ds), e = refined, e_refined
+    system.  An exactly zero pivot or a non-finite residual raises
+    SingularSystem."""
+    f3, red = _reduced_rhs(sys, sys.rhs)
+    u, factors = solve_dense(sys.matrix(), red)
+    step = _recover(sys, u, f3)
+    f3, red = _reduced_rhs(sys, _residual(sys, *step))
+    du, _ = _getrs(*factors, red)
+    step = tuple(s + d for s, d in zip(step, _recover(sys, du, f3)))
+    e = _residual(sys, *step)
     rel = math.sqrt(e @ e) / (1.0 + float(np.linalg.norm(sys.rhs)))
     if not math.isfinite(rel):
         raise SingularSystem("the Newton direction is not finite")
+    dxh, dy, dsh = step
     n = sys.n
-    defect = abs(float(u[:m] @ ds))
-    return NewtonDirection(dx=u[:n], dy=u[m:], ds=ds[:n],
-                           dkappa=float(ds[n]), dtau=float(u[n]),
-                           system_residual=rel, orthogonality_defect=defect)
+    return NewtonDirection(dx=dxh[:n], dy=dy, ds=dsh[:n],
+                           dkappa=float(dsh[n]), dtau=float(dxh[n]),
+                           system_residual=rel,
+                           orthogonality_defect=abs(float(dxh @ dsh)))
 
 
 def step_point(z: HsdPoint, direction: NewtonDirection,

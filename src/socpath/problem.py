@@ -10,6 +10,9 @@ import numpy as np
 from .cones import ConeSpec, check_vector
 from .errors import DimensionMismatch, NonFiniteData, SingularSystem
 
+# relative size below which a singular value counts as zero
+RANK_TOL = 1e-10
+
 
 @dataclass
 class SocpProblem:
@@ -74,12 +77,20 @@ class SocpProblem:
         b_norm = float(np.linalg.norm(self.b))
         a_norm = float(np.sqrt((self.A * self.A).sum(axis=0).max()))
         scale = a_norm / b_norm if a_norm > 0.0 and b_norm > 0.0 else 1.0
-        sv = np.linalg.svd(np.column_stack((self.A, scale * self.b)),
-                           compute_uv=False)
-        if sv[-1] <= 1e-10 * sv[0]:
-            raise SingularSystem(
-                f"the rows of [A, -b] are dependent (sigma_min/sigma_max = "
-                f"{sv[-1] / sv[0] if sv[0] > 0.0 else 0.0:.3e})")
+        dependent = _dependent_rows(np.linalg.svd(
+            np.column_stack((self.A, scale * self.b)), compute_uv=False))
+        if dependent:
+            raise SingularSystem(f"the rows of [A, -b] {dependent}")
+
+
+def _dependent_rows(sv: np.ndarray) -> Optional[str]:
+    """The rank test of a matrix with no more rows than columns, from its
+    singular values sv, largest first: its rows are numerically dependent
+    when sigma_min <= RANK_TOL sigma_max.  Returns what is found, or None."""
+    if sv[-1] > RANK_TOL * sv[0]:
+        return None
+    ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
+    return f"are numerically dependent (sigma_min/sigma_max = {ratio:.3e})"
 
 
 @dataclass
@@ -121,12 +132,10 @@ def validate_problem(problem: SocpProblem) -> ValidationReport:
             findings.append(("rank", "A is identically zero"))
             rank_estimate = 0
         else:
-            rank_estimate = int(np.sum(sv > 1e-10 * sigma_max))
-            if p <= n and sigma_min <= 1e-10 * sigma_max:
-                findings.append(
-                    ("rank",
-                     f"rows are numerically dependent "
-                     f"(sigma_min/sigma_max = {sigma_min / sigma_max:.3e})"))
+            rank_estimate = int(np.sum(sv > RANK_TOL * sigma_max))
+            dependent = _dependent_rows(sv) if p <= n else None
+            if dependent:
+                findings.append(("rank", f"rows {dependent}"))
     elif not np.all(np.isfinite(A)):
         findings.append(("value", "A contains non-finite entries"))
     return ValidationReport(ok=not findings, findings=findings,

@@ -5,7 +5,7 @@ import pytest
 
 import socpath as sp
 from socpath import HsdPoint, ScalingMatrix, SingularSystem, SocpProblem
-from socpath.kkt import increment_bound
+from socpath.kkt import KktWorkspace, increment_bound
 
 from oracles import kkt_oracle
 from util import interior_hsd_point, mixed_spec, random_problem, toy_lp
@@ -167,6 +167,28 @@ def test_scaling_equivalence_with_transformed_problem():
         assert np.abs(back_ds - d.ds).max() < 1e-9 * scale
         assert abs(td.dtau - d.dtau) < 1e-9 * scale
         assert abs(td.dkappa - d.dkappa) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("scaling", ["identity", "nt"])
+def test_system_solves_again(scaling):
+    """A system owns its arrays: assembling and solving another system of
+    the same workspace first, or solving it twice, changes nothing."""
+    rng = np.random.default_rng(353)
+    spec, prob, z, m, nu = _setup(rng)
+    alone = sp.solve_direction(
+        sp.assemble(prob, z, _pick_scaling(scaling, z, spec, rng), nu, m))
+    work = KktWorkspace(prob)
+    system = sp.assemble(prob, z, _pick_scaling(scaling, z, spec, rng), nu, m,
+                         work)
+    other_z = interior_hsd_point(prob, rng)
+    sp.solve_direction(sp.assemble(prob, other_z,
+                                   _pick_scaling(scaling, other_z, spec, rng),
+                                   nu, sp.mu(other_z, spec), work))
+    for d in (sp.solve_direction(system), sp.solve_direction(system)):
+        for got, want in ((d.dx, alone.dx), (d.dy, alone.dy), (d.ds, alone.ds)):
+            assert np.array_equal(got, want)
+        assert (d.dtau, d.dkappa, d.system_residual) == \
+            (alone.dtau, alone.dkappa, alone.system_residual)
 
 
 def test_singular_system_raises():

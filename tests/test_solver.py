@@ -370,8 +370,9 @@ def test_tight_epsilon_keeps_the_law(seed, scaling):
     """At eps 1e-10 the reduced Newton solve keeps the closed-form count,
     stays interior, contracts mu and ||r_p|| by nu at every step and
     solves the full system to 1e-9.  Rounding in mu and r_p alone moves a
-    ratio by about 1e-16 start/value, so the tolerance grows as the
-    value falls."""
+    ratio by up to about 3.5e-16 start/value (the dense three-row solve
+    reads the same), so the tolerance grows as the value falls and reaches
+    about 1e-5 at eps 1e-10."""
     spec = sp.ConeSpec(3, (4, 5, 6))
     prob = feasible_problem(spec, 5, np.random.default_rng(seed))
     params = SolverParams(epsilon=1e-10, scaling=scaling)
@@ -383,6 +384,6 @@ def test_tight_epsilon_keeps_the_law(seed, scaling):
                           (tr.start_rp_norm, [row.rp_norm for row in tr.rows])):
         prev = start
         for value in values:
-            assert abs(value / prev - nu) <= 1e-9 + 1e-12 * start / prev
+            assert abs(value / prev - nu) <= 1e-9 + 1e-15 * start / prev
             prev = value
     assert max(row.kkt_residual for row in tr.rows) <= 1e-9
