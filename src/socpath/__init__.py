@@ -1,10 +1,11 @@
 """Second-order cone programming by a short-step interior-point method
 on the homogeneous self-dual embedding, with warm-start diagnostics."""
 
-from .cones import (ConeSpec, ScalingMatrix, apply_scaling, arrow_matrix,
-                    jordan_product, membership, nt_scaling,
-                    random_automorphism, r_matrix, spectral_bounds,
-                    t_scaling_matrix, u_p_matrices, unit_element, w_vector)
+from .analysis import (apply_scaling, arrow_matrix, embed_residual_constants,
+                       r_matrix, random_automorphism, t_scaling_matrix,
+                       u_p_matrices, w_vector)
+from .cones import (ConeSpec, ScalingMatrix, jordan_product, membership,
+                    nt_scaling, spectral_bounds, unit_element)
 from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
                      InvalidParams, InvalidPoint, MaxIterationsExceeded,
                      NonFiniteData, NotInterior, ParseError, SingularSystem,
@@ -15,8 +16,7 @@ from .geometry import (Classification, Evaluation, HsdPoint,
 from .kkt import (KktSystem, NewtonDirection, assemble,
                   scaled_increment_diagnostics, solve_direction, step_point)
 from .problem import (Residuals, SocpProblem, ValidationReport,
-                      compute_residuals, embed_residual_constants,
-                      validate_problem)
+                      compute_residuals, validate_problem)
 from .solver import (SolveResult, SolveTrace, SolverParams, TraceRow,
                      centering_nu, predicted_iterations, solve,
                      validate_params)
@@ -27,10 +27,10 @@ from .warmstart import (WarmStart, WarmStartDiagnostics, choose_omega,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConeSpec", "ScalingMatrix", "apply_scaling", "arrow_matrix",
-    "jordan_product", "membership", "nt_scaling", "random_automorphism",
-    "r_matrix", "spectral_bounds", "t_scaling_matrix", "u_p_matrices",
-    "unit_element", "w_vector",
+    "apply_scaling", "arrow_matrix", "embed_residual_constants", "r_matrix",
+    "random_automorphism", "t_scaling_matrix", "u_p_matrices", "w_vector",
+    "ConeSpec", "ScalingMatrix", "jordan_product", "membership", "nt_scaling",
+    "spectral_bounds", "unit_element",
     "ConeSpecMismatch", "DimensionMismatch", "EmptyAdmissibleSet",
     "InvalidParams", "InvalidPoint", "MaxIterationsExceeded",
     "NonFiniteData", "NotInterior", "ParseError", "SingularSystem",
@@ -40,7 +40,7 @@ __all__ = [
     "KktSystem", "NewtonDirection", "assemble",
     "scaled_increment_diagnostics", "solve_direction", "step_point",
     "Residuals", "SocpProblem", "ValidationReport", "compute_residuals",
-    "embed_residual_constants", "validate_problem",
+    "validate_problem",
     "SolveResult", "SolveTrace", "SolverParams", "TraceRow", "centering_nu",
     "predicted_iterations", "solve", "validate_params",
     "WarmStart", "WarmStartDiagnostics", "choose_omega", "cold_start",

@@ -41,9 +41,12 @@ class ConeSpec:
     l : number of linear entries (each is its own block).
     soc_dims : dimensions of the second-order blocks, in variable order.
 
-    The block layout is built once, as plain attributes that ==, hash and
-    repr do not see: `heads` (offset of each block's first entry),
-    `block_of` (block index of each entry) and `tail` (True off the heads).
+    The block layout is built once, as read-only plain attributes that
+    ==, hash and repr do not see: `heads` (offset of each block's first
+    entry), `block_of` (block index of each entry), `tail` (True off the
+    heads), `head_of` (offset of each entry's block head, heads[block_of])
+    and `q` (the signs of the reflection Q = diag(1, -I): 1.0 on the heads,
+    -1.0 on the tails).  Every layer reads the layout from here.
     """
 
     l: int = 0
@@ -63,7 +66,9 @@ class ConeSpec:
         tail[heads] = False
         block_of = np.repeat(np.arange(len(dims)), dims)
         for name, value in (("heads", heads), ("tail", tail),
-                            ("block_of", block_of)):
+                            ("block_of", block_of),
+                            ("head_of", heads[block_of]),
+                            ("q", np.where(tail, -1.0, 1.0))):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_blocks", tuple(zip(heads.tolist(), dims)))
@@ -153,24 +158,16 @@ def unit_element(spec: ConeSpec) -> np.ndarray:
     return e
 
 
-def jordan_product(u, v, spec: ConeSpec) -> np.ndarray:
-    u = check_vector(u, spec)
-    v = check_vector(v, spec)
-    out = u[spec.heads][spec.block_of] * v + v[spec.heads][spec.block_of] * u
+def jordan(u: np.ndarray, v: np.ndarray, spec: ConeSpec) -> np.ndarray:
+    """u o v for float vectors of length spec.n, unchecked."""
+    out = u[spec.head_of] * v + v[spec.head_of] * u
     out[spec.heads] = np.add.reduceat(u * v, spec.heads)
     return out
 
 
-def arrow_matrix(v, spec: ConeSpec) -> np.ndarray:
-    """Block-diagonal matrix representation of the Jordan product by v."""
-    v = check_vector(v, spec)
-    head_of = spec.heads[spec.block_of]
-    idx = np.arange(spec.n)
-    M = np.zeros((spec.n, spec.n))
-    M[head_of, idx] = v
-    M[idx, head_of] = v
-    M[idx, idx] = v[head_of]
-    return M
+def jordan_product(u, v, spec: ConeSpec) -> np.ndarray:
+    """u o v, with both vectors checked against spec."""
+    return jordan(check_vector(u, spec), check_vector(v, spec), spec)
 
 
 def spectral_bounds(v, spec: ConeSpec) -> np.ndarray:
@@ -197,18 +194,11 @@ def _t_dense(v: Spectrum) -> np.ndarray:
     T /= (beta + v.head)[blk][:, None]
     T[blk[:, None] != blk] = 0.0
     idx = np.arange(spec.n)
-    head_of = spec.heads[blk]
-    T[head_of, idx] = v.v
-    T[idx, head_of] = v.v
+    T[spec.head_of, idx] = v.v
+    T[idx, spec.head_of] = v.v
     tail = idx[spec.tail]
     T[tail, tail] += beta[blk[tail]]
     return T
-
-
-def t_scaling_matrix(v, spec: ConeSpec) -> np.ndarray:
-    """Dense symmetric PD square root of the quadratic representation of v."""
-    return _t_dense(
-        Spectrum(v, spec).require_interior("argument of t_scaling_matrix"))
 
 
 def t_apply_of(v: Spectrum, u: np.ndarray) -> np.ndarray:
@@ -218,7 +208,7 @@ def t_apply_of(v: Spectrum, u: np.ndarray) -> np.ndarray:
     beta = v.beta()
     vu = v.v * u
     tail_dot = np.add.reduceat(np.where(spec.tail, vu, 0.0), heads)
-    out = (u[heads][blk] * v.v + beta[blk] * u
+    out = (u[spec.head_of] * v.v + beta[blk] * u
            + v.v * tail_dot[blk] / (beta + v.head)[blk])
     out[heads] = np.add.reduceat(vu, heads)
     return out
@@ -237,46 +227,8 @@ def t_inverse_apply(v, u, spec: ConeSpec) -> np.ndarray:
     v = check_vector(v, spec)
     u = check_vector(u, spec)
     sv = Spectrum(v, spec).require_interior("scaling point of t_inverse_apply")
-    w = t_apply_of(sv, np.where(spec.tail, -u, u))
-    det = (sv.lo * sv.hi)[spec.block_of]
-    return w / np.where(spec.tail, -det, det)
-
-
-def u_p_matrices(v, spec: ConeSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Split mat(v) = T_v + U_v; returns (U_v, P_v).
-
-    U_v acts only on block tails: U_v = (v_1 - beta_v) P_v embedded with a
-    zero first row and column, where P_v projects onto the orthogonal
-    complement of the tail direction.  Blocks with zero tail (and linear
-    blocks) contribute zero to both matrices.
-    """
-    sv = Spectrum(v, spec).require_interior("argument of u_p_matrices")
-    v = sv.v
-    U = np.zeros((spec.n, spec.n))
-    P = np.zeros((spec.n, spec.n))
-    for (o, d), t, b in zip(spec.blocks, sv.tail, sv.beta()):
-        if t == 0.0:
-            continue
-        tail = v[o + 1:o + d]
-        proj = np.eye(d - 1) - np.outer(tail, tail) / (t * t)
-        P[o + 1:o + d, o + 1:o + d] = proj
-        U[o + 1:o + d, o + 1:o + d] = (v[o] - b) * proj
-    return U, P
-
-
-def w_vector(x, s, spec: ConeSpec) -> np.ndarray:
-    """Scaled product point T_x s.  Requires strictly interior x."""
-    return t_apply(x, s, spec)
-
-
-def r_matrix(x, s, spec: ConeSpec) -> np.ndarray:
-    """Dense T_x mat(x)^{-1} mat(s) T_x.  Requires interior x and s."""
-    xs = Spectrum(x, spec).require_interior("x in r_matrix")
-    Spectrum(s, spec).require_interior("s in r_matrix")
-    T = _t_dense(xs)
-    X = arrow_matrix(x, spec)
-    S = arrow_matrix(s, spec)
-    return T @ np.linalg.solve(X, S @ T)
+    w = t_apply_of(sv, spec.q * u)
+    return w / (spec.q * (sv.lo * sv.hi)[spec.block_of])
 
 
 class ScalingMatrix:
@@ -299,7 +251,8 @@ class ScalingMatrix:
                 f"expected {spec.k} thetas, got shape {thetas.shape}")
         if not np.all(thetas > 0.0):
             raise ValueError("thetas must be positive")
-        D, D_inv = np.asarray(D, dtype=float), np.asarray(D_inv, dtype=float)
+        # read-only views: the caller's own arrays stay writable
+        D, D_inv = (np.asarray(M, dtype=float).view() for M in (D, D_inv))
         for M in (D, D_inv):
             if M.shape != (spec.n, spec.n):
                 raise DimensionMismatch(
@@ -337,16 +290,10 @@ class ScalingMatrix:
         """Largest per-block Frobenius defect ||G'QG - Q||_F of
         G = D^{-1}/theta; NaN when G holds a NaN."""
         spec = self.spec
-        q = np.where(spec.tail, -1.0, 1.0)
         G = self._inverse / self.thetas[spec.block_of][:, None]
-        R = G.T @ (q[:, None] * G) - np.diag(q)
+        R = G.T @ (spec.q[:, None] * G) - np.diag(spec.q)
         per_block = np.add.reduceat((R * R).sum(axis=1), spec.heads)
         return float(np.sqrt(per_block.max()))
-
-
-def apply_scaling(D: ScalingMatrix, x, s) -> Tuple[np.ndarray, np.ndarray]:
-    """Primal-dual change of variables (D^{-T} x, D s)."""
-    return D.apply_inverse_transpose(x), D.apply(s)
 
 
 def nt_scaling(x, s, spec: ConeSpec) -> ScalingMatrix:
@@ -370,48 +317,15 @@ def nt_scaling_of(x: Spectrum, s: Spectrum) -> ScalingMatrix:
     bx, bs = x.beta(), s.beta()
     xt, st = x.v / bx[blk], s.v / bs[blk]
     gam = np.sqrt((1.0 + np.add.reduceat(xt * st, heads)) / 2.0)
-    w = (xt + np.where(spec.tail, -st, st)) / (2.0 * gam)[blk]
+    w = (xt + spec.q * st) / (2.0 * gam)[blk]
     eta = np.sqrt(bx / bs)
     theta = 1.0 / eta
     G = _t_dense(Spectrum(w, spec))
     D = eta[blk][:, None] * G
     # G = Q T_w Q: negate each head row and head column off the diagonal
     tail = np.flatnonzero(spec.tail)
-    head_of = heads[blk[tail]]
+    head_of = spec.head_of[tail]
     G[head_of, tail] *= -1.0
     G[tail, head_of] *= -1.0
     return ScalingMatrix(spec, D, theta[blk][:, None] * G, theta)
 
-
-def random_automorphism(spec: ConeSpec, seed=None) -> ScalingMatrix:
-    """Random member of the scaling group, reproducible from the seed.
-
-    Per SOC block: product of two tail rotations (QR of a Gaussian matrix)
-    and a hyperbolic rotation with angle in [-0.7, 0.7] acting in the
-    (1, 2) coordinate plane; thetas drawn from [0.5, 2].  D is the closed
-    form (Theta G)^{-1} = Q G' Q Theta^{-1}, since G'QG = Q makes Q G' Q
-    the inverse of G.
-    """
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(0.5, 2.0, size=spec.k)
-    G = np.zeros((spec.n, spec.n))
-    for o, d in spec.blocks:
-        Gb = np.eye(d)
-        # both rotations need a tail; an empty tail keeps G = 1
-        for _ in range(2 if d > 1 else 0):
-            R = np.eye(d)
-            if d == 2:
-                R[1, 1] = rng.choice([-1.0, 1.0])
-            else:
-                Qf, Rf = np.linalg.qr(rng.standard_normal((d - 1, d - 1)))
-                R[1:, 1:] = Qf * np.sign(np.diag(Rf))
-            t = rng.uniform(-0.7, 0.7)
-            H = np.eye(d)
-            H[0, 0] = H[1, 1] = math.cosh(t)
-            H[0, 1] = H[1, 0] = math.sinh(t)
-            Gb = R @ H @ Gb
-        G[o:o + d, o:o + d] = Gb
-    q = np.where(spec.tail, -1.0, 1.0)
-    th = thetas[spec.block_of]
-    return ScalingMatrix(spec, q[:, None] * G.T * q / th, th[:, None] * G,
-                         thetas)

@@ -53,8 +53,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .cones import (ConeSpec, ScalingMatrix, check_vector, t_apply,
-                    t_inverse_apply)
+from .cones import (ConeSpec, ScalingMatrix, check_vector, jordan, t_apply,
+                    t_inverse_apply, unit_element)
 from .errors import DimensionMismatch, SingularSystem
 from .geometry import HsdPoint
 from .problem import SocpProblem
@@ -76,6 +76,7 @@ class NewtonDirection:
 class KktWorkspace:
     """The solve-constant part of the reduced Newton system of one problem.
 
+    `spec` is the hat cone, whose layout every step reads.
     `base` is [[C_hat, A_hat', 0], [A_hat, 0, 0], [0, 0, 0]] of order
     N = n+1+p+q, in Fortran order for getrf, and `core` its leading block
     of order n+1+p; `matrix` is the buffer that each solve copies `base`
@@ -90,8 +91,8 @@ class KktWorkspace:
         spec = problem.cones.hat()
         n, p = problem.n, problem.p
         m = n + 1
-        heads, blk, tail = spec.heads, spec.block_of, spec.tail
-        expanded = np.add.reduceat(tail, heads) > 0  # blocks with a tail
+        blk, tail = spec.block_of, spec.tail
+        expanded = np.add.reduceat(tail, spec.heads) > 0  # blocks with a tail
         N = m + p + int(expanded.sum())
         self.n, self.p, self.m = n, p, m
         self.row_blocks = {"primal": slice(0, p), "dual": slice(p, p + m),
@@ -108,10 +109,9 @@ class KktWorkspace:
         self.matrix = np.empty_like(base)
         self.eye = np.eye(m)
         self._matrix_flat = self.matrix.reshape(-1, order="F")
-        self.heads, self.block_of, self.head_of = heads, blk, heads[blk]
+        self.spec = spec
         self.tail = tail.astype(float)
-        self.reflect = np.where(tail, -1.0, 1.0)
-        self.unit = (~tail).astype(float)
+        self.unit = unit_element(spec)
         on = expanded[blk]
         self.on = on.astype(float)
         # E's diagonal: every entry but the head of a block with a tail
@@ -126,14 +126,7 @@ class KktWorkspace:
         self.pos = np.concatenate((
             ex + self.w_of[ex] * N, self.w_of[ex] + ex * N,
             w_col[expanded] * (N + 1), diag * (N + 1),
-            ti + self.head_of[ti] * N))
-
-
-def _jordan(u: np.ndarray, v: np.ndarray, work: KktWorkspace) -> np.ndarray:
-    """u o v over the hat cone."""
-    out = u[work.head_of] * v + v[work.head_of] * u
-    out[work.heads] = np.add.reduceat(u * v, work.heads)
-    return out
+            ti + spec.head_of[ti] * N))
 
 
 @dataclass
@@ -184,9 +177,9 @@ class KktSystem:
 
     def xinv(self, r: np.ndarray) -> np.ndarray:
         """Xb^{-1} r."""
-        work = self.work
-        dot = np.add.reduceat(self.xq * r, work.heads) / self.det
-        return (self.xq * dot[work.block_of] + work.tail * r) / self.a
+        work, hat = self.work, self.work.spec
+        dot = np.add.reduceat(self.xq * r, hat.heads) / self.det
+        return (self.xq * dot[hat.block_of] + work.tail * r) / self.a
 
 
 def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
@@ -215,21 +208,21 @@ def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
         dh_inv[:n, :n] = D.inverse_matrix()
         xb, sb = dh_inv.T @ xh, dh @ sh
         ad, dc = work.A_hat @ dh.T, dh[:n, :n] @ work.c
-    heads, blk, head_of = work.heads, work.block_of, work.head_of
-    head = xb[heads]
-    t = np.sqrt(np.add.reduceat(work.tail * xb * xb, heads))
+    hat = work.spec
+    head = xb[hat.heads]
+    t = np.sqrt(np.add.reduceat(work.tail * xb * xb, hat.heads))
     det = (head - t) * (head + t)
-    a = head[blk]
-    xq = work.reflect * xb
+    a = head[hat.block_of]
+    xq = hat.q * xb
     g = work.on * xq / a
-    rho = _jordan(sb, xq, work)
-    e_diag = work.on_diag * sb[head_of] / a
+    rho = jordan(sb, xq, hat)
+    e_diag = work.on_diag * sb[hat.head_of] / a
     e_head = work.tail * sb / a
     values = np.concatenate((-g[work.ex], -rho[work.ex], det[work.expanded],
                              -e_diag[work.diag], -e_head[work.ti]))
     v = work.core @ np.concatenate((xh, z.y))
     rhs = np.concatenate((-(1.0 - nu) * v[m:], -(1.0 - nu) * (v[:m] + sh),
-                          nu * mu * work.unit - _jordan(xb, sb, work)))
+                          nu * mu * work.unit - jordan(xb, sb, hat)))
     return KktSystem(rhs, work.row_blocks, n, work.p, work, xb, sb, xq, a,
                      det, g, e_diag, e_head, values, dh, dh_inv, ad, dc)
 
@@ -260,7 +253,7 @@ def _recover(sys: KktSystem, u: np.ndarray, f3: np.ndarray
     work, m = sys.work, sys.work.m
     ub = u[:m]
     vb = f3 - (sys.g * u[work.w_of] + sys.e_diag * ub
-               + sys.e_head * ub[work.head_of])
+               + sys.e_head * ub[work.spec.head_of])
     dy = u[m:m + sys.p]
     if sys.dh is None:
         return ub, dy, vb
@@ -276,8 +269,8 @@ def _residual(sys: KktSystem, dxh: np.ndarray, dy: np.ndarray,
     dxb, dsb = dxh, dsh
     if sys.dh is not None:
         dxb, dsb = sys.dh_inv.T @ dxh, sys.dh @ dsh
-    jordan = _jordan(sys.sb, dxb, work) + _jordan(sys.xb, dsb, work)
-    return sys.rhs - np.concatenate((v[m:], v[:m] + dsh, jordan))
+    comp = jordan(sys.sb, dxb, work.spec) + jordan(sys.xb, dsb, work.spec)
+    return sys.rhs - np.concatenate((v[m:], v[:m] + dsh, comp))
 
 
 def solve_direction(sys: KktSystem) -> NewtonDirection:

@@ -179,23 +179,3 @@ def compute_residuals(problem: SocpProblem, z) -> Residuals:
     r_g = float(problem.b @ y - problem.c @ x - z.kappa)
     return Residuals(r_p, r_d, r_g)
 
-
-def embed_residual_constants(problem: SocpProblem, z0, nu0: float = 1.0):
-    """Normalized embedding constants of the start point.
-
-    Returns (rt_p, rt_d, rt_g, beta_t) with
-        rt_p = (A x0 - b tau0)/nu0,
-        rt_d = (-A'y0 + c tau0 - s0)/nu0   (dual residual enters negated),
-        rt_g = (b'y0 - c'x0 - kappa0)/nu0,
-        beta_t = -(rt_p'y0 + rt_d'x0 + rt_g tau0).
-    """
-    if nu0 <= 0.0:
-        raise ValueError("nu0 must be positive")
-    res = compute_residuals(problem, z0)
-    rt_p = res.r_p / nu0
-    rt_d = -res.r_d / nu0
-    rt_g = res.r_g / nu0
-    beta_t = -(rt_p @ np.asarray(z0.y, dtype=float)
-               + rt_d @ np.asarray(z0.x, dtype=float)
-               + rt_g * z0.tau)
-    return rt_p, rt_d, rt_g, float(beta_t)

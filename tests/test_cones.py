@@ -34,6 +34,10 @@ def test_spec_layout():
     assert spec.block_of.tolist() == [0, 1, 2, 3, 3, 3, 3, 4, 5, 5, 5]
     assert spec.tail.tolist() == [False] * 4 + [True] * 3 + [False] * 2 + [True] * 2
     assert spec.blocks == ((0, 1), (1, 1), (2, 1), (3, 4), (7, 1), (8, 3))
+    assert spec.head_of.tolist() == [0, 1, 2, 3, 3, 3, 3, 7, 8, 8, 8]
+    assert spec.q.tolist() == [1.0] * 4 + [-1.0] * 3 + [1.0] * 2 + [-1.0] * 2
+    for name in ("heads", "block_of", "tail", "head_of", "q"):
+        assert not getattr(spec, name).flags.writeable
     assert spec.hat() is spec.hat()
 
 
@@ -502,3 +506,16 @@ def test_dense_scaling_forms_cached_read_only():
             with pytest.raises(ValueError):
                 M[0, 0] = 2.0
     assert np.array_equal(ScalingMatrix.identity(spec).matrix(), np.eye(spec.n))
+
+
+def test_scaling_leaves_caller_arrays_writable():
+    """The constructor freezes views of D and D^{-1}, not the arrays the
+    caller passed in."""
+    D, D_inv = np.eye(3), np.eye(3)
+    scaling = ScalingMatrix(ConeSpec(1, (2,)), D, D_inv, np.ones(2))
+    D[0, 0] = 2.0
+    D_inv[1, 1] = 3.0
+    assert not scaling.matrix().flags.writeable
+    assert not scaling.inverse_matrix().flags.writeable
+    with pytest.raises(ValueError):
+        scaling.matrix()[0, 0] = 4.0

@@ -5,7 +5,11 @@ import inspect
 from pathlib import Path
 
 import socpath
+import socpath.analysis
 import socpath.cli
+import socpath.cones
+import socpath.kkt
+import socpath.problem
 import socpath.solver
 
 from util import cold_point, toy_lp
@@ -90,6 +94,71 @@ def test_no_unreferenced_private_definitions():
               for name, line in _definitions(path)
               if name not in (referenced if name.startswith("_") else public)]
     assert unused == []
+
+
+# Public functions of the hot path that the acceptance suite and users call
+# but nothing in the package does.
+ENTRY_POINTS = {"membership", "nt_scaling", "jordan_product", "t_inverse_apply",
+                "increment_bound", "scaled_increment_diagnostics"}
+
+
+def _imported_modules(path):
+    """Absolute names of what a package file imports, each name imported
+    from a module also as module.name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "socpath" + ("." + base if base else "")
+            found.add(base)
+            found |= {f"{base}.{alias.name}" for alias in node.names}
+    return found
+
+
+def test_hot_path_holds_only_what_runs():
+    """cones, kkt and solver define only what a solve, a warm start, the
+    CLI or a listed entry point runs: every public module-level function
+    there is read by a package module other than __init__ (which only
+    re-exports) and analysis (which no solve runs), or is an entry point.
+    No package module but __init__ imports analysis."""
+    package = Path(socpath.__file__).parent
+    paths = sorted(package.glob("*.py"))
+    readers = set().union(*(_references(path) for path in paths
+                            if path.name not in ("__init__.py", "analysis.py")))
+    functions = [(path.name, node.lineno, node.name)
+                 for path in (package / "cones.py", package / "kkt.py",
+                              package / "solver.py")
+                 for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.FunctionDef)
+                 and not node.name.startswith("_")]
+    assert ENTRY_POINTS <= {name for _, _, name in functions}
+    unread = [f"{file}:{line} {name}" for file, line, name in functions
+              if name not in readers | ENTRY_POINTS]
+    assert unread == []
+    importers = [path.name for path in paths if path.name != "__init__.py"
+                 and "socpath.analysis" in _imported_modules(path)]
+    assert importers == []
+
+
+ANALYSIS = ("arrow_matrix", "t_scaling_matrix", "u_p_matrices", "w_vector",
+            "r_matrix", "apply_scaling", "random_automorphism",
+            "embed_residual_constants")
+
+
+def test_analysis_objects_live_in_one_module():
+    """The paper's analysis objects are defined in socpath.analysis, reach
+    users as the same objects through the package, and are absent from the
+    modules a solve runs."""
+    for name in ANALYSIS:
+        obj = getattr(socpath.analysis, name)
+        assert obj.__module__ == "socpath.analysis"
+        assert getattr(socpath, name) is obj
+        for module in (socpath.cones, socpath.kkt, socpath.problem,
+                       socpath.solver):
+            assert not hasattr(module, name)
 
 
 def test_cli_only_parses_and_writes():
