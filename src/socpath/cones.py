@@ -13,17 +13,15 @@ Every block, linear entries included, is a head v_1 and a possibly empty
 tail v_{2:}, and the primitives are whole-vector expressions over the
 layout that ConeSpec builds once: a 1-dimensional block (a linear entry or
 a (1,) second-order block) is a block with an empty tail, and the general
-formulas give its values.  Only the tail norms loop over the blocks, one
-dot product per tail, so that a boundary point whose head was built as
-np.linalg.norm of its tail stays in the cone under the exact membership
-test.  A Spectrum holds one vector's heads and tail norms; every spectral
-value, determinant, T_v and NT scaling of that vector reads them, so a
-caller that keeps the evaluation takes each tail norm once.
+formulas give its values.  Nothing loops over the blocks: the tail norms
+take one stacked BLAS dot per tail length, bitwise np.linalg.norm (see
+tail_norms).  A Spectrum holds one vector's heads and tail norms; every
+spectral value, determinant, T_v and NT scaling of that vector reads
+them, so a caller that keeps the evaluation takes each tail norm once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -41,12 +39,13 @@ class ConeSpec:
     l : number of linear entries (each is its own block).
     soc_dims : dimensions of the second-order blocks, in variable order.
 
-    The block layout is built once, as read-only plain attributes that
-    ==, hash and repr do not see: `heads` (offset of each block's first
-    entry), `block_of` (block index of each entry), `tail` (True off the
-    heads), `head_of` (offset of each entry's block head, heads[block_of])
-    and `q` (the signs of the reflection Q = diag(1, -I): 1.0 on the heads,
-    -1.0 on the tails).  Every layer reads the layout from here.
+    The block layout is built once, as read-only plain attributes that ==, hash
+    and repr do not see: `heads` (offset of each block's first entry),
+    `block_of` (block index of each entry), `tail` (True off the heads),
+    `head_of` (offset of each entry's block head, heads[block_of]), `q` (the
+    signs of the reflection Q = diag(1, -I): 1.0 on the heads, -1.0 on the
+    tails) and `tail_groups` (per tail length L, its blocks and a (count, L)
+    index of their tails).  Every layer reads the layout from here.
     """
 
     l: int = 0
@@ -71,6 +70,13 @@ class ConeSpec:
                             ("q", np.where(tail, -1.0, 1.0))):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        lengths = np.array(dims) - 1
+        gathers = [heads[lengths == L][:, None] + np.arange(1, L + 1)
+                   for L in np.unique(lengths[lengths > 0]).tolist()]
+        groups = tuple((block_of[g[:, 0]], g) for g in gathers)
+        for value in (a for group in groups for a in group):
+            value.setflags(write=False)
+        object.__setattr__(self, "tail_groups", groups)
         object.__setattr__(self, "_blocks", tuple(zip(heads.tolist(), dims)))
 
     @property
@@ -107,16 +113,16 @@ def check_vector(v, spec: ConeSpec) -> np.ndarray:
 def tail_norms(v: np.ndarray, spec: ConeSpec) -> np.ndarray:
     """||v_{2:}|| per block, 0 for an empty tail.
 
-    One dot product per tail, sqrt(t't): the very operations that
-    np.linalg.norm carries out for a real vector, without its call
-    overhead.  A segmented sum of squares rounds differently, and a
-    boundary point whose head was built as np.linalg.norm(tail) would then
-    fall outside the cone.
+    sqrt(t't) per tail t, by one stacked matmul of (1, L) rows with (L, 1)
+    columns per tail length L.  numpy computes each such vector product
+    with the BLAS dot that np.linalg.norm uses, so a boundary point whose
+    head was built as np.linalg.norm(tail) stays in the cone.  A segmented
+    sum of squares or np.einsum sums in another order and rounds apart.
     """
     t = np.zeros(spec.k)
-    for i, (o, d) in enumerate(spec.blocks[spec.l:], spec.l):
-        seg = v[o + 1:o + d]
-        t[i] = math.sqrt(seg.dot(seg))
+    for blocks, gather in spec.tail_groups:
+        seg = v[gather]
+        t[blocks] = np.sqrt((seg[:, None, :] @ seg[:, :, None])[:, 0, 0])
     return t
 
 
@@ -236,32 +242,30 @@ class ScalingMatrix:
 
     Per block i, G_i preserves the reflection form (G_i' Q G_i = Q with
     Q = diag(1, -I)) and theta_i > 0 scales it; linear blocks carry
-    G_i = 1.  A scaling is its dense D and D^{-1} = Theta G, both
-    read-only, and the k-vector of thetas.  `is_identity` marks the one
-    built by `identity`, whose products a caller may skip.
+    G_i = 1.  A scaling holds read-only copies of its dense D, D^{-1} =
+    Theta G and k-vector of thetas.  `is_identity` marks the one built
+    by `identity`, whose products a caller may skip.
     """
 
     is_identity = False
 
     def __init__(self, spec: ConeSpec, D: np.ndarray, D_inv: np.ndarray,
                  thetas):
-        thetas = np.asarray(thetas, dtype=float)
+        thetas = np.array(thetas, dtype=float)
         if thetas.shape != (spec.k,):
             raise DimensionMismatch(
                 f"expected {spec.k} thetas, got shape {thetas.shape}")
         if not np.all(thetas > 0.0):
             raise ValueError("thetas must be positive")
-        # read-only views: the caller's own arrays stay writable
-        D, D_inv = (np.asarray(M, dtype=float).view() for M in (D, D_inv))
+        D, D_inv = np.array(D, dtype=float), np.array(D_inv, dtype=float)
         for M in (D, D_inv):
             if M.shape != (spec.n, spec.n):
                 raise DimensionMismatch(
                     f"expected a {spec.n}x{spec.n} matrix, got {M.shape}")
             M.setflags(write=False)
-        self.spec = spec
-        self.thetas = thetas
-        self._matrix = D
-        self._inverse = D_inv
+        thetas.setflags(write=False)
+        self.spec, self.thetas = spec, thetas
+        self._matrix, self._inverse = D, D_inv
 
     @classmethod
     def identity(cls, spec: ConeSpec) -> "ScalingMatrix":

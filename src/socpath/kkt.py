@@ -1,10 +1,10 @@
 """The scaled Newton system on the embedding, solved in reduced form.
 
 In hat variables tau joins x as one extra 1-dimensional block and kappa
-joins s.  The Newton system has three row groups
+joins s.  With the iterate's `Residuals` r_p, r_d, r_g, its Newton system is
 
-    A_hat dxh                    = r1 = -(1-nu) A_hat xh
-    C_hat dxh + A_hat' dy + dsh  = r2 = -(1-nu) (A_hat'y + C_hat xh + sh)
+    A_hat dxh                    = r1 = -(1-nu) r_p
+    C_hat dxh + A_hat' dy + dsh  = r2 = -(1-nu) (r_d, -r_g)
     Sb Dh^{-T} dxh + Xb Dh dsh   = r3 = nu mu e_hat - xb o sb
 
 with A_hat = [A, -b], C_hat skew from c, xb = Dh^{-T}xh, sb = Dh sh,
@@ -14,8 +14,8 @@ It is solved in the scaled unknowns u = Dh^{-T} dxh and v = Dh dsh, in
 which it is the identity-scaled system of the data (A_hat Dh', Dh C_hat
 Dh') at (xb, sb); the second row is multiplied by Dh.  The third row
 gives v = Xb^{-1} r3 - M u with M = Xb^{-1} Sb.  Per cone block, with a
-the head of xb, t its tail, det = (a - ||t||)(a + ||t||), Q = diag(1, -I)
-and Xb^{-1} = (Q xb)(Q xb)'/(a det) + (I - e e')/a,
+the head of xb, ||t|| its `tail_norms`, det = (a - ||t||)(a + ||t||),
+Q = diag(1, -I) and Xb^{-1} = (Q xb)(Q xb)'/(a det) + (I - e e')/a,
 
     M = g rho'/det + E,   g = Q xb / a,   rho = sb o Q xb,
 
@@ -54,10 +54,10 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .cones import (ConeSpec, ScalingMatrix, check_vector, jordan, t_apply,
-                    t_inverse_apply, unit_element)
+                    t_inverse_apply, tail_norms, unit_element)
 from .errors import DimensionMismatch, SingularSystem
 from .geometry import HsdPoint
-from .problem import SocpProblem
+from .problem import Residuals, SocpProblem, compute_residuals
 
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
@@ -183,21 +183,19 @@ class KktSystem:
 
 
 def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
-             nu: float, mu: float,
-             work: Optional[KktWorkspace] = None) -> KktSystem:
+             nu: float, mu: float, work: Optional[KktWorkspace] = None,
+             res: Optional[Residuals] = None) -> KktSystem:
     """Build the reduced system for the current iterate.
 
-    `work` is the problem's workspace, built here when not given.
+    `work` and `res`, the workspace and the residuals, are built if absent.
     """
     if D.spec.n != problem.cones.n:
         raise DimensionMismatch("scaling and problem cones disagree")
-    if work is None:
-        work = KktWorkspace(problem)
-    spec = problem.cones
+    work = KktWorkspace(problem) if work is None else work
     n, m = work.n, work.m
     xh, sh = np.empty(m), np.empty(m)
-    xh[:n] = check_vector(z.x, spec)
-    sh[:n] = check_vector(z.s, spec)
+    xh[:n] = check_vector(z.x, problem.cones)
+    sh[:n] = check_vector(z.s, problem.cones)
     xh[n], sh[n] = z.tau, z.kappa
     dh = dh_inv = ad = dc = None
     if D.is_identity:
@@ -210,7 +208,7 @@ def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
         ad, dc = work.A_hat @ dh.T, dh[:n, :n] @ work.c
     hat = work.spec
     head = xb[hat.heads]
-    t = np.sqrt(np.add.reduceat(work.tail * xb * xb, hat.heads))
+    t = tail_norms(xb, hat)
     det = (head - t) * (head + t)
     a = head[hat.block_of]
     xq = hat.q * xb
@@ -220,8 +218,9 @@ def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
     e_head = work.tail * sb / a
     values = np.concatenate((-g[work.ex], -rho[work.ex], det[work.expanded],
                              -e_diag[work.diag], -e_head[work.ti]))
-    v = work.core @ np.concatenate((xh, z.y))
-    rhs = np.concatenate((-(1.0 - nu) * v[m:], -(1.0 - nu) * (v[:m] + sh),
+    res = compute_residuals(problem, z) if res is None else res
+    r12 = np.concatenate((res.r_p, res.r_d, (-res.r_g,)))
+    rhs = np.concatenate((-(1.0 - nu) * r12,
                           nu * mu * work.unit - jordan(xb, sb, hat)))
     return KktSystem(rhs, work.row_blocks, n, work.p, work, xb, sb, xq, a,
                      det, g, e_diag, e_head, values, dh, dh_inv, ad, dc)

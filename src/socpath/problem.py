@@ -45,17 +45,8 @@ class SocpProblem:
         return self.A.shape[1]
 
     def check_shapes(self) -> None:
-        if self.A.ndim != 2:
-            raise DimensionMismatch("A must be a matrix")
-        if self.n != self.cones.n:
-            raise DimensionMismatch(
-                f"A has {self.n} columns but the cone has dimension {self.cones.n}")
-        if self.b.shape != (self.p,):
-            raise DimensionMismatch(
-                f"b has length {self.b.shape[0]}, expected {self.p}")
-        if self.c.shape != (self.n,):
-            raise DimensionMismatch(
-                f"c has length {self.c.shape[0]}, expected {self.n}")
+        if mismatches := _shape_mismatches(self):
+            raise DimensionMismatch(mismatches[0])
 
     def check_finite(self) -> None:
         for name in ("A", "b", "c"):
@@ -83,6 +74,22 @@ class SocpProblem:
             raise SingularSystem(f"the rows of [A, -b] {dependent}")
 
 
+def _shape_mismatches(problem: SocpProblem) -> List[str]:
+    """Failed dimension checks of A, b and c; a non-matrix A ends them."""
+    A, b, c = problem.A, problem.b, problem.c
+    if A.ndim != 2:
+        return ["A must be a matrix"]
+    (p, n), dim = A.shape, problem.cones.n
+    found = []
+    if n != dim:
+        found.append(f"A has {n} columns but the cone has dimension {dim}")
+    if b.shape != (p,):
+        found.append(f"b has length {b.shape[0]}, expected {p}")
+    if c.shape != (n,):
+        found.append(f"c has length {c.shape[0]}, expected {n}")
+    return found
+
+
 def _dependent_rows(sv: np.ndarray) -> Optional[str]:
     """The rank test of a matrix with no more rows than columns, from its
     singular values sv, largest first: its rows are numerically dependent
@@ -108,18 +115,11 @@ def validate_problem(problem: SocpProblem) -> ValidationReport:
     Findings cover dimension consistency, p <= n, and numerical row rank
     of A (smallest singular value above 1e-10 times the largest).
     """
-    A, b, c, spec = problem.A, problem.b, problem.c, problem.cones
+    A = problem.A
+    findings = [("dimension", msg) for msg in _shape_mismatches(problem)]
     if A.ndim != 2:
-        return ValidationReport(False, [("dimension", "A must be a matrix")])
-    findings: List[Tuple[str, str]] = []
+        return ValidationReport(False, findings)
     p, n = A.shape
-    if n != spec.n:
-        findings.append(("dimension",
-                         f"A has {n} columns but the cone has dimension {spec.n}"))
-    if b.shape != (p,):
-        findings.append(("dimension", f"b has length {b.shape[0]}, expected {p}"))
-    if c.shape != (n,):
-        findings.append(("dimension", f"c has length {c.shape[0]}, expected {n}"))
     if p > n:
         findings.append(("rank", f"more rows than columns ({p} > {n})"))
     sigma_max = sigma_min = None

@@ -169,8 +169,8 @@ def solve(problem: SocpProblem, start: HsdPoint,
             f"(gamma, delta) inadmissible for k={k}: margin {margin:.3e}")
     nu = centering_nu(params.delta, k)
     z = start.copy()
-    # one evaluation per iterate feeds its interior and stop checks, its
-    # trace row and the next step's scaling; the start's, its N_2 check
+    # one evaluation and one Residuals per iterate feed its checks, its
+    # trace row and the next Newton system; the start's, its N_2 check
     ev = Evaluation(z, spec)
     if not ev.within(NeighborhoodParams(params.gamma)):
         raise StartOutsideNeighborhood(
@@ -194,7 +194,8 @@ def solve(problem: SocpProblem, start: HsdPoint,
             raise MaxIterationsExceeded(f"no convergence in {max_iter} steps")
         D = identity if params.scaling == "identity" \
             else nt_scaling_of(ev.x, ev.s)
-        direction = solve_direction(assemble(problem, z, D, nu, ev.mu, work))
+        direction = solve_direction(
+            assemble(problem, z, D, nu, ev.mu, work, res))
         if directions is not None:
             directions.append((z.copy(), direction, ev.mu))
         z = step_point(z, direction, 1.0)

@@ -301,29 +301,24 @@ def perturb_problem(problem: SocpProblem, bound_a: float, bound_b: float,
     projected to the Euclidean bound.  A zero bound leaves the term
     untouched.
     """
-    A = problem.A.copy()
-    if bound_a > 0.0:
-        mask = A != 0.0
-        E = rng.standard_normal(A.shape) * mask
-        norm = float(np.linalg.norm(E, 2)) if np.any(E) else 0.0
-        if norm > bound_a:
-            E *= bound_a / norm
-        A = A + E
-    b = problem.b.copy()
-    if bound_b > 0.0:
-        eb = rng.standard_normal(b.shape)
-        norm = float(np.linalg.norm(eb))
-        if norm > bound_b:
-            eb *= bound_b / norm
-        b = b + eb
-    c = problem.c.copy()
-    if bound_c > 0.0:
-        ec = rng.standard_normal(c.shape)
-        norm = float(np.linalg.norm(ec))
-        if norm > bound_c:
-            ec *= bound_c / norm
-        c = c + ec
+    A = _drift(problem.A, bound_a, rng)
+    b = _drift(problem.b, bound_b, rng)
+    c = _drift(problem.c, bound_c, rng)
     return SocpProblem(A, b, c, problem.cones, name=problem.name)
+
+
+def _drift(v: np.ndarray, bound: float,
+           rng: np.random.Generator) -> np.ndarray:
+    """v plus perturb_problem's drift, as a new array; no draw at bound 0."""
+    if not bound > 0.0:
+        return v.copy()
+    e = rng.standard_normal(v.shape)
+    if v.ndim == 2:
+        e *= v != 0.0
+    norm = float(np.linalg.norm(e, 2)) if np.any(e) else 0.0
+    if norm > bound:
+        e *= bound / norm
+    return v + e
 
 
 def run_bench(base: SocpProblem, steps: int, perturb_a: float,

@@ -41,6 +41,19 @@ def test_spec_layout():
     assert spec.hat() is spec.hat()
 
 
+def test_spec_tail_groups():
+    """One group per distinct tail length, in increasing length: the
+    blocks with that tail and the offsets of their tail entries."""
+    spec = ConeSpec(l=2, soc_dims=(3, 1, 4, 3, 2))
+    groups = [(blocks.tolist(), gather.tolist())
+              for blocks, gather in spec.tail_groups]
+    assert groups == [([6], [[14]]), ([2, 5], [[3, 4], [11, 12]]),
+                      ([4], [[7, 8, 9]])]
+    for group in spec.tail_groups:
+        assert not any(part.flags.writeable for part in group)
+    assert ConeSpec(l=3, soc_dims=(1,)).tail_groups == ()
+
+
 def test_spec_layout_is_not_a_field():
     # the layout arrays and the cached hat spec stay out of ==, hash and repr
     a, b = ConeSpec(2, (3,)), ConeSpec(2, (3,))
@@ -506,6 +519,19 @@ def test_dense_scaling_forms_cached_read_only():
             with pytest.raises(ValueError):
                 M[0, 0] = 2.0
     assert np.array_equal(ScalingMatrix.identity(spec).matrix(), np.eye(spec.n))
+
+
+def test_scaling_owns_its_storage():
+    """A scaling copies what it is built from: a later write to the
+    caller's D or thetas reaches neither its D nor the thetas whose
+    positivity it checked."""
+    D, thetas = np.eye(3), np.ones(2)
+    scaling = ScalingMatrix(ConeSpec(1, (2,)), D, np.eye(3), thetas)
+    D[0, 0] = 5.0
+    thetas[0] = -1.0
+    assert scaling.matrix()[0, 0] == 1.0
+    assert scaling.thetas.tolist() == [1.0, 1.0]
+    assert not scaling.thetas.flags.writeable
 
 
 def test_scaling_leaves_caller_arrays_writable():

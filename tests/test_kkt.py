@@ -8,7 +8,8 @@ from socpath import HsdPoint, ScalingMatrix, SingularSystem, SocpProblem
 from socpath.kkt import KktWorkspace, increment_bound
 
 from oracles import kkt_oracle
-from util import interior_hsd_point, mixed_spec, random_problem, toy_lp
+from util import (cold_point, interior_hsd_point, mixed_spec, random_problem,
+                  toy_lp)
 
 GAMMA, DELTA = 0.08, 0.03
 
@@ -138,6 +139,36 @@ def test_nu_one_zeroes_affine_rows():
     # the primal and dual row blocks carry a (1-nu) factor
     assert np.abs(system.rhs[system.row_blocks["primal"]]).max() == 0.0
     assert np.abs(system.rhs[system.row_blocks["dual"]]).max() == 0.0
+
+
+def test_affine_rows_read_the_iterate_residuals():
+    """The primal and dual row groups are -(1-nu) (r_p, r_d, -r_g), bit
+    for bit from the Residuals the stop test reads, whether the caller
+    hands them in or assemble computes them."""
+    rng = np.random.default_rng(353)
+    spec, prob, z, m, nu = _setup(rng)
+    res = sp.compute_residuals(prob, z)
+    expected = -(1.0 - nu) * np.concatenate((res.r_p, res.r_d, (-res.r_g,)))
+    for given in (None, res):
+        system = sp.assemble(prob, z, ScalingMatrix.identity(spec), nu, m,
+                             res=given)
+        affine = system.rhs[:system.row_blocks["dual"].stop]
+        assert affine.tobytes() == expected.tobytes()
+
+
+def test_feasible_start_has_zero_primal_rhs():
+    """A start feasible by construction reads r_p = 0 exactly in the stop
+    test, and its Newton system's primal right-hand side is exactly 0."""
+    rng = np.random.default_rng(419)
+    spec = mixed_spec(rng)
+    A = rng.standard_normal((2, spec.n))
+    e = sp.unit_element(spec)
+    prob = SocpProblem(A=A, b=A @ e, c=e.copy(), cones=spec)
+    z = cold_point(prob)
+    assert sp.compute_residuals(prob, z).rp_norm == 0.0
+    system = sp.assemble(prob, z, ScalingMatrix.identity(spec),
+                         sp.centering_nu(DELTA, spec.k), sp.mu(z, spec))
+    assert not np.any(system.rhs[system.row_blocks["primal"]])
 
 
 def test_scaling_equivalence_with_transformed_problem():

@@ -19,6 +19,7 @@ from socpath import (
 
 from util import (
     cold_point,
+    count_calls,
     dual_infeasible_lp,
     feasible_problem,
     infeasible_lp,
@@ -332,6 +333,22 @@ def test_tail_norms_per_iteration(monkeypatch, scaling, trace_enabled,
     res = sp.solve(prob, cold_point(prob), params)
     assert res.iterations > 0
     assert len(calls) == per_iteration * res.iterations + 2
+
+
+@pytest.mark.parametrize("scaling", ["identity", "nt"])
+def test_newton_system_reads_what_solve_holds(monkeypatch, scaling):
+    """solve hands each iterate's residuals to assemble, which computes
+    none of its own, and assemble takes the tail norms of the scaled point
+    through cones.tail_norms, once per Newton system."""
+    residuals = count_calls(monkeypatch, sp.kkt, "compute_residuals")
+    norms = count_calls(monkeypatch, sp.kkt, "tail_norms")
+    rng = np.random.default_rng(439)
+    prob = feasible_problem(sp.ConeSpec(l=2, soc_dims=(3, 3)), 2, rng)
+    res = sp.solve(prob, cold_point(prob),
+                   SolverParams(epsilon=1e-2, scaling=scaling))
+    assert res.iterations > 0
+    assert residuals == []
+    assert len(norms) == res.iterations
 
 
 def test_more_rows_than_embedding_columns_rejected(monkeypatch):
