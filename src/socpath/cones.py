@@ -13,11 +13,14 @@ Every block, linear entries included, is a head v_1 and a possibly empty
 tail v_{2:}, and the primitives are whole-vector expressions over the
 layout that ConeSpec builds once: a 1-dimensional block (a linear entry or
 a (1,) second-order block) is a block with an empty tail, and the general
-formulas give its values.  Nothing loops over the blocks: the tail norms
-take one stacked BLAS dot per tail length, bitwise np.linalg.norm (see
-tail_norms).  A Spectrum holds one vector's heads and tail norms; every
-spectral value, determinant, T_v and NT scaling of that vector reads
-them, so a caller that keeps the evaluation takes each tail norm once.
+formulas give its values.  The spec also keeps the sizes n and k, the
+unit element e and the tail index, so that no per-step caller re-derives
+them; unit_element hands out a writable copy of e.  Nothing loops over
+the blocks: the tail norms take one stacked BLAS dot per tail length,
+bitwise np.linalg.norm (see tail_norms).  A Spectrum holds one vector's
+heads and tail norms; every spectral value, determinant, T_v and NT
+scaling of that vector reads them, so a caller that keeps the evaluation
+takes each tail norm once.
 """
 
 from __future__ import annotations
@@ -39,13 +42,17 @@ class ConeSpec:
     l : number of linear entries (each is its own block).
     soc_dims : dimensions of the second-order blocks, in variable order.
 
-    The block layout is built once, as read-only plain attributes that ==, hash
-    and repr do not see: `heads` (offset of each block's first entry),
-    `block_of` (block index of each entry), `tail` (True off the heads),
-    `head_of` (offset of each entry's block head, heads[block_of]), `q` (the
-    signs of the reflection Q = diag(1, -I): 1.0 on the heads, -1.0 on the
-    tails) and `tail_groups` (per tail length L, its blocks and a (count, L)
-    index of their tails).  Every layer reads the layout from here.
+    The block layout is built once, as plain attributes that ==, hash and
+    repr do not see, its arrays read-only: `n` (ambient dimension) and `k`
+    (number of blocks, the cone rank), `blocks` ((offset, dim) per block),
+    `heads` (offset of each block's first entry), `block_of` (block index of
+    each entry), `tail` (True off the heads), `tail_index` (the entries off
+    the heads), `head_of` (offset of each entry's block head,
+    heads[block_of]), `e` (the unit element: 1.0 on the heads, 0.0 on the
+    tails), `q` (the signs of the reflection Q = diag(1, -I): 1.0 on the
+    heads, -1.0 on the tails) and `tail_groups` (per tail length L, its
+    blocks and a (count, L) index of their tails).  Every layer reads the
+    layout from here.
     """
 
     l: int = 0
@@ -65,11 +72,16 @@ class ConeSpec:
         tail[heads] = False
         block_of = np.repeat(np.arange(len(dims)), dims)
         for name, value in (("heads", heads), ("tail", tail),
+                            ("tail_index", np.flatnonzero(tail)),
                             ("block_of", block_of),
                             ("head_of", heads[block_of]),
+                            ("e", np.where(tail, 0.0, 1.0)),
                             ("q", np.where(tail, -1.0, 1.0))):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", len(tail))
+        object.__setattr__(self, "k", len(dims))
+        object.__setattr__(self, "blocks", tuple(zip(heads.tolist(), dims)))
         lengths = np.array(dims) - 1
         gathers = [heads[lengths == L][:, None] + np.arange(1, L + 1)
                    for L in np.unique(lengths[lengths > 0]).tolist()]
@@ -77,22 +89,6 @@ class ConeSpec:
         for value in (a for group in groups for a in group):
             value.setflags(write=False)
         object.__setattr__(self, "tail_groups", groups)
-        object.__setattr__(self, "_blocks", tuple(zip(heads.tolist(), dims)))
-
-    @property
-    def k(self) -> int:
-        """Number of blocks (cone rank)."""
-        return self.l + len(self.soc_dims)
-
-    @property
-    def n(self) -> int:
-        """Ambient dimension."""
-        return self.l + sum(self.soc_dims)
-
-    @property
-    def blocks(self) -> Tuple[Tuple[int, int], ...]:
-        """(offset, dim) per block, in variable order."""
-        return self._blocks
 
     def hat(self) -> "ConeSpec":
         """Spec with one extra trailing 1-dimensional block (for tau/kappa),
@@ -158,10 +154,9 @@ class Spectrum:
 
 
 def unit_element(spec: ConeSpec) -> np.ndarray:
-    """Identity of the Jordan algebra: (1, 0, ..., 0) per block."""
-    e = np.zeros(spec.n)
-    e[spec.heads] = 1.0
-    return e
+    """Identity of the Jordan algebra: (1, 0, ..., 0) per block, a writable
+    copy of spec.e."""
+    return spec.e.copy()
 
 
 def jordan(u: np.ndarray, v: np.ndarray, spec: ConeSpec) -> np.ndarray:
@@ -202,7 +197,7 @@ def _t_dense(v: Spectrum) -> np.ndarray:
     idx = np.arange(spec.n)
     T[spec.head_of, idx] = v.v
     T[idx, spec.head_of] = v.v
-    tail = idx[spec.tail]
+    tail = spec.tail_index
     T[tail, tail] += beta[blk[tail]]
     return T
 
@@ -327,7 +322,7 @@ def nt_scaling_of(x: Spectrum, s: Spectrum) -> ScalingMatrix:
     G = _t_dense(Spectrum(w, spec))
     D = eta[blk][:, None] * G
     # G = Q T_w Q: negate each head row and head column off the diagonal
-    tail = np.flatnonzero(spec.tail)
+    tail = spec.tail_index
     head_of = spec.head_of[tail]
     G[head_of, tail] *= -1.0
     G[tail, head_of] *= -1.0

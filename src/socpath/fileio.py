@@ -21,11 +21,9 @@ from .geometry import HsdPoint, mu
 from .problem import SocpProblem, compute_residuals, validate_problem
 from .solver import SolverParams, SolveResult, SolveTrace, TraceRow
 
-TRACE_COLUMNS = ("iter", "mu", "d2", "dinf", "rp_norm", "rd_norm", "rg_abs",
-                 "tau", "kappa", "lambda_min_x", "lambda_min_s",
-                 "orth_defect", "kkt_residual")
 # TraceRow fields after `iteration`, in column order
 _TRACE_VALUES = tuple(f.name for f in fields(TraceRow))[1:]
+TRACE_COLUMNS = ("iter",) + _TRACE_VALUES
 
 STATUS_NAMES = ("optimal", "primal_infeasible", "dual_infeasible", "ill_posed")
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .cones import (ConeSpec, Spectrum, check_vector, spectral_bounds,
-                    t_apply_of, unit_element)
+                    t_apply_of)
 from .errors import InvalidPoint
 from .problem import SocpProblem
 
@@ -84,7 +84,7 @@ class Evaluation:
                           self.s.v)
 
     def d2(self) -> float:
-        dev = self.w - self.mu * unit_element(self.x.spec)
+        dev = self.w - self.mu * self.x.spec.e
         extra = self.z.kappa * self.z.tau - self.mu
         return math.sqrt(2.0) * math.sqrt(float(dev @ dev) + extra * extra)
 

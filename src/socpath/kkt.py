@@ -54,7 +54,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .cones import (ConeSpec, ScalingMatrix, check_vector, jordan, t_apply,
-                    t_inverse_apply, tail_norms, unit_element)
+                    t_inverse_apply, tail_norms)
 from .errors import DimensionMismatch, SingularSystem
 from .geometry import HsdPoint
 from .problem import Residuals, SocpProblem, compute_residuals
@@ -111,7 +111,6 @@ class KktWorkspace:
         self._matrix_flat = self.matrix.reshape(-1, order="F")
         self.spec = spec
         self.tail = tail.astype(float)
-        self.unit = unit_element(spec)
         on = expanded[blk]
         self.on = on.astype(float)
         # E's diagonal: every entry but the head of a block with a tail
@@ -120,9 +119,9 @@ class KktWorkspace:
         w_col = np.cumsum(expanded) - 1 + m + p
         self.w_of = np.where(on, w_col[blk], 0)
         self.zeros_w = np.zeros(N - m - p)
-        ex, diag, ti = np.flatnonzero(on), np.flatnonzero(self.on_diag), \
-            np.flatnonzero(tail)
-        self.ex, self.diag, self.ti, self.expanded = ex, diag, ti, expanded
+        ex, diag = np.flatnonzero(on), np.flatnonzero(self.on_diag)
+        ti = spec.tail_index
+        self.ex, self.diag, self.expanded = ex, diag, expanded
         self.pos = np.concatenate((
             ex + self.w_of[ex] * N, self.w_of[ex] + ex * N,
             w_col[expanded] * (N + 1), diag * (N + 1),
@@ -217,11 +216,11 @@ def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
     e_diag = work.on_diag * sb[hat.head_of] / a
     e_head = work.tail * sb / a
     values = np.concatenate((-g[work.ex], -rho[work.ex], det[work.expanded],
-                             -e_diag[work.diag], -e_head[work.ti]))
+                             -e_diag[work.diag], -e_head[hat.tail_index]))
     res = compute_residuals(problem, z) if res is None else res
     r12 = np.concatenate((res.r_p, res.r_d, (-res.r_g,)))
     rhs = np.concatenate((-(1.0 - nu) * r12,
-                          nu * mu * work.unit - jordan(xb, sb, hat)))
+                          nu * mu * hat.e - jordan(xb, sb, hat)))
     return KktSystem(rhs, work.row_blocks, n, work.p, work, xb, sb, xq, a,
                      det, g, e_diag, e_head, values, dh, dh_inv, ad, dc)
 

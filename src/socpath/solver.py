@@ -52,8 +52,8 @@ class SolverParams:
         if self.stop_mode == "relative":
             if not (0.0 < self.epsilon < 1.0):
                 raise InvalidParams("epsilon must lie in (0,1)")
-        elif self.epsilon <= 0.0:
-            raise InvalidParams("epsilon must be positive")
+        elif not (0.0 < self.epsilon < math.inf):
+            raise InvalidParams("epsilon must be positive and finite")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise InvalidParams("max_iterations must be positive")
 

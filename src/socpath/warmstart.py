@@ -20,7 +20,7 @@ from .cones import ConeSpec, Spectrum, t_apply_of, unit_element
 from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
                      NotInterior)
 from .geometry import HsdPoint, NeighborhoodParams, in_neighborhood
-from .problem import SocpProblem
+from .problem import SocpProblem, compute_residuals
 from .solver import SolverParams, centering_nu, solve
 
 OMEGA_GRID = 1e-4
@@ -41,15 +41,20 @@ def cold_start(spec: ConeSpec, p: int = 0) -> HsdPoint:
     return HsdPoint(e, np.zeros(p), e.copy(), kappa=1.0, tau=1.0)
 
 
+def check_weight(omega: float, name: str = "omega") -> None:
+    """A blend weight is a number in [0,1], so NaN, inf and strings fail."""
+    if isinstance(omega, str) or not (0.0 <= omega <= 1.0):
+        raise ValueError(f"{name} must lie in [0,1]")
+
+
 def check_omega(omega: Union[str, float]) -> None:
-    """A blend weight request is "max-admissible" or a fixed weight in
-    [0,1], so NaN and inf fail too."""
+    """A blend weight request is "max-admissible" or a fixed weight."""
     if isinstance(omega, str):
         if omega != "max-admissible":
             raise ValueError("omega must be 'max-admissible' or a weight "
                              f"in [0,1], not {omega!r}")
-    elif not (0.0 <= omega <= 1.0):
-        raise ValueError("omega must lie in [0,1]")
+    else:
+        check_weight(omega)
 
 
 def _previous_pair(prev, spec: ConeSpec, p: Optional[int]) -> _Pair:
@@ -72,7 +77,7 @@ def warm_start_point(prev, omega: float, spec: ConeSpec,
     kappa is set to x_w's_w/k and tau to 1, which puts the blend's
     kappa*tau coordinate exactly at its own mu.
     """
-    check_omega(omega)
+    check_weight(omega)
     return _blend(_previous_pair(prev, spec, p), omega)
 
 
@@ -81,9 +86,8 @@ def _blend(pair: _Pair, omega: float) -> HsdPoint:
     if omega == 1.0 and not (xs.interior() and ss.interior()):
         raise NotInterior("omega=1 requires a strictly interior previous pair")
     spec = xs.spec
-    e = unit_element(spec)
-    x_w = omega * xs.v + (1.0 - omega) * e
-    s_w = omega * ss.v + (1.0 - omega) * e
+    x_w = omega * xs.v + (1.0 - omega) * spec.e
+    s_w = omega * ss.v + (1.0 - omega) * spec.e
     kappa = float(x_w @ s_w) / spec.k
     return HsdPoint(x_w, omega * y_o, s_w, kappa=kappa, tau=1.0)
 
@@ -196,8 +200,7 @@ def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
     new_p.check_shapes()
     if prev_p.A.shape != new_p.A.shape:
         raise DimensionMismatch("problems must share matrix dimensions")
-    if not (0.0 <= omega_eval <= 1.0):
-        raise ValueError("omega_eval must lie in [0,1]")
+    check_weight(omega_eval, "omega_eval")
     spec = new_p.cones
     pair = xs, y_o, ss = _previous_pair(prev, spec, new_p.p)
     x_o, s_o = xs.v, ss.v
@@ -206,27 +209,25 @@ def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
     db = new_p.b - prev_p.b
     dc = new_p.c - prev_p.c
     dA_norm = float(np.linalg.norm(dA, 2)) if np.any(dA) else 0.0
-    e = unit_element(spec)
-    rp_cold = float(np.linalg.norm(new_p.A @ e - new_p.b))
-    rd_cold = float(np.linalg.norm(e - new_p.c))
-    rp_prev = float(np.linalg.norm(prev_p.A @ x_o - prev_p.b))
-    rd_prev = float(np.linalg.norm(prev_p.A.T @ y_o + s_o - prev_p.c))
+    cold = compute_residuals(new_p, cold_start(spec, new_p.p))
+    prev_r = compute_residuals(prev_p, HsdPoint(x_o, y_o, s_o, 0.0, 1.0))
 
-    primal_vacuous = rp_cold == 0.0
+    primal_vacuous = cold.rp_norm == 0.0
     if primal_vacuous:
         c_a = c_b = c_p = 0.0
     else:
-        c_a = dA_norm * float(np.linalg.norm(x_o)) / rp_cold
-        c_b = float(np.linalg.norm(db)) / rp_cold
-        c_p = rp_prev / rp_cold
-    dual_vacuous = rd_cold == 0.0
+        c_a = dA_norm * float(np.linalg.norm(x_o)) / cold.rp_norm
+        c_b = float(np.linalg.norm(db)) / cold.rp_norm
+        c_p = prev_r.rp_norm / cold.rp_norm
+    dual_vacuous = cold.rd_norm == 0.0
     if dual_vacuous:
         c_at = c_c = c_d = 0.0
     else:
-        c_at = dA_norm * float(np.linalg.norm(y_o)) / rd_cold
-        c_c = float(np.linalg.norm(dc)) / rd_cold
-        c_d = rd_prev / rd_cold
+        c_at = dA_norm * float(np.linalg.norm(y_o)) / cold.rd_norm
+        c_c = float(np.linalg.norm(dc)) / cold.rd_norm
+        c_d = prev_r.rd_norm / cold.rd_norm
 
+    e = spec.e
     mu_o, gamma_o = float(x_o @ s_o) / spec.k, math.inf
     if xs.interior() and ss.interior():
         dev = t_apply_of(xs, s_o) - mu_o * e

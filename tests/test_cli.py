@@ -87,6 +87,16 @@ class TestSolveCommand:
         assert doc["error"]["type"] == "ParseError"
         assert "line" in doc["error"]["context"]
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_unified_non_finite_epsilon_exits_2(self, run, toy_file,
+                                                tmp_path, epsilon):
+        code, _, err = run("solve", "--problem", toy_file,
+                           "--output", tmp_path / "o.json",
+                           "--stop-mode", "unified", "--epsilon", epsilon)
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "InvalidParams"
+        assert not (tmp_path / "o.json").exists()
+
     def test_max_iterations_exits_3(self, run, toy_file, tmp_path):
         code, _, err = run("solve", "--problem", toy_file,
                            "--output", tmp_path / "o.json",
@@ -434,6 +444,17 @@ class TestBenchCommand:
                              "--report", path)
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_2(self, run, toy_file, tmp_path,
+                                        epsilon):
+        code, _, err = run("bench", "--base-problem", toy_file,
+                           "--steps", "2", "--perturb-a", "1e-6",
+                           "--epsilon", epsilon,
+                           "--report", tmp_path / "bench.json")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "InvalidParams"
+        assert not (tmp_path / "bench.json").exists()
 
     @pytest.mark.parametrize("base", [toy_lp, infeasible_lp])
     def test_omega_out_of_range_exits_2(self, run, tmp_path, monkeypatch,

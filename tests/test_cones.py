@@ -65,6 +65,29 @@ def test_spec_layout_is_not_a_field():
     assert a != ConeSpec(2, (3, 1)) and a != ConeSpec(3, (3,))
 
 
+def test_spec_sizes_unit_and_tail_index_built_once():
+    """n, k, e and tail_index are plain attributes built with the layout;
+    unit_element hands out a writable copy of e."""
+    for spec in (ConeSpec(l=2, soc_dims=(1, 4, 1, 3)), ConeSpec(l=3),
+                 ConeSpec(soc_dims=(5,))):
+        for s in (spec, spec.hat()):
+            assert type(s.n) is int and s.n == s.l + sum(s.soc_dims)
+            assert type(s.k) is int and s.k == s.l + len(s.soc_dims)
+            unit = np.zeros(s.n)
+            unit[s.heads] = 1.0
+            assert np.array_equal(s.e, unit)
+            assert np.array_equal(s.tail_index, np.flatnonzero(s.tail))
+            assert not s.e.flags.writeable
+            assert not s.tail_index.flags.writeable
+    spec = ConeSpec(l=2, soc_dims=(1, 4, 1, 3))
+    assert spec.blocks == ((0, 1), (1, 1), (2, 1), (3, 4), (7, 1), (8, 3))
+    e = sp.unit_element(spec)
+    assert e.flags.writeable and not np.shares_memory(e, spec.e)
+    e[:] = 7.0
+    assert np.array_equal(spec.e, sp.unit_element(spec))
+    assert spec.e.max() == 1.0
+
+
 def test_unit_element():
     spec = ConeSpec(l=2, soc_dims=(3,))
     e = sp.unit_element(spec)

@@ -91,6 +91,15 @@ def test_solver_params_validation():
         SolverParams(max_iterations=0)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"),
+                                     float("-inf"), 0.0, -1e-3])
+def test_unified_epsilon_must_be_positive_and_finite(epsilon):
+    with pytest.raises(InvalidParams, match="positive and finite"):
+        SolverParams(epsilon=epsilon, stop_mode="unified")
+    with pytest.raises(InvalidParams, match=r"epsilon must lie in \(0,1\)"):
+        SolverParams(epsilon=epsilon)
+
+
 class TestToyLp:
     def test_optimal_and_exact_count(self):
         prob = toy_lp()

@@ -110,6 +110,16 @@ class TestWarmStartPoint:
                 (x_o, np.zeros(2), interior_vector(spec, rng)), 1.0, spec, p=2
             )
 
+    @pytest.mark.parametrize("omega", ["max-admissible", "auto", 1.5, -0.5,
+                                       float("nan"), float("inf")])
+    def test_weight_outside_unit_interval_rejected(self, omega):
+        """A blend takes a weight in [0,1]; the "max-admissible" policy is
+        warm_start's to resolve, so here it fails like any non-weight."""
+        rng = np.random.default_rng(529)
+        spec = ConeSpec(l=1, soc_dims=(3,))
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            sp.warm_start_point(self._prev(spec, rng), omega, spec, p=3)
+
 
 def _converged_prev(prob, eps=1e-3):
     """Partially converged solution of prob, scaled back by tau."""
@@ -203,6 +213,26 @@ class TestDiagnostics:
         d = sp.diagnostics(prob, prob, pair, gamma=0.08)
         assert math.isfinite(d.gamma_o) and d.soc_first.size == 2
         assert len(calls) == 2
+
+    def test_residual_ratios_read_the_embedding_residuals_bitwise(self):
+        """The four residual norms are compute_residuals' at the cold start
+        and at (x_o, y_o, s_o, kappa 0, tau 1): the same bits as the direct
+        norms of A e - b, e - c, A x_o - b and A'y_o + s_o - c."""
+        rng = np.random.default_rng(569)
+        for _ in range(20):
+            spec = spec_at_least(rng, 3)
+            prob, pair = feasible_problem_with_pair(spec, 2, rng)
+            new = _drifted(prob, rng)
+            x_o, y_o, s_o = pair
+            d = sp.diagnostics(prob, new, pair, gamma=0.08)
+            e = sp.unit_element(spec)
+            rp_cold = np.linalg.norm(new.A @ e - new.b)
+            rd_cold = np.linalg.norm(e - new.c)
+            assert d.c_p == np.linalg.norm(prob.A @ x_o - prob.b) / rp_cold
+            assert d.c_d == np.linalg.norm(prob.A.T @ y_o + s_o - prob.c) \
+                / rd_cold
+            assert d.c_b == np.linalg.norm(new.b - prob.b) / rp_cold
+            assert d.c_c == np.linalg.norm(new.c - prob.c) / rd_cold
 
     def test_exact_prev_zero_constants(self):
         rng = np.random.default_rng(557)
