@@ -13,19 +13,18 @@ import sys
 from pathlib import Path
 from typing import Dict, Union
 
-from .errors import (ConeSpecMismatch, DimensionMismatch, InvalidParams,
-                     InvalidPoint, MaxIterationsExceeded, NotInterior,
+from .errors import (InvalidPoint, MaxIterationsExceeded, NotInterior,
                      ParseError, SingularSystem, StartOutsideNeighborhood)
 from .fileio import parse_point, parse_problem, write_solution, write_trace
 from .geometry import Evaluation, NeighborhoodParams
 from .problem import SocpProblem, compute_residuals
-from .solver import SolverParams, predicted_iterations, solve
+from .solver import (SCALINGS, STOP_MODES, SolverParams, predicted_iterations,
+                     solve)
 from .warmstart import _finite_or_none, cold_start, run_bench, warm_start
 
 NUMERICAL_ERRORS = (SingularSystem, MaxIterationsExceeded,
                     StartOutsideNeighborhood, NotInterior)
-INPUT_ERRORS = (ParseError, DimensionMismatch, ConeSpecMismatch,
-                InvalidParams, InvalidPoint, ValueError, OSError, KeyError)
+INPUT_ERRORS = (ValueError, OSError, KeyError)
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -124,12 +123,6 @@ def cmd_warmstart(args) -> int:
 def cmd_check(args) -> int:
     problem = _load_problem(args.problem)
     z = parse_point(Path(args.point).read_text())
-    if z.x.shape != (problem.n,) or z.s.shape != (problem.n,):
-        raise DimensionMismatch(
-            f"point has cone dimension {z.x.shape[0]}, expected {problem.n}")
-    if z.y.shape != (problem.p,):
-        raise DimensionMismatch(
-            f"point has {z.y.shape[0]} dual entries, expected {problem.p}")
     res = compute_residuals(problem, z)
     ev = Evaluation(z, problem.cones)
     interior = ev.interior()
@@ -173,6 +166,21 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _solver_flags(parser: argparse.ArgumentParser, stop_mode: str) -> None:
+    """The flags that solve and warmstart share, with SolverParams' defaults
+    and the solver's choices; `stop_mode` is the command's default."""
+    parser.add_argument("--problem", required=True)
+    parser.add_argument("--output", required=True)
+    parser.add_argument("--gamma", type=float, default=SolverParams.gamma)
+    parser.add_argument("--delta", type=float, default=SolverParams.delta)
+    parser.add_argument("--epsilon", type=float, default=SolverParams.epsilon)
+    parser.add_argument("--scaling", choices=SCALINGS,
+                        default=SolverParams.scaling)
+    parser.add_argument("--max-iter", type=int,
+                        default=SolverParams.max_iterations)
+    parser.add_argument("--stop-mode", choices=STOP_MODES, default=stop_mode)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="socpath",
@@ -181,42 +189,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="solve a problem from the cold start")
-    ps.add_argument("--problem", required=True)
-    ps.add_argument("--gamma", type=float, default=0.08)
-    ps.add_argument("--delta", type=float, default=0.03)
-    ps.add_argument("--epsilon", type=float, default=1e-6)
-    ps.add_argument("--scaling", choices=("identity", "nt"),
-                    default="identity")
-    ps.add_argument("--output", required=True)
+    _solver_flags(ps, "relative")
     ps.add_argument("--trace")
-    ps.add_argument("--max-iter", type=int, default=None)
-    ps.add_argument("--stop-mode", choices=("relative", "unified"),
-                    default="relative")
     ps.set_defaults(func=cmd_solve)
 
     pw = sub.add_parser("warmstart",
                         help="solve a perturbed problem from a warm start")
     pw.add_argument("--prev-problem", required=True)
     pw.add_argument("--prev-solution", required=True)
-    pw.add_argument("--problem", required=True)
+    _solver_flags(pw, "unified")
     pw.add_argument("--omega", default="auto",
                     help="'auto' or a fixed weight in [0,1]")
-    pw.add_argument("--gamma", type=float, default=0.08)
-    pw.add_argument("--delta", type=float, default=0.03)
-    pw.add_argument("--epsilon", type=float, default=1e-6)
-    pw.add_argument("--scaling", choices=("identity", "nt"),
-                    default="identity")
-    pw.add_argument("--output", required=True)
     pw.add_argument("--report")
-    pw.add_argument("--max-iter", type=int, default=None)
-    pw.add_argument("--stop-mode", choices=("relative", "unified"),
-                    default="unified")
     pw.set_defaults(func=cmd_warmstart)
 
     pc = sub.add_parser("check", help="evaluate a point against a problem")
     pc.add_argument("--problem", required=True)
     pc.add_argument("--point", required=True)
-    pc.add_argument("--gamma", type=float, default=0.08)
+    pc.add_argument("--gamma", type=float, default=SolverParams.gamma)
     pc.set_defaults(func=cmd_check)
 
     pb = sub.add_parser("bench",
@@ -230,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--report", required=True)
     pb.add_argument("--epsilon", type=float, default=1e-3)
-    pb.add_argument("--gamma", type=float, default=0.08)
-    pb.add_argument("--delta", type=float, default=0.03)
+    pb.add_argument("--gamma", type=float, default=SolverParams.gamma)
+    pb.add_argument("--delta", type=float, default=SolverParams.delta)
     pb.add_argument("--omega", default="auto")
     pb.set_defaults(func=cmd_bench)
     return parser

@@ -42,6 +42,10 @@ class ConeSpec:
     l : number of linear entries (each is its own block).
     soc_dims : dimensions of the second-order blocks, in variable order.
 
+    `l` and each dimension must be integers, numpy integers included, and
+    are stored as int; a float, a string, a bool or a `soc_dims` that is
+    not iterable raises ValueError.
+
     The block layout is built once, as plain attributes that ==, hash and
     repr do not see, its arrays read-only: `n` (ambient dimension) and `k`
     (number of blocks, the cone rank), `blocks` ((offset, dim) per block),
@@ -59,7 +63,14 @@ class ConeSpec:
     soc_dims: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "soc_dims", tuple(int(d) for d in self.soc_dims))
+        try:
+            dims = tuple(self.soc_dims)
+        except TypeError:
+            raise ValueError("soc_dims must be a sequence of integers, not "
+                             f"{self.soc_dims!r}") from None
+        object.__setattr__(self, "l", _integer(self.l, "l"))
+        object.__setattr__(self, "soc_dims",
+                           tuple(_integer(d, "soc_dims entry") for d in dims))
         if self.l < 0:
             raise ValueError("l must be nonnegative")
         if any(d < 1 for d in self.soc_dims):
@@ -90,12 +101,23 @@ class ConeSpec:
             value.setflags(write=False)
         object.__setattr__(self, "tail_groups", groups)
 
+    def __reduce__(self):
+        # a pickled or copied spec is rebuilt, read-only layout included
+        return ConeSpec, (self.l, self.soc_dims)
+
     def hat(self) -> "ConeSpec":
         """Spec with one extra trailing 1-dimensional block (for tau/kappa),
         built on first use and kept."""
         if "_hat" not in self.__dict__:
             object.__setattr__(self, "_hat", ConeSpec(self.l, self.soc_dims + (1,)))
         return self._hat
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; only Python and numpy integers that are not bools."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 def check_vector(v, spec: ConeSpec) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from .cones import ConeSpec
 from .errors import ParseError
 from .geometry import HsdPoint, mu
-from .problem import SocpProblem, compute_residuals, validate_problem
+from .problem import SocpProblem, compute_residuals
 from .solver import SolverParams, SolveResult, SolveTrace, TraceRow
 
 # TraceRow fields after `iteration`, in column order
@@ -61,11 +61,7 @@ def _vector(value, length: int, where: str) -> np.ndarray:
 
 
 def parse_problem(text: str) -> SocpProblem:
-    """Parse a problem file; structural errors raise ParseError with context.
-
-    The numerical validation report (rank findings and the like) is
-    attached to the returned problem as `validation`.
-    """
+    """Parse a problem file; structural errors raise ParseError with context."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -116,9 +112,7 @@ def parse_problem(text: str) -> SocpProblem:
         A[i, j] += _number(t[2], f"{where}[2]")
     b = _vector(_require(data, "b", ""), rows, "b")
     c = _vector(_require(data, "c", ""), cols, "c")
-    problem = SocpProblem(A, b, c, spec, name=name)
-    problem.validation = validate_problem(problem)
-    return problem
+    return SocpProblem(A, b, c, spec, name=name)
 
 
 def write_problem(problem: SocpProblem) -> str:

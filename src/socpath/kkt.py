@@ -302,9 +302,14 @@ def step_point(z: HsdPoint, direction: NewtonDirection,
                     tau=z.tau + alpha * direction.dtau)
 
 
+def centering_nu(delta: float, k: int) -> float:
+    """Fixed centering parameter 1 - delta/sqrt(2(k+1))."""
+    return 1.0 - delta / math.sqrt(2.0 * (k + 1))
+
+
 def increment_bound(gamma: float, delta: float, k: int) -> float:
     """Bound coefficient for the scaled increment norms (hat cone count k+1)."""
-    nu = 1.0 - delta / np.sqrt(2.0 * (k + 1))
+    nu = centering_nu(delta, k)
     return 2.0 * np.sqrt(gamma * gamma / 2.0
                          + (1.0 - nu) ** 2 * (k + 1)) / (1.0 - 3.0 * gamma)
 

@@ -20,7 +20,6 @@ class SocpProblem:
 
     Construction only normalizes array types; structural checks are
     reported by validate_problem and enforced at operation boundaries.
-    `validation` holds the report when the problem was parsed from a file.
     """
 
     A: np.ndarray
@@ -28,8 +27,6 @@ class SocpProblem:
     c: np.ndarray
     cones: ConeSpec
     name: str = ""
-    validation: Optional[ValidationReport] = field(
-        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))

@@ -20,8 +20,9 @@ from .errors import (InvalidParams, MaxIterationsExceeded, NotInterior,
                      StartOutsideNeighborhood)
 from .geometry import (Classification, Evaluation, HsdPoint,
                        NeighborhoodParams, classify_status, mu)
-from .kkt import KktWorkspace, assemble, solve_direction, step_point
-from .problem import SocpProblem, compute_residuals
+from .kkt import (KktWorkspace, assemble, centering_nu, solve_direction,
+                  step_point)
+from .problem import Residuals, SocpProblem, compute_residuals
 
 SCALINGS = ("identity", "nt")
 STOP_MODES = ("relative", "unified")
@@ -96,11 +97,6 @@ class SolveResult:
     predicted: Optional[int] = None
 
 
-def centering_nu(delta: float, k: int) -> float:
-    """Fixed centering parameter 1 - delta/sqrt(2(k+1))."""
-    return 1.0 - delta / math.sqrt(2.0 * (k + 1))
-
-
 def validate_params(gamma: float, delta: float, k: int) -> Tuple[bool, float]:
     """Admissibility of (gamma, delta) for cone rank k.
 
@@ -121,17 +117,23 @@ def predicted_iterations(start: HsdPoint, problem: SocpProblem,
     residual norms.  unified: ceil of log(max(||r_p||, ||r_d||, mu)/eps_u)
     over -log nu, and 0 when the start already meets the criterion.
     """
-    nu = centering_nu(params.delta, problem.cones.k)
+    return _closed_form_count(params, problem.cones.k,
+                              compute_residuals(problem, start),
+                              mu(start, problem.cones))
+
+
+def _closed_form_count(params: SolverParams, k: int, res: Residuals,
+                       m: float) -> int:
+    """predicted_iterations from a start's residuals `res` and mu `m`."""
+    nu = centering_nu(params.delta, k)
     if params.stop_mode == "relative":
         return math.ceil(math.log(params.epsilon) / math.log(nu))
-    res = compute_residuals(problem, start)
-    return _unified_count(max(res.rp_norm, res.rd_norm, mu(start, problem.cones)),
-                          params.epsilon, nu)
-
-
-def _unified_count(worst: float, epsilon: float, nu: float) -> int:
+    worst, epsilon = max(res.rp_norm, res.rd_norm, m), params.epsilon
     if worst <= epsilon:
         return 0
+    if not math.isfinite(worst / epsilon):
+        raise InvalidParams(f"epsilon {epsilon!r} is too small for the "
+                            f"start's measure {worst!r}: their ratio overflows")
     return math.ceil(math.log(worst / epsilon) / (-math.log(nu)))
 
 
@@ -177,9 +179,7 @@ def solve(problem: SocpProblem, start: HsdPoint,
             "start must lie in the 2-norm neighborhood of the central path")
     res = compute_residuals(problem, z)
     start_norms = (ev.mu, res.rp_norm, res.rd_norm)
-    predicted = predicted_iterations(start, problem, params) \
-        if params.stop_mode == "relative" else _unified_count(
-            max(res.rp_norm, res.rd_norm, ev.mu), params.epsilon, nu)
+    predicted = _closed_form_count(params, k, res, ev.mu)
     max_iter = params.max_iterations
     if max_iter is None:
         max_iter = 2 * predicted + 100

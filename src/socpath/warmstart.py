@@ -20,8 +20,9 @@ from .cones import ConeSpec, Spectrum, t_apply_of, unit_element
 from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
                      NotInterior)
 from .geometry import HsdPoint, NeighborhoodParams, in_neighborhood
+from .kkt import centering_nu
 from .problem import SocpProblem, compute_residuals
-from .solver import SolverParams, centering_nu, solve
+from .solver import SolverParams, solve
 
 OMEGA_GRID = 1e-4
 # choose_omega takes the grid this many weights at a time from the top: the
@@ -187,7 +188,7 @@ class WarmStartDiagnostics:
 
 def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
                 gamma: float, omega_eval: float = 1.0,
-                delta: float = 0.03) -> WarmStartDiagnostics:
+                delta: float = SolverParams.delta) -> WarmStartDiagnostics:
     """Evaluate the warm-start sufficient conditions at omega_eval.
 
     `prev` is the previous instance's pair (x_o, y_o, s_o), already
@@ -271,7 +272,7 @@ class WarmStart:
 
 
 def warm_start(prev_p: SocpProblem, new_p: SocpProblem, prev, gamma: float,
-               delta: float = 0.03,
+               delta: float = SolverParams.delta,
                omega: Union[str, float] = "max-admissible") -> WarmStart:
     """Choose omega ("max-admissible" for choose_omega's scan, or a weight
     in [0,1] used as given) and blend; fall back to the cold start when no
@@ -293,6 +294,14 @@ def warm_start(prev_p: SocpProblem, new_p: SocpProblem, prev, gamma: float,
     return WarmStart(cold_start(spec, p=p), 0.0, fallback, diag)
 
 
+def check_bounds(bound_a: float, bound_b: float, bound_c: float) -> None:
+    """A drift bound is a finite number >= 0, so NaN, inf and negatives fail."""
+    for name, bound in (("a", bound_a), ("b", bound_b), ("c", bound_c)):
+        if not (0.0 <= bound < math.inf):
+            raise ValueError(f"perturbation bound {name} must be finite and "
+                             f">= 0, not {bound!r}")
+
+
 def perturb_problem(problem: SocpProblem, bound_a: float, bound_b: float,
                     bound_c: float, rng: np.random.Generator) -> SocpProblem:
     """Additive Gaussian drift projected to the requested norm bounds.
@@ -300,8 +309,9 @@ def perturb_problem(problem: SocpProblem, bound_a: float, bound_b: float,
     Matrix noise is applied to the stored nonzero pattern of A only and
     projected to the spectral-norm bound; b and c get dense noise
     projected to the Euclidean bound.  A zero bound leaves the term
-    untouched.
+    untouched; a bound that is not finite and >= 0 raises ValueError.
     """
+    check_bounds(bound_a, bound_b, bound_c)
     A = _drift(problem.A, bound_a, rng)
     b = _drift(problem.b, bound_b, rng)
     c = _drift(problem.c, bound_c, rng)
@@ -311,7 +321,7 @@ def perturb_problem(problem: SocpProblem, bound_a: float, bound_b: float,
 def _drift(v: np.ndarray, bound: float,
            rng: np.random.Generator) -> np.ndarray:
     """v plus perturb_problem's drift, as a new array; no draw at bound 0."""
-    if not bound > 0.0:
+    if bound == 0.0:
         return v.copy()
     e = rng.standard_normal(v.shape)
     if v.ndim == 2:
@@ -324,7 +334,8 @@ def _drift(v: np.ndarray, bound: float,
 
 def run_bench(base: SocpProblem, steps: int, perturb_a: float,
               perturb_b: float, perturb_c: float, seed: int,
-              gamma: float = 0.08, delta: float = 0.03,
+              gamma: float = SolverParams.gamma,
+              delta: float = SolverParams.delta,
               epsilon: float = 1e-3,
               omega_policy: Union[str, float] = "max-admissible") -> Dict:
     """Drift sequence benchmark: cold vs warm iteration counts.
@@ -333,9 +344,11 @@ def run_bench(base: SocpProblem, steps: int, perturb_a: float,
     solves it cold under the unified stop at `epsilon`, and warm-starts
     from the previous instance's cold solution when diagnostics admit
     an omega.  Fully deterministic for a given seed.  A fixed omega
-    outside [0,1] raises ValueError before any solve.
+    outside [0,1], or a bound that perturb_problem refuses, raises
+    ValueError before any solve.
     """
     check_omega(omega_policy)
+    check_bounds(perturb_a, perturb_b, perturb_c)
     rng = np.random.default_rng(seed)
     params = SolverParams(gamma=gamma, delta=delta, epsilon=epsilon,
                           stop_mode="unified", trace_enabled=False)
@@ -359,13 +372,11 @@ def run_bench(base: SocpProblem, steps: int, perturb_a: float,
             "measured_saving": None,
             "fallback": None,
         }
-        z = prev_result.point
-        if prev_result.status.status != "optimal" or z.tau <= 0.0:
+        if prev_result.solution is None:
             row["fallback"] = "previous solve not optimal"
         else:
-            prev = (z.x / z.tau, z.y / z.tau, z.s / z.tau)
-            ws = warm_start(prev_problem, new_problem, prev, gamma, delta,
-                            omega_policy)
+            ws = warm_start(prev_problem, new_problem, prev_result.solution,
+                            gamma, delta, omega_policy)
             row["fallback"] = ws.fallback
             if ws.fallback is None:
                 warm_result = cold_result if ws.omega == 0.0 \

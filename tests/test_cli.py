@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +12,9 @@ import pytest
 
 import socpath as sp
 import socpath.cli
-from socpath import SocpProblem
-from socpath.cli import main, run_bench
+from socpath import SocpProblem, SolverParams
+from socpath.cli import build_parser, main, run_bench
+from socpath.solver import SCALINGS, STOP_MODES
 from socpath.fileio import TRACE_COLUMNS, parse_point, write_problem
 from socpath.warmstart import perturb_problem
 
@@ -87,7 +90,8 @@ class TestSolveCommand:
         assert doc["error"]["type"] == "ParseError"
         assert "line" in doc["error"]["context"]
 
-    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    # at 1e-320 epsilon is finite, but the closed-form count's ratio is not
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "1e-320"])
     def test_unified_non_finite_epsilon_exits_2(self, run, toy_file,
                                                 tmp_path, epsilon):
         code, _, err = run("solve", "--problem", toy_file,
@@ -404,6 +408,13 @@ class TestPerturbProblem:
         assert np.array_equal(pert.b, prob.b)
         assert not np.array_equal(pert.c, prob.c)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bound_must_be_finite_and_nonnegative(self, bad):
+        prob = toy_lp()
+        for bounds in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                perturb_problem(prob, *bounds, np.random.default_rng(0))
+
     def test_noise_follows_sparsity(self):
         prob = toy_lp()
         A = prob.A.copy()
@@ -484,6 +495,26 @@ class TestBenchCommand:
             run_bench(toy_lp(), steps=2, perturb_a=1e-6, perturb_b=0.0,
                       perturb_c=0.0, seed=0, omega_policy=omega)
 
+    @pytest.mark.parametrize("flag, bound", [("--perturb-a", "nan"),
+                                             ("--perturb-b", "inf"),
+                                             ("--perturb-c", "-1")])
+    def test_bad_bound_exits_2(self, run, toy_file, tmp_path, flag, bound):
+        code, _, err = run("bench", "--base-problem", toy_file,
+                           "--steps", "2", flag, bound, "--epsilon", "1e-2",
+                           "--report", tmp_path / "bench.json")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "ValueError"
+        assert not (tmp_path / "bench.json").exists()
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -1e-6])
+    def test_run_bench_rejects_bound_before_solving(self, monkeypatch, bound):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the bounds")
+        monkeypatch.setattr(socpath.warmstart, "solve", no_solve)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            run_bench(toy_lp(), steps=2, perturb_a=1e-6, perturb_b=bound,
+                      perturb_c=0.0, seed=0)
+
     def test_fixed_omega_below_omega_min_used_as_given(self):
         base, seed, size, omega = soc_fixture(), 7, 1e-6, 0.5
         params = sp.SolverParams(epsilon=1e-2, stop_mode="unified",
@@ -511,3 +542,41 @@ class TestBenchCommand:
             assert row["omega"] == 0.0
             assert row["warm_iterations"] == row["cold_iterations"]
             assert row["measured_saving"] == 0
+
+
+class TestParser:
+    """solve and warmstart add their solver flags through one helper, so
+    every default is SolverParams' and every choice the solver's."""
+
+    ARGV = {
+        "solve": ["--problem", "p.json", "--output", "o.json"],
+        "warmstart": ["--prev-problem", "p.json", "--prev-solution", "z.json",
+                      "--problem", "q.json", "--output", "o.json"],
+        "check": ["--problem", "p.json", "--point", "z.json"],
+        "bench": ["--base-problem", "p.json", "--steps", "1",
+                  "--report", "r.json"],
+    }
+
+    def test_defaults_are_solver_params(self):
+        parser = build_parser()
+        args = {cmd: parser.parse_args([cmd] + argv)
+                for cmd, argv in self.ARGV.items()}
+        # one parser: a default shared between solve and warmstart would
+        # give both the stop mode set last
+        assert socpath.cli._solver_params(args["solve"], True) \
+            == SolverParams()
+        assert socpath.cli._solver_params(args["warmstart"], False) \
+            == SolverParams(stop_mode="unified", trace_enabled=False)
+        assert args["solve"].stop_mode == "relative"
+        assert args["warmstart"].stop_mode == "unified"
+        assert args["check"].gamma == SolverParams.gamma
+        assert (args["bench"].gamma, args["bench"].delta) \
+            == (SolverParams.gamma, SolverParams.delta)
+
+    def test_choices_are_the_solvers(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for cmd in ("solve", "warmstart"):
+            actions = {a.dest: a for a in sub.choices[cmd]._actions}
+            assert actions["scaling"].choices is SCALINGS
+            assert actions["stop_mode"].choices is STOP_MODES

@@ -1,10 +1,14 @@
 """Jordan-algebra and scaling-group layer."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 import socpath as sp
-from socpath import ConeSpec, NotInterior, ScalingMatrix
+from socpath import ConeSpec, NotInterior, ScalingMatrix, SocpProblem
+from socpath.fileio import parse_problem, write_problem
 
 from oracles import arrow_oracle, group_defect, spectral_oracle, t_oracle
 from util import boundary_vector, interior_vector, mixed_spec, mixed_specs
@@ -86,6 +90,55 @@ def test_spec_sizes_unit_and_tail_index_built_once():
     e[:] = 7.0
     assert np.array_equal(spec.e, sp.unit_element(spec))
     assert spec.e.max() == 1.0
+
+
+@pytest.mark.parametrize("l, soc_dims, error", [
+    (2, (3,), None),
+    (np.int64(2), (3,), None),
+    (2, (np.int32(3), np.uint8(4)), None),
+    (np.int8(0), [np.int64(2)], None),
+    (1, (2.7,), "soc_dims entry"),
+    (1, (np.float64(3.0),), "soc_dims entry"),
+    (1, ("3",), "soc_dims entry"),
+    (1, "3", "soc_dims entry"),
+    (1, (True,), "soc_dims entry"),
+    (2.5, (), "l"),
+    (2.0, (3,), "l"),
+    ("2", (), "l"),
+    (True, (3,), "l"),
+    (np.True_, (3,), "l"),
+    (1, 3, "soc_dims must be a sequence"),
+])
+def test_spec_takes_integers_only(l, soc_dims, error):
+    """l and each dimension are Python or numpy integers, stored as int,
+    so that a spec writes to JSON; anything else raises ValueError."""
+    if error is not None:
+        with pytest.raises(ValueError, match=error):
+            ConeSpec(l, soc_dims)
+        return
+    spec = ConeSpec(l, soc_dims)
+    assert type(spec.l) is int and all(type(d) is int for d in spec.soc_dims)
+    assert spec == ConeSpec(int(l), tuple(int(d) for d in soc_dims))
+    problem = SocpProblem(np.ones((1, spec.n)), [1.0], np.ones(spec.n), spec)
+    assert parse_problem(write_problem(problem)).cones == spec
+
+
+@pytest.mark.parametrize("clone", [lambda spec: pickle.loads(pickle.dumps(spec)),
+                                   copy.deepcopy])
+def test_spec_copy_rebuilds_read_only_layout(clone):
+    spec = ConeSpec(l=2, soc_dims=(1, 4, 3, 3))
+    spec.hat()
+    twin = clone(spec)
+    assert twin == spec and twin is not spec
+    for name in ("heads", "block_of", "tail", "tail_index", "head_of", "e",
+                 "q"):
+        assert np.array_equal(getattr(twin, name), getattr(spec, name))
+        assert not getattr(twin, name).flags.writeable
+    assert not any(part.flags.writeable
+                   for group in twin.tail_groups for part in group)
+    assert (twin.n, twin.k, twin.blocks) == (spec.n, spec.k, spec.blocks)
+    assert twin.hat() == spec.hat() and twin.hat() is twin.hat()
+    assert not twin.hat().e.flags.writeable
 
 
 def test_unit_element():

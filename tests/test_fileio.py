@@ -11,7 +11,8 @@ from socpath.fileio import (TRACE_COLUMNS, parse_point, parse_problem,
                             solution_document, write_problem, write_solution,
                             write_trace)
 
-from util import cold_point, infeasible_lp, mixed_spec, random_problem, toy_lp
+from util import (cold_point, count_calls, infeasible_lp, mixed_spec,
+                  random_problem, toy_lp)
 
 
 MINIMAL_DOC = {
@@ -51,7 +52,13 @@ class TestParseProblem:
         assert np.array_equal(prob.A, [[1.0, 1.0]])
         assert np.array_equal(prob.b, [1.0])
         assert np.array_equal(prob.c, [1.0, 0.0])
-        assert prob.validation is not None
+
+    def test_no_validation_report_and_no_svd(self, monkeypatch):
+        assert "validation" not in {f.name for f in
+                                    dataclasses.fields(SocpProblem)}
+        calls = count_calls(monkeypatch, np.linalg, "svd")
+        prob = parse_problem(doc_text())
+        assert calls == [] and not hasattr(prob, "validation")
 
     def test_duplicate_triplets_summed(self):
         text = doc_text(A={"rows": 1, "cols": 2,

@@ -218,6 +218,18 @@ def test_unified_stop_mode():
         assert max(prior.mu, prior.rp_norm, prior.rd_norm) > 1e-3
 
 
+def test_unified_count_refuses_an_overflowing_ratio():
+    """At a subnormal epsilon max(||r_p||, ||r_d||, mu)/epsilon overflows to
+    inf; the closed-form count refuses it rather than take ceil(inf)."""
+    prob = toy_lp()
+    start = cold_point(prob)
+    params = SolverParams(epsilon=1e-310, stop_mode="unified")
+    with pytest.raises(InvalidParams, match="overflows"):
+        sp.predicted_iterations(start, prob, params)
+    with pytest.raises(InvalidParams, match="overflows"):
+        sp.solve(prob, start, params)
+
+
 def test_collect_directions():
     prob = toy_lp()
     params = SolverParams(epsilon=0.5, collect_directions=True)

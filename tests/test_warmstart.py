@@ -1,5 +1,6 @@
 """Warm-start construction, sufficient-condition diagnostics, omega policy."""
 
+import inspect
 import math
 
 import numpy as np
@@ -512,3 +513,11 @@ def test_warm_start_tail_norms(monkeypatch):
     calls = count_calls(monkeypatch, sp.cones, "tail_norms")
     sp.warm_start(prob, prob, pair, 0.08, omega=1.0)
     assert len(calls) == 4
+
+
+def test_keyword_defaults_are_solver_params():
+    for fn in (sp.diagnostics, sp.warm_start, sp.warmstart.run_bench):
+        params = inspect.signature(fn).parameters
+        assert params["delta"].default == SolverParams.delta
+    params = inspect.signature(sp.warmstart.run_bench).parameters
+    assert params["gamma"].default == SolverParams.gamma
