@@ -15,8 +15,7 @@ from .geometry import (Classification, Evaluation, HsdPoint,
                        in_neighborhood, mu)
 from .kkt import (KktSystem, NewtonDirection, assemble,
                   scaled_increment_diagnostics, solve_direction, step_point)
-from .problem import (Residuals, SocpProblem, ValidationReport,
-                      compute_residuals, validate_problem)
+from .problem import Residuals, SocpProblem, compute_residuals
 from .solver import (SolveResult, SolveTrace, SolverParams, TraceRow,
                      centering_nu, predicted_iterations, solve,
                      validate_params)
@@ -39,8 +38,7 @@ __all__ = [
     "classify_status", "d2", "dinf", "in_neighborhood", "mu",
     "KktSystem", "NewtonDirection", "assemble",
     "scaled_increment_diagnostics", "solve_direction", "step_point",
-    "Residuals", "SocpProblem", "ValidationReport", "compute_residuals",
-    "validate_problem",
+    "Residuals", "SocpProblem", "compute_residuals",
     "SolveResult", "SolveTrace", "SolverParams", "TraceRow", "centering_nu",
     "predicted_iterations", "solve", "validate_params",
     "WarmStart", "WarmStartDiagnostics", "choose_omega", "cold_start",

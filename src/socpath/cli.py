@@ -20,7 +20,8 @@ from .geometry import Evaluation, NeighborhoodParams
 from .problem import SocpProblem, compute_residuals
 from .solver import (SCALINGS, STOP_MODES, SolverParams, predicted_iterations,
                      solve)
-from .warmstart import _finite_or_none, cold_start, run_bench, warm_start
+from .warmstart import (BENCH_EPSILON, _finite_or_none, cold_start,
+                        run_bench, warm_start)
 
 NUMERICAL_ERRORS = (SingularSystem, MaxIterationsExceeded,
                     StartOutsideNeighborhood, NotInterior)
@@ -219,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--perturb-c", type=float, default=0.0)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--report", required=True)
-    pb.add_argument("--epsilon", type=float, default=1e-3)
+    pb.add_argument("--epsilon", type=float, default=BENCH_EPSILON)
     pb.add_argument("--gamma", type=float, default=SolverParams.gamma)
     pb.add_argument("--delta", type=float, default=SolverParams.delta)
     pb.add_argument("--omega", default="auto")

@@ -37,7 +37,6 @@ class SolverParams:
     max_iterations: Optional[int] = None
     trace_enabled: bool = True
     stop_mode: str = "relative"
-    collect_directions: bool = False
 
     def __post_init__(self):
         self.scaling = str(self.scaling).lower()
@@ -93,7 +92,6 @@ class SolveResult:
     solution: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     iterations: int
     trace: Optional[SolveTrace]
-    directions: Optional[list] = None
     predicted: Optional[int] = None
 
 
@@ -185,7 +183,6 @@ def solve(problem: SocpProblem, start: HsdPoint,
         max_iter = 2 * predicted + 100
     trace = SolveTrace(ev.mu, res.rp_norm, res.rd_norm, res.rg_abs) \
         if params.trace_enabled else None
-    directions = [] if params.collect_directions else None
     identity = ScalingMatrix.identity(spec)
     work = KktWorkspace(problem)
     iters = 0
@@ -196,8 +193,6 @@ def solve(problem: SocpProblem, start: HsdPoint,
             else nt_scaling_of(ev.x, ev.s)
         direction = solve_direction(
             assemble(problem, z, D, nu, ev.mu, work, res))
-        if directions is not None:
-            directions.append((z.copy(), direction, ev.mu))
         z = step_point(z, direction, 1.0)
         iters += 1
         ev = Evaluation(z, spec)
@@ -223,5 +218,4 @@ def solve(problem: SocpProblem, start: HsdPoint,
     solution = (status.x, status.y, status.s) if status.status == "optimal" \
         else None
     return SolveResult(status=status, point=z, solution=solution,
-                       iterations=iters, trace=trace, directions=directions,
-                       predicted=predicted)
+                       iterations=iters, trace=trace, predicted=predicted)

@@ -28,6 +28,8 @@ OMEGA_GRID = 1e-4
 # choose_omega takes the grid this many weights at a time from the top: the
 # whole grid at once costs milliseconds when a weight near 1 is admissible
 OMEGA_BLOCK = 128
+# run_bench's unified stop tolerance, also the default of `bench --epsilon`
+BENCH_EPSILON = 1e-3
 
 _Pair = Tuple[Spectrum, np.ndarray, Spectrum]  # x_o, y_o, s_o evaluated
 
@@ -336,17 +338,19 @@ def run_bench(base: SocpProblem, steps: int, perturb_a: float,
               perturb_b: float, perturb_c: float, seed: int,
               gamma: float = SolverParams.gamma,
               delta: float = SolverParams.delta,
-              epsilon: float = 1e-3,
+              epsilon: float = BENCH_EPSILON,
               omega_policy: Union[str, float] = "max-admissible") -> Dict:
     """Drift sequence benchmark: cold vs warm iteration counts.
 
     Each step perturbs the previous instance within the given bounds,
     solves it cold under the unified stop at `epsilon`, and warm-starts
     from the previous instance's cold solution when diagnostics admit
-    an omega.  Fully deterministic for a given seed.  A fixed omega
-    outside [0,1], or a bound that perturb_problem refuses, raises
-    ValueError before any solve.
+    an omega.  Fully deterministic for a given seed.  A negative step
+    count, a fixed omega outside [0,1], or a bound that perturb_problem
+    refuses raises ValueError before any solve.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, not {steps!r}")
     check_omega(omega_policy)
     check_bounds(perturb_a, perturb_b, perturb_c)
     rng = np.random.default_rng(seed)

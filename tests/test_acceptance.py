@@ -34,19 +34,31 @@ def _mixed_spec(rng):
 @pytest.fixture(scope="module")
 def contraction_runs():
     """Cold solves of random mixed problems under both scalings, with
-    full traces and every Newton direction retained."""
+    full traces and, per Newton step, the point it starts from, its
+    direction and that point's mu; the steps are recorded where `solve`
+    takes them, at `socpath.solver.step_point`."""
     rng = np.random.default_rng(20260822)
-    runs = []
-    for i in range(RUN_COUNT):
-        spec = _mixed_spec(rng)
-        p = int(rng.integers(2, min(5, spec.n)))
-        prob, _ = feasible_problem_with_pair(spec, p, rng, name=f"run{i}")
-        for scaling in ("identity", "nt"):
-            params = SolverParams(gamma=GAMMA, delta=DELTA, epsilon=EPSILON,
-                                  scaling=scaling, stop_mode="unified",
-                                  trace_enabled=True, collect_directions=True)
-            result = sp.solve(prob, cold_point(prob), params)
-            runs.append((prob, scaling, result))
+    runs, steps = [], []
+    step_point = sp.solver.step_point
+
+    def recorded(z, direction, alpha):
+        steps.append((z, direction))
+        return step_point(z, direction, alpha)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sp.solver, "step_point", recorded)
+        for i in range(RUN_COUNT):
+            spec = _mixed_spec(rng)
+            p = int(rng.integers(2, min(5, spec.n)))
+            prob, _ = feasible_problem_with_pair(spec, p, rng, name=f"run{i}")
+            for scaling in ("identity", "nt"):
+                params = SolverParams(gamma=GAMMA, delta=DELTA,
+                                      epsilon=EPSILON, scaling=scaling,
+                                      stop_mode="unified", trace_enabled=True)
+                steps.clear()
+                result = sp.solve(prob, cold_point(prob), params)
+                assert len(steps) == result.iterations > 0
+                runs.append((prob, scaling, result,
+                             [(z, d, sp.mu(z, spec)) for z, d in steps]))
     return runs
 
 
@@ -55,7 +67,7 @@ def test_per_iteration_contraction_is_exact(contraction_runs):
     every single iteration, for both scalings."""
     assert len(contraction_runs) == 2 * RUN_COUNT
     assert any(r[1] == "nt" for r in contraction_runs)
-    for prob, scaling, result in contraction_runs:
+    for prob, scaling, result, _ in contraction_runs:
         nu = sp.centering_nu(DELTA, prob.cones.k)
         tr = result.trace
         chains = (
@@ -113,7 +125,7 @@ def test_iteration_count_law():
 def test_neighborhood_preserved_and_improved(contraction_runs):
     """No iterate leaves the working neighborhood, and every post-step
     point lands inside the tighter post-step band."""
-    for prob, scaling, result in contraction_runs:
+    for prob, scaling, result, _ in contraction_runs:
         k = prob.cones.k
         ok, margin = sp.validate_params(GAMMA, DELTA, k)
         assert ok
@@ -129,15 +141,15 @@ def test_direction_identities(contraction_runs):
     """Orthogonality of the increments, small assembled-system residual,
     and exact residual contraction at fractional step lengths."""
     alphas = (0.25, 0.5)
-    for prob, scaling, result in contraction_runs:
+    for prob, scaling, result, steps in contraction_runs:
         k = prob.cones.k
         nu = sp.centering_nu(DELTA, k)
-        for z, direction, m in result.directions:
+        for z, direction, m in steps:
             orth = direction.dx @ direction.ds \
                 + direction.dkappa * direction.dtau
             assert abs(orth) <= 1e-9 * (k + 1) * m
             assert direction.system_residual <= 1e-10
-        for z, direction, m in result.directions[::25]:
+        for z, direction, m in steps[::25]:
             res = compute_residuals(prob, z)
             for alpha in alphas:
                 za = sp.step_point(z, direction, alpha)
@@ -206,11 +218,11 @@ def test_algebraic_bound_suite(contraction_runs):
             + 1e-12
 
     # scaled increments on every identity-scaling direction
-    for prob, scaling, result in contraction_runs:
+    for prob, scaling, result, steps in contraction_runs:
         if scaling != "identity":
             continue
         bound = increment_bound(GAMMA, DELTA, prob.cones.k)
-        for z, direction, m in result.directions:
+        for z, direction, m in steps:
             nx, ns, b = sp.scaled_increment_diagnostics(
                 z, direction, prob.cones, GAMMA, DELTA)
             assert b == bound

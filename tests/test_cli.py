@@ -16,7 +16,7 @@ from socpath import SocpProblem, SolverParams
 from socpath.cli import build_parser, main, run_bench
 from socpath.solver import SCALINGS, STOP_MODES
 from socpath.fileio import TRACE_COLUMNS, parse_point, write_problem
-from socpath.warmstart import perturb_problem
+from socpath.warmstart import BENCH_EPSILON, perturb_problem
 
 from util import (count_calls, feasible_problem, infeasible_lp, mixed_spec,
                   random_problem, soc_fixture, toy_lp)
@@ -495,9 +495,11 @@ class TestBenchCommand:
             run_bench(toy_lp(), steps=2, perturb_a=1e-6, perturb_b=0.0,
                       perturb_c=0.0, seed=0, omega_policy=omega)
 
+    # a repeated --steps overrides the first, so "--steps -2" is a bad count
     @pytest.mark.parametrize("flag, bound", [("--perturb-a", "nan"),
                                              ("--perturb-b", "inf"),
-                                             ("--perturb-c", "-1")])
+                                             ("--perturb-c", "-1"),
+                                             ("--steps", "-2")])
     def test_bad_bound_exits_2(self, run, toy_file, tmp_path, flag, bound):
         code, _, err = run("bench", "--base-problem", toy_file,
                            "--steps", "2", flag, bound, "--epsilon", "1e-2",
@@ -514,6 +516,21 @@ class TestBenchCommand:
         with pytest.raises(ValueError, match="finite and >= 0"):
             run_bench(toy_lp(), steps=2, perturb_a=1e-6, perturb_b=bound,
                       perturb_c=0.0, seed=0)
+
+    def test_run_bench_rejects_negative_steps_before_solving(self,
+                                                             monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the step count")
+        monkeypatch.setattr(socpath.warmstart, "solve", no_solve)
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            run_bench(toy_lp(), steps=-2, perturb_a=1e-6, perturb_b=0.0,
+                      perturb_c=0.0, seed=0)
+
+    def test_zero_steps_reports_the_base_solve(self):
+        report = run_bench(toy_lp(), steps=0, perturb_a=1e-6, perturb_b=0.0,
+                           perturb_c=0.0, seed=0, epsilon=1e-2)
+        assert report["rows"] == []
+        assert report["baseline_iterations"] > 0
 
     def test_fixed_omega_below_omega_min_used_as_given(self):
         base, seed, size, omega = soc_fixture(), 7, 1e-6, 0.5
@@ -572,6 +589,7 @@ class TestParser:
         assert args["check"].gamma == SolverParams.gamma
         assert (args["bench"].gamma, args["bench"].delta) \
             == (SolverParams.gamma, SolverParams.delta)
+        assert args["bench"].epsilon == BENCH_EPSILON
 
     def test_choices_are_the_solvers(self):
         sub = next(a for a in build_parser()._actions

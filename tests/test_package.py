@@ -1,6 +1,7 @@
 """The package's public surface and source hygiene."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -94,6 +95,24 @@ def test_no_unreferenced_private_definitions():
               for name, line in _definitions(path)
               if name not in (referenced if name.startswith("_") else public)]
     assert unused == []
+
+
+def test_every_solver_option_has_a_caller():
+    """Each SolverParams field is passed by keyword or read as an attribute
+    by a package module other than solver.py, so an option that only tests
+    set fails here."""
+    package = Path(socpath.__file__).parent
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "solver.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.keyword):
+                used.add(node.arg)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    fields = [f.name for f in dataclasses.fields(socpath.SolverParams)]
+    assert [name for name in fields if name not in used] == []
 
 
 # Public functions of the hot path that the acceptance suite and users call

@@ -1,4 +1,4 @@
-"""Problem container, validation report, residual evaluation."""
+"""Problem container, its checks, residual evaluation."""
 
 import numpy as np
 import pytest
@@ -33,50 +33,10 @@ def test_shape_mismatch_raises():
     bad_b = SocpProblem(A=np.ones((1, 2)), b=np.ones(2), c=np.ones(2), cones=spec)
     with pytest.raises(DimensionMismatch):
         bad_b.check_shapes()
-
-
-def test_validate_ok():
-    rep = sp.validate_problem(toy_lp())
-    assert rep.ok
-    assert rep.findings == []
-    assert rep.rank_estimate == 1
-
-
-def test_validate_rank_deficiency():
-    spec = ConeSpec(l=2, soc_dims=())
-    prob = SocpProblem(
-        A=np.array([[1.0, 1.0], [1.0, 1.0]]),
-        b=np.zeros(2),
-        c=np.zeros(2),
-        cones=spec,
-    )
-    rep = sp.validate_problem(prob)
-    assert not rep.ok
-    assert any(kind == "rank" for kind, _ in rep.findings)
-    assert rep.rank_estimate == 1
-
-
-def test_validate_dimension_finding():
-    spec = ConeSpec(l=3, soc_dims=())
-    prob = SocpProblem(A=np.ones((1, 2)), b=np.ones(1), c=np.ones(2), cones=spec)
-    rep = sp.validate_problem(prob)
-    assert not rep.ok
-    assert any(kind == "dimension" for kind, _ in rep.findings)
-
-
-def test_validate_reports_non_matrix_a():
-    spec = ConeSpec(l=2, soc_dims=())
-    prob = SocpProblem(A=np.ones((1, 2, 3)), b=np.ones(1), c=np.ones(2), cones=spec)
-    rep = sp.validate_problem(prob)
-    assert not rep.ok
-    assert rep.findings == [("dimension", "A must be a matrix")]
-
-
-def test_validate_wide_matrix():
-    spec = ConeSpec(l=2, soc_dims=())
-    prob = SocpProblem(A=np.ones((3, 2)), b=np.ones(3), c=np.ones(2), cones=spec)
-    rep = sp.validate_problem(prob)
-    assert not rep.ok
+    not_matrix = SocpProblem(A=np.ones((1, 2, 3)), b=np.ones(1), c=np.ones(2),
+                             cones=spec)
+    with pytest.raises(DimensionMismatch, match="^A must be a matrix$"):
+        not_matrix.check_shapes()
 
 
 def test_check_rows_refuses_dependent_rows():

@@ -230,18 +230,6 @@ def test_unified_count_refuses_an_overflowing_ratio():
         sp.solve(prob, start, params)
 
 
-def test_collect_directions():
-    prob = toy_lp()
-    params = SolverParams(epsilon=0.5, collect_directions=True)
-    res = sp.solve(prob, cold_point(prob), params)
-    assert res.directions is not None
-    assert len(res.directions) == res.iterations
-    pre, direction, m = res.directions[0]
-    assert isinstance(pre, HsdPoint)
-    assert direction.dx.shape == (2,)
-    assert m > 0
-
-
 def test_mixed_cone_exact_reduction_both_scalings():
     rng = np.random.default_rng(431)
     spec = sp.ConeSpec(l=2, soc_dims=(3, 2))
@@ -400,6 +388,20 @@ def test_dependent_rows_rejected_at_entry(monkeypatch):
     monkeypatch.setattr(sp.solver, "assemble", no_assembly)
     with pytest.raises(SingularSystem, match="rows of"):
         sp.solve(prob, cold_point(prob), SolverParams(epsilon=1e-2))
+
+
+def test_dependent_rows_of_a_alone_reach_a_certificate():
+    """Rows of A that are dependent while those of [A, -b] are not state
+    inconsistent equations: the embedding stays solvable and the solve
+    ends in a checked Farkas certificate rather than a refusal."""
+    prob = sp.SocpProblem(A=np.array([[1.0, 1.0], [1.0, 1.0]]),
+                          b=np.array([1.0, 2.0]), c=np.array([1.0, 0.0]),
+                          cones=sp.ConeSpec(l=2, soc_dims=()))
+    res = sp.solve(prob, cold_point(prob), SolverParams(epsilon=1e-2))
+    assert res.status.status == "primal_infeasible"
+    y = res.status.y
+    assert prob.b @ y > 0.0
+    assert np.all(-prob.A.T @ y >= 0.0)
 
 
 @pytest.mark.parametrize("scaling", ["identity", "nt"])
