@@ -20,12 +20,15 @@ the blocks: the tail norms take one stacked BLAS dot per tail length,
 bitwise np.linalg.norm (see tail_norms).  A Spectrum holds one vector's
 heads and tail norms; every spectral value, determinant, T_v and NT
 scaling of that vector reads them, so a caller that keeps the evaluation
-takes each tail norm once.
+takes each tail norm once.  T_v is computed only at the block-diagonal
+entries, whose positions the spec keeps (`block_pattern`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 from typing import Tuple
 
 import numpy as np
@@ -55,8 +58,8 @@ class ConeSpec:
     heads[block_of]), `e` (the unit element: 1.0 on the heads, 0.0 on the
     tails), `q` (the signs of the reflection Q = diag(1, -I): 1.0 on the
     heads, -1.0 on the tails) and `tail_groups` (per tail length L, its
-    blocks and a (count, L) index of their tails).  Every layer reads the
-    layout from here.
+    blocks and a (count, L) index of their tails), and on first use
+    `block_pattern`.  Every layer reads the layout from here.
     """
 
     l: int = 0
@@ -104,6 +107,23 @@ class ConeSpec:
     def __reduce__(self):
         # a pickled or copied spec is rebuilt, read-only layout included
         return ConeSpec, (self.l, self.soc_dims)
+
+    @cached_property
+    def block_pattern(self) -> SimpleNamespace:
+        """The entries (i, j) of an n x n matrix with i and j in one block:
+        flat positions `pos`, `i`, `j`, the `block` of each, those with a
+        head row or column (`at_head`) and their `other` index, the tail
+        diagonal `tail_diag` and the `sign` q_i q_j."""
+        blk, head = self.block_of, ~self.tail
+        i, j = np.nonzero(blk[:, None] == blk)
+        at_head = np.flatnonzero(head[i] | head[j])
+        pattern = SimpleNamespace(
+            pos=i * self.n + j, i=i, j=j, block=blk[i], at_head=at_head,
+            other=np.where(head[i], j, i)[at_head], sign=self.q[i] * self.q[j],
+            tail_diag=np.flatnonzero((i == j) & self.tail[i]))
+        for value in vars(pattern).values():
+            value.setflags(write=False)
+        return pattern
 
     def hat(self) -> "ConeSpec":
         """Spec with one extra trailing 1-dimensional block (for tau/kappa),
@@ -162,7 +182,8 @@ class Spectrum:
         self.hi = self.head + self.tail
 
     def interior(self) -> bool:
-        return bool(self.lo.min() > 0.0)
+        # the ufunc itself: ndarray.min calls through a Python wrapper
+        return bool(np.minimum.reduce(self.lo) > 0.0)
 
     def require_interior(self, what: str) -> "Spectrum":
         if not self.interior():
@@ -205,22 +226,24 @@ def membership(v, spec: ConeSpec, strict: bool = False) -> bool:
     return sv.interior() if strict else bool(np.all(sv.lo >= 0.0))
 
 
-def _t_dense(v: Spectrum) -> np.ndarray:
-    """Dense block-diagonal T_v of an interior v, per block
-    [[v_1, t'], [t, beta I + t t'/(beta + v_1)]] for the tail t: one
-    masked outer(v, v) with the head rows, the head columns and the tail
-    diagonal written in."""
-    spec = v.spec
-    blk = spec.block_of
+def _t_values(v: Spectrum) -> np.ndarray:
+    """T_v of an interior v at `spec.block_pattern`, per block [[v_1, t'],
+    [t, beta I + t t'/(beta + v_1)]] for the tail t: v_i v_j/(beta + v_1)
+    with the head rows and columns written in and beta added on the tail
+    diagonal."""
+    pat = v.spec.block_pattern
     beta = v.beta()
-    T = np.outer(v.v, v.v)
-    T /= (beta + v.head)[blk][:, None]
-    T[blk[:, None] != blk] = 0.0
-    idx = np.arange(spec.n)
-    T[spec.head_of, idx] = v.v
-    T[idx, spec.head_of] = v.v
-    tail = spec.tail_index
-    T[tail, tail] += beta[blk[tail]]
+    vals = v.v[pat.i] * v.v[pat.j]
+    vals /= (beta + v.head)[pat.block]
+    vals[pat.at_head] = v.v[pat.other]
+    vals[pat.tail_diag] += beta[pat.block[pat.tail_diag]]
+    return vals
+
+
+def _t_dense(v: Spectrum) -> np.ndarray:
+    """Dense block-diagonal T_v of an interior v."""
+    T = np.zeros((v.spec.n, v.spec.n))
+    T.flat[v.spec.block_pattern.pos] = _t_values(v)
     return T
 
 
@@ -260,8 +283,9 @@ class ScalingMatrix:
     Per block i, G_i preserves the reflection form (G_i' Q G_i = Q with
     Q = diag(1, -I)) and theta_i > 0 scales it; linear blocks carry
     G_i = 1.  A scaling holds read-only copies of its dense D, D^{-1} =
-    Theta G and k-vector of thetas.  `is_identity` marks the one built
-    by `identity`, whose products a caller may skip.
+    Theta G and k-vector of thetas (`nt_scaling` and `identity` hand it
+    fresh arrays to keep).  `is_identity` marks the one built by
+    `identity`, whose products a caller may skip.
     """
 
     is_identity = False
@@ -279,15 +303,20 @@ class ScalingMatrix:
             if M.shape != (spec.n, spec.n):
                 raise DimensionMismatch(
                     f"expected a {spec.n}x{spec.n} matrix, got {M.shape}")
+        self._adopt(spec, D, D_inv, thetas)
+
+    def _adopt(self, spec, D, D_inv, thetas) -> "ScalingMatrix":
+        """Keep the checked arrays, read-only and without a copy."""
+        for M in (D, D_inv, thetas):
             M.setflags(write=False)
-        thetas.setflags(write=False)
-        self.spec, self.thetas = spec, thetas
-        self._matrix, self._inverse = D, D_inv
+        self.spec, self.thetas, self._matrix, self._inverse = \
+            spec, thetas, D, D_inv
+        return self
 
     @classmethod
     def identity(cls, spec: ConeSpec) -> "ScalingMatrix":
         eye = np.eye(spec.n)
-        scaling = cls(spec, eye, eye, np.ones(spec.k))
+        scaling = cls.__new__(cls)._adopt(spec, eye, eye, np.ones(spec.k))
         scaling.is_identity = True
         return scaling
 
@@ -341,12 +370,10 @@ def nt_scaling_of(x: Spectrum, s: Spectrum) -> ScalingMatrix:
     w = (xt + spec.q * st) / (2.0 * gam)[blk]
     eta = np.sqrt(bx / bs)
     theta = 1.0 / eta
-    G = _t_dense(Spectrum(w, spec))
-    D = eta[blk][:, None] * G
-    # G = Q T_w Q: negate each head row and head column off the diagonal
-    tail = spec.tail_index
-    head_of = spec.head_of[tail]
-    G[head_of, tail] *= -1.0
-    G[tail, head_of] *= -1.0
-    return ScalingMatrix(spec, D, theta[blk][:, None] * G, theta)
-
+    pat = spec.block_pattern
+    T = _t_values(Spectrum(w, spec))
+    D, D_inv = np.zeros((spec.n, spec.n)), np.zeros((spec.n, spec.n))
+    D.flat[pat.pos] = eta[pat.block] * T
+    # D^{-1} = theta Q T_w Q: head rows and columns off the diagonal negated
+    D_inv.flat[pat.pos] = theta[pat.block] * (pat.sign * T)
+    return ScalingMatrix.__new__(ScalingMatrix)._adopt(spec, D, D_inv, theta)

@@ -20,24 +20,38 @@ from .errors import InvalidPoint
 from .problem import SocpProblem
 
 
-@dataclass
 class HsdPoint:
-    x: np.ndarray
-    y: np.ndarray
-    s: np.ndarray
-    kappa: float
-    tau: float
+    """A point (x, y, s, kappa, tau) of the embedding, held as one vector
+    `vec` in the hat layout [x, tau | y | s, kappa] of the Newton system:
+    x, y and s are views into vec, and tau and kappa properties over it.
+    The constructor copies its arguments, so a point never aliases them."""
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float).ravel()
-        self.y = np.asarray(self.y, dtype=float).ravel()
-        self.s = np.asarray(self.s, dtype=float).ravel()
-        self.kappa = float(self.kappa)
-        self.tau = float(self.tau)
+    __slots__ = ("vec", "x", "y", "s")
+
+    def __init__(self, x, y, s, kappa, tau):
+        x, y, s = (np.asarray(v, dtype=float).ravel() for v in (x, y, s))
+        self._view(np.concatenate((x, [float(tau)], y, s, [float(kappa)])),
+                   x.size, y.size)
+
+    def _view(self, vec: np.ndarray, n: int, p: int) -> "HsdPoint":
+        self.vec = vec
+        self.x, self.y, self.s = vec[:n], vec[n + 1:n + 1 + p], vec[n + 1 + p:-1]
+        return self
+
+    def over(self, vec: np.ndarray) -> "HsdPoint":
+        """The point of vec, kept without a copy, in this point's layout."""
+        return HsdPoint.__new__(HsdPoint)._view(vec, self.x.size, self.y.size)
 
     def copy(self) -> "HsdPoint":
-        return HsdPoint(self.x.copy(), self.y.copy(), self.s.copy(),
-                        self.kappa, self.tau)
+        return self.over(self.vec.copy())
+
+    def __reduce__(self):
+        return HsdPoint, (self.x, self.y, self.s, self.kappa, self.tau)
+
+    tau = property(lambda z: z.vec.item(z.x.size),
+                   lambda z, value: z.vec.put(z.x.size, value))
+    kappa = property(lambda z: z.vec.item(-1),
+                     lambda z, value: z.vec.put(z.vec.size - 1, value))
 
 
 @dataclass(frozen=True)
@@ -62,20 +76,22 @@ class Evaluation:
     """One evaluation of an HSD point z, which every reader of its
     interiority, mu and centrality shares.
 
-    It holds the Spectrum of x and of s and mu.  interior() asks for tau,
-    kappa > 0 and both spectra interior; within(params) is membership in
-    N_2(gamma) or N_inf(gamma), and a non-interior point is out.  The
-    scaled product point w = T_x s is taken once, on first use; d2 reads
-    w alone, and only dinf takes the spectral bounds of w, also once.
+    It holds the Spectrum of x and of s, tau, kappa and mu.  interior()
+    asks for tau, kappa > 0 and both spectra interior; within(params) is
+    membership in N_2(gamma) or N_inf(gamma), and a non-interior point is
+    out.  The scaled product point w = T_x s is taken once, on first use;
+    d2 reads w alone, and only dinf takes the spectral bounds of w, also
+    once.
     """
 
     def __init__(self, z: HsdPoint, spec: ConeSpec):
-        self.z = z
+        self.tau, self.kappa = z.tau, z.kappa
         self.x, self.s = Spectrum(z.x, spec), Spectrum(z.s, spec)
-        self.mu = float((self.x.v @ self.s.v + z.kappa * z.tau) / (spec.k + 1))
+        self.mu = float((self.x.v @ self.s.v + self.kappa * self.tau)
+                        / (spec.k + 1))
 
     def interior(self) -> bool:
-        return (self.z.tau > 0.0 and self.z.kappa > 0.0
+        return (self.tau > 0.0 and self.kappa > 0.0
                 and self.x.interior() and self.s.interior())
 
     @cached_property
@@ -85,7 +101,7 @@ class Evaluation:
 
     def d2(self) -> float:
         dev = self.w - self.mu * self.x.spec.e
-        extra = self.z.kappa * self.z.tau - self.mu
+        extra = self.kappa * self.tau - self.mu
         return math.sqrt(2.0) * math.sqrt(float(dev @ dev) + extra * extra)
 
     @cached_property
@@ -94,7 +110,7 @@ class Evaluation:
 
     def dinf(self) -> float:
         worst = float(np.max(np.abs(self.w_bounds - self.mu)))
-        return max(worst, abs(self.z.kappa * self.z.tau - self.mu))
+        return max(worst, abs(self.kappa * self.tau - self.mu))
 
     def within(self, params: NeighborhoodParams) -> bool:
         if not self.interior():

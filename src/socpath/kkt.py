@@ -35,13 +35,22 @@ eigenvalues.  In this form the entries stay moderate: the rank-one part
 of M is never formed, and the spread of D sits in A_hat Dh' and Dh c,
 with M near I under NT.
 
-A `KktWorkspace` holds what one solve keeps: A_hat, the matrix with
-A_hat, A_hat' and C_hat written once, a factor buffer, and the positions
-of the entries each step writes.  `solve_direction` writes the step's
-entries into a fresh copy of that matrix, factors it with LAPACK getrf,
-runs one refinement pass against the full three-row system in dxh =
-Dh' u and dsh = Dh^{-1} v, and reports that system's relative residual,
-which it computes without forming the system.
+A point and a direction are one vector each in the hat layout
+[x, tau | y | s, kappa] (see `HsdPoint`), so that xh and sh, and dxh and
+dsh, are its leading and trailing m entries, and core's unknowns
+(dxh, dy) its leading m+p.  A `KktWorkspace` holds what one solve keeps:
+A_hat, the matrix with A_hat, A_hat' and C_hat written once, a factor
+buffer, the positions of the entries each step writes, and scratch
+vectors that `solve_direction` writes over on each call: the reduced
+right-hand side, core's product, the three-row residual and the
+refinement step.  `solve_direction` writes the step's entries into a
+fresh copy of that matrix, factors it with LAPACK getrf, runs one
+refinement pass against the full three-row system in dxh = Dh' u and
+dsh = Dh^{-1} v, and reports that system's relative residual, which it
+computes without forming the system.  What a caller may keep owns its
+arrays: a point, a `KktSystem` (which may be solved again after other
+systems of its workspace) and a `NewtonDirection`; no scratch vector
+leaves `solve_direction`.
 """
 
 from __future__ import annotations
@@ -53,8 +62,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .cones import (ConeSpec, ScalingMatrix, check_vector, jordan, t_apply,
-                    t_inverse_apply, tail_norms)
+from .cones import (ConeSpec, ScalingMatrix, jordan, t_apply, t_inverse_apply,
+                    tail_norms)
 from .errors import DimensionMismatch, SingularSystem
 from .geometry import HsdPoint
 from .problem import Residuals, SocpProblem, compute_residuals
@@ -64,6 +73,10 @@ _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 @dataclass
 class NewtonDirection:
+    """A Newton direction, which owns its vector `vec` in the point layout
+    [dx, dtau | dy | ds, dkappa]; dx, dy and ds are views into it."""
+
+    vec: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
     ds: np.ndarray
@@ -80,10 +93,12 @@ class KktWorkspace:
     `base` is [[C_hat, A_hat', 0], [A_hat, 0, 0], [0, 0, 0]] of order
     N = n+1+p+q, in Fortran order for getrf, and `core` its leading block
     of order n+1+p; `matrix` is the buffer that each solve copies `base`
-    into and factors in place.  `pos` lists the flat
-    positions each step writes, in the order of `KktSystem.values`: the
-    g entries of the columns of w, the rho entries of its rows, its
-    diagonal, then E's diagonal and E's head column.
+    into and factors in place.  `pos` lists the flat positions each step
+    writes: the g entries of the columns of w, the rho entries of its
+    rows, its diagonal, then E's diagonal and E's head column; a step's
+    `values` are concatenate((g, rho, det, E's diagonal, E's head
+    column))[src] * sign.  `red` (whose w rows stay 0), `core_out`,
+    `residual` and `step` are the scratch vectors of `solve_direction`.
     """
 
     def __init__(self, problem: SocpProblem):
@@ -118,14 +133,18 @@ class KktWorkspace:
         # the unknown w of each entry's block; any index where g is 0
         w_col = np.cumsum(expanded) - 1 + m + p
         self.w_of = np.where(on, w_col[blk], 0)
-        self.zeros_w = np.zeros(N - m - p)
         ex, diag = np.flatnonzero(on), np.flatnonzero(self.on_diag)
-        ti = spec.tail_index
-        self.ex, self.diag, self.expanded = ex, diag, expanded
+        ti, k = spec.tail_index, spec.k
         self.pos = np.concatenate((
             ex + self.w_of[ex] * N, self.w_of[ex] + ex * N,
             w_col[expanded] * (N + 1), diag * (N + 1),
             ti + spec.head_of[ti] * N))
+        self.src = np.concatenate((ex, m + ex, 2 * m + np.flatnonzero(expanded),
+                                   2 * m + k + diag, 3 * m + k + ti))
+        self.sign = np.where(
+            (self.src < 2 * m) | (self.src >= 2 * m + k), -1.0, 1.0)
+        self.red, self.core_out = np.zeros(N), np.empty(m + p)
+        self.residual, self.step = np.empty(p + 2 * m), np.empty(p + 2 * m)
 
 
 @dataclass
@@ -143,8 +162,6 @@ class KktSystem:
 
     rhs: np.ndarray
     row_blocks: Dict[str, slice]
-    n: int
-    p: int
     work: KktWorkspace
     xb: np.ndarray
     sb: np.ndarray
@@ -163,22 +180,16 @@ class KktSystem:
     def matrix(self) -> np.ndarray:
         """The reduced matrix, written into a fresh copy of the
         workspace's base in its factor buffer."""
-        work, n, m = self.work, self.n, self.work.m
+        work, n, m, p = self.work, self.work.n, self.work.m, self.work.p
         K = work.matrix
-        np.copyto(K, work.base)
+        K[...] = work.base
         work._matrix_flat[work.pos] = self.values
         if self.dh is not None:
-            K[m:m + self.p, :m] = self.ad
-            K[:m, m:m + self.p] = self.ad.T
+            K[m:m + p, :m] = self.ad
+            K[:m, m:m + p] = self.ad.T
             K[:n, n] = -self.dc
             K[n, :n] = self.dc
         return K
-
-    def xinv(self, r: np.ndarray) -> np.ndarray:
-        """Xb^{-1} r."""
-        work, hat = self.work, self.work.spec
-        dot = np.add.reduceat(self.xq * r, hat.heads) / self.det
-        return (self.xq * dot[hat.block_of] + work.tail * r) / self.a
 
 
 def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
@@ -191,19 +202,20 @@ def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
     if D.spec.n != problem.cones.n:
         raise DimensionMismatch("scaling and problem cones disagree")
     work = KktWorkspace(problem) if work is None else work
-    n, m = work.n, work.m
-    xh, sh = np.empty(m), np.empty(m)
-    xh[:n] = check_vector(z.x, problem.cones)
-    sh[:n] = check_vector(z.s, problem.cones)
-    xh[n], sh[n] = z.tau, z.kappa
+    n, m, p = work.n, work.m, work.p
+    if z.x.shape != (n,) or z.s.shape != (n,) or z.y.shape != (p,):
+        raise DimensionMismatch(
+            f"expected a point with x and s of length {n} and y of length "
+            f"{p}, got {z.x.size}, {z.s.size} and {z.y.size}")
     dh = dh_inv = ad = dc = None
     if D.is_identity:
-        xb, sb = xh, sh
+        zv = z.vec.copy()
+        xb, sb = zv[:m], zv[m + p:]
     else:
         dh, dh_inv = work.eye.copy(), work.eye.copy()
         dh[:n, :n] = D.matrix()
         dh_inv[:n, :n] = D.inverse_matrix()
-        xb, sb = dh_inv.T @ xh, dh @ sh
+        xb, sb = dh_inv.T @ z.vec[:m], dh @ z.vec[m + p:]
         ad, dc = work.A_hat @ dh.T, dh[:n, :n] @ work.c
     hat = work.spec
     head = xb[hat.heads]
@@ -215,13 +227,14 @@ def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
     rho = jordan(sb, xq, hat)
     e_diag = work.on_diag * sb[hat.head_of] / a
     e_head = work.tail * sb / a
-    values = np.concatenate((-g[work.ex], -rho[work.ex], det[work.expanded],
-                             -e_diag[work.diag], -e_head[hat.tail_index]))
+    # one gather; the product with -1.0 is an exact negation
+    values = np.concatenate((g, rho, det, e_diag, e_head))[work.src] * work.sign
     res = compute_residuals(problem, z) if res is None else res
-    r12 = np.concatenate((res.r_p, res.r_d, (-res.r_g,)))
-    rhs = np.concatenate((-(1.0 - nu) * r12,
-                          nu * mu * hat.e - jordan(xb, sb, hat)))
-    return KktSystem(rhs, work.row_blocks, n, work.p, work, xb, sb, xq, a,
+    rhs = np.empty(p + 2 * m)
+    rhs[:p], rhs[p:p + n], rhs[p + n] = res.r_p, res.r_d, -res.r_g
+    rhs[:p + m] *= -(1.0 - nu)
+    np.subtract(nu * mu * hat.e, jordan(xb, sb, hat), out=rhs[p + m:])
+    return KktSystem(rhs, work.row_blocks, work, xb, sb, xq, a,
                      det, g, e_diag, e_head, values, dh, dh_inv, ad, dc)
 
 
@@ -236,70 +249,79 @@ def solve_dense(K: np.ndarray, rhs: np.ndarray
     return u, (lu, piv)
 
 
-def _reduced_rhs(sys: KktSystem, r: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Xb^{-1} r3 and the reduced right-hand side of the three-row r."""
-    primal, dual, comp = sys.row_blocks.values()
-    f3 = sys.xinv(r[comp])
-    top = r[dual] if sys.dh is None else sys.dh @ r[dual]
-    return f3, np.concatenate((top - f3, r[primal], sys.work.zeros_w))
+def _reduced_rhs(sys: KktSystem, r: np.ndarray) -> np.ndarray:
+    """f3 = Xb^{-1} r3 of the three-row r; writes r's reduced right-hand
+    side into the workspace's `red`."""
+    work, hat, m, p = sys.work, sys.work.spec, sys.work.m, sys.work.p
+    r3 = r[p + m:]
+    dot = np.add.reduceat(sys.xq * r3, hat.heads) / sys.det
+    f3 = (sys.xq * dot[hat.block_of] + work.tail * r3) / sys.a
+    top = r[p:p + m] if sys.dh is None else sys.dh @ r[p:p + m]
+    np.subtract(top, f3, out=work.red[:m])
+    work.red[m:m + p] = r[:p]
+    return f3
 
 
-def _recover(sys: KktSystem, u: np.ndarray, f3: np.ndarray
-             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dxh, dy, dsh) from the reduced solution u = (Dh^{-T} dxh, dy, w)."""
-    work, m = sys.work, sys.work.m
+def _recover(sys: KktSystem, u: np.ndarray, f3: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+    """(dxh, dy, dsh) from the reduced solution u = (Dh^{-T} dxh, dy, w),
+    written into out in the point layout."""
+    work, m, p = sys.work, sys.work.m, sys.work.p
     ub = u[:m]
     vb = f3 - (sys.g * u[work.w_of] + sys.e_diag * ub
                + sys.e_head * ub[work.spec.head_of])
-    dy = u[m:m + sys.p]
     if sys.dh is None:
-        return ub, dy, vb
-    return sys.dh.T @ ub, dy, sys.dh_inv @ vb
+        out[:m + p], out[m + p:] = u[:m + p], vb
+    else:
+        np.matmul(sys.dh.T, ub, out=out[:m])
+        out[m:m + p] = u[m:m + p]
+        np.matmul(sys.dh_inv, vb, out=out[m + p:])
+    return out
 
 
-def _residual(sys: KktSystem, dxh: np.ndarray, dy: np.ndarray,
-              dsh: np.ndarray) -> np.ndarray:
-    """The full three-row residual rhs - M (dxh, dy, dsh), matrix-free:
-    A_hat dxh, C_hat dxh + A_hat' dy + dsh, sb o (Dh^{-T} dxh) + xb o (Dh dsh)."""
-    work, m = sys.work, sys.work.m
-    v = work.core @ np.concatenate((dxh, dy))
-    dxb, dsb = dxh, dsh
+def _residual(sys: KktSystem, d: np.ndarray) -> np.ndarray:
+    """The full three-row residual rhs - M d of a direction d in the point
+    layout, matrix-free and in the workspace's `residual`: A_hat dxh,
+    C_hat dxh + A_hat' dy + dsh, sb o (Dh^{-T} dxh) + xb o (Dh dsh)."""
+    work, m, p = sys.work, sys.work.m, sys.work.p
+    v = np.matmul(work.core, d[:m + p], out=work.core_out)
+    dxb, dsh = d[:m], d[m + p:]
+    dsb = dsh
     if sys.dh is not None:
-        dxb, dsb = sys.dh_inv.T @ dxh, sys.dh @ dsh
-    comp = jordan(sys.sb, dxb, work.spec) + jordan(sys.xb, dsb, work.spec)
-    return sys.rhs - np.concatenate((v[m:], v[:m] + dsh, comp))
+        dxb, dsb = sys.dh_inv.T @ dxb, sys.dh @ dsh
+    e, rhs = work.residual, sys.rhs
+    np.subtract(rhs[:p], v[m:], out=e[:p])
+    np.subtract(rhs[p:p + m], v[:m] + dsh, out=e[p:p + m])
+    np.subtract(rhs[p + m:], jordan(sys.sb, dxb, work.spec)
+                + jordan(sys.xb, dsb, work.spec), out=e[p + m:])
+    return e
 
 
 def solve_direction(sys: KktSystem) -> NewtonDirection:
     """Factor the reduced system, solve, and refine once against the full
     system.  An exactly zero pivot or a non-finite residual raises
     SingularSystem."""
-    f3, red = _reduced_rhs(sys, sys.rhs)
-    u, factors = solve_dense(sys.matrix(), red)
-    step = _recover(sys, u, f3)
-    f3, red = _reduced_rhs(sys, _residual(sys, *step))
-    du, _ = _getrs(*factors, red)
-    step = tuple(s + d for s, d in zip(step, _recover(sys, du, f3)))
-    e = _residual(sys, *step)
-    rel = math.sqrt(e @ e) / (1.0 + float(np.linalg.norm(sys.rhs)))
+    work, n, m, p = sys.work, sys.work.n, sys.work.m, sys.work.p
+    f3 = _reduced_rhs(sys, sys.rhs)
+    u, factors = solve_dense(sys.matrix(), work.red)
+    d = _recover(sys, u, f3, np.empty(p + 2 * m))
+    f3 = _reduced_rhs(sys, _residual(sys, d))
+    du, _ = _getrs(*factors, work.red)
+    d += _recover(sys, du, f3, work.step)
+    e = _residual(sys, d)
+    rel = math.sqrt(e @ e) / (1.0 + math.sqrt(sys.rhs.dot(sys.rhs)))
     if not math.isfinite(rel):
         raise SingularSystem("the Newton direction is not finite")
-    dxh, dy, dsh = step
-    n = sys.n
-    return NewtonDirection(dx=dxh[:n], dy=dy, ds=dsh[:n],
-                           dkappa=float(dsh[n]), dtau=float(dxh[n]),
+    return NewtonDirection(d, d[:n], d[m:m + p], d[m + p:-1],
+                           dkappa=d.item(-1), dtau=d.item(n),
                            system_residual=rel,
-                           orthogonality_defect=abs(float(dxh @ dsh)))
+                           orthogonality_defect=abs(float(d[:m] @ d[m + p:])))
 
 
 def step_point(z: HsdPoint, direction: NewtonDirection,
                alpha: float = 1.0) -> HsdPoint:
-    return HsdPoint(z.x + alpha * direction.dx,
-                    z.y + alpha * direction.dy,
-                    z.s + alpha * direction.ds,
-                    kappa=z.kappa + alpha * direction.dkappa,
-                    tau=z.tau + alpha * direction.dtau)
+    """The fresh point z + alpha d."""
+    return z.over(z.vec + alpha * direction.vec)
 
 
 def centering_nu(delta: float, k: int) -> float:
@@ -321,10 +343,9 @@ def scaled_increment_diagnostics(z: HsdPoint, direction: NewtonDirection,
 
     Meaningful for directions computed with the identity scaling.
     """
-    hat_spec = spec.hat()
-    x_hat = np.r_[z.x, z.tau]
-    dx_hat = np.r_[direction.dx, direction.dtau]
-    ds_hat = np.r_[direction.ds, direction.dkappa]
+    hat_spec, m = spec.hat(), spec.n + 1
+    x_hat, dx_hat = z.vec[:m], direction.vec[:m]
+    ds_hat = direction.vec[-m:]
     nx = float(np.linalg.norm(t_inverse_apply(x_hat, dx_hat, hat_spec)))
     ns = float(np.linalg.norm(t_apply(x_hat, ds_hat, hat_spec)))
     return nx, ns, increment_bound(gamma, delta, spec.k)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,21 +104,33 @@ class Residuals:
         self.r_p = np.asarray(self.r_p, dtype=float)
         self.r_d = np.asarray(self.r_d, dtype=float)
         self.r_g = float(self.r_g)
-        self.rp_norm = float(np.linalg.norm(self.r_p))
-        self.rd_norm = float(np.linalg.norm(self.r_d))
+        # np.linalg.norm's operations, sqrt(v.v), without its call overhead
+        self.rp_norm = math.sqrt(self.r_p.dot(self.r_p))
+        self.rd_norm = math.sqrt(self.r_d.dot(self.r_d))
         self.rg_abs = abs(self.r_g)
 
 
-def compute_residuals(problem: SocpProblem, z) -> Residuals:
-    """Residuals of the embedding at an HSD point z = (x, y, s, kappa, tau)."""
-    problem.check_shapes()
-    x = check_vector(z.x, problem.cones)
-    s = check_vector(z.s, problem.cones)
-    y = np.asarray(z.y, dtype=float).ravel()
-    if y.shape != (problem.p,):
-        raise DimensionMismatch(f"y has length {y.shape[0]}, expected {problem.p}")
-    r_p = problem.A @ x - z.tau * problem.b
-    r_d = problem.A.T @ y + s - z.tau * problem.c
-    r_g = float(problem.b @ y - problem.c @ x - z.kappa)
-    return Residuals(r_p, r_d, r_g)
+def compute_residuals(problem: SocpProblem, z, out=None) -> Residuals:
+    """Residuals of the embedding at an HSD point z = (x, y, s, kappa, tau).
 
+    Without `out` the data's and the point's shapes are checked first.
+    `solve`, which checked them at entry, hands in one buffer `out` of
+    length p + n for all its iterates; r_p and r_d are views into it.
+    """
+    x, y, s, tau = z.x, z.y, z.s, z.tau
+    if out is None:
+        problem.check_shapes()
+        x, s = check_vector(x, problem.cones), check_vector(s, problem.cones)
+        y = np.asarray(y, dtype=float).ravel()
+        if y.shape != (problem.p,):
+            raise DimensionMismatch(
+                f"y has length {y.shape[0]}, expected {problem.p}")
+        out = np.empty(problem.p + problem.n)
+    A, b, c = problem.A, problem.b, problem.c
+    r_p, r_d = out[:b.size], out[b.size:]
+    np.matmul(A, x, out=r_p)
+    r_p -= tau * b
+    np.matmul(A.T, y, out=r_d)
+    r_d += s
+    r_d -= tau * c
+    return Residuals(r_p, r_d, b @ y - c @ x - z.kappa)

@@ -185,6 +185,8 @@ def solve(problem: SocpProblem, start: HsdPoint,
         if params.trace_enabled else None
     identity = ScalingMatrix.identity(spec)
     work = KktWorkspace(problem)
+    # every iterate's residuals, written over; the shapes were checked above
+    res_out = np.empty(problem.p + spec.n)
     iters = 0
     while not _stopped(params, res, ev.mu, start_norms):
         if iters >= max_iter:
@@ -198,10 +200,10 @@ def solve(problem: SocpProblem, start: HsdPoint,
         ev = Evaluation(z, spec)
         if not ev.interior():
             raise NotInterior(
-                f"iteration {iters} left the interior: tau={z.tau:.3e}, "
-                f"kappa={z.kappa:.3e}, lambda_min(x)={ev.x.lo.min():.3e}, "
+                f"iteration {iters} left the interior: tau={ev.tau:.3e}, "
+                f"kappa={ev.kappa:.3e}, lambda_min(x)={ev.x.lo.min():.3e}, "
                 f"lambda_min(s)={ev.s.lo.min():.3e}")
-        res = compute_residuals(problem, z)
+        res = compute_residuals(problem, z, res_out)
         if trace is not None:
             dist2 = ev.d2()
             if dist2 > params.gamma * ev.mu:
@@ -209,7 +211,7 @@ def solve(problem: SocpProblem, start: HsdPoint,
             trace.rows.append(TraceRow(
                 iteration=iters, mu=ev.mu, d2=dist2, dinf=ev.dinf(),
                 rp_norm=res.rp_norm, rd_norm=res.rd_norm,
-                rg_abs=res.rg_abs, tau=z.tau, kappa=z.kappa,
+                rg_abs=res.rg_abs, tau=ev.tau, kappa=ev.kappa,
                 lambda_min_x=float(ev.x.lo.min()),
                 lambda_min_s=float(ev.s.lo.min()),
                 orth_defect=direction.orthogonality_defect,

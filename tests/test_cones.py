@@ -621,3 +621,47 @@ def test_scaling_leaves_caller_arrays_writable():
     assert not scaling.inverse_matrix().flags.writeable
     with pytest.raises(ValueError):
         scaling.matrix()[0, 0] = 4.0
+
+
+def _t_masked_outer(v):
+    """Dense T_v of an evaluated interior v as one masked outer(v, v) with
+    the head rows, head columns and tail diagonal written in: the form
+    that `_t_values` computes only at the block-diagonal entries."""
+    spec, blk = v.spec, v.spec.block_of
+    beta = v.beta()
+    T = np.outer(v.v, v.v)
+    T /= (beta + v.head)[blk][:, None]
+    T[blk[:, None] != blk] = 0.0
+    idx = np.arange(spec.n)
+    T[spec.head_of, idx] = v.v
+    T[idx, spec.head_of] = v.v
+    tail = spec.tail_index
+    T[tail, tail] += beta[blk[tail]]
+    return T
+
+
+def test_block_pattern_holds_the_block_diagonal():
+    """The pattern lists each block's d x d entries once, row by row, and
+    is kept read-only on the spec; a pickled spec rebuilds it."""
+    spec = ConeSpec(4, (3,) * 12)
+    pattern = spec.block_pattern
+    assert spec.block_pattern is pattern
+    assert pattern.pos.size == 112 and spec.n ** 2 == 1600
+    dense = np.zeros((spec.n, spec.n), dtype=bool)
+    for o, d in spec.blocks:
+        dense[o:o + d, o:o + d] = True
+    assert np.array_equal(pattern.pos, np.flatnonzero(dense))
+    assert not any(a.flags.writeable for a in vars(pattern).values())
+    twin = pickle.loads(pickle.dumps(spec))
+    assert np.array_equal(twin.block_pattern.pos, pattern.pos)
+
+
+def test_t_values_equal_masked_outer_bitwise():
+    rng = np.random.default_rng(131)
+    for spec in mixed_specs(rng, 150):
+        sv = sp.cones.Spectrum(interior_vector(spec, rng), spec)
+        T = np.zeros((spec.n, spec.n))
+        T.flat[spec.block_pattern.pos] = sp.cones._t_values(sv)
+        assert T.tobytes() == _t_masked_outer(sv).tobytes()
+        assert sp.cones._t_dense(sv).tobytes() == T.tobytes()
+

@@ -187,3 +187,56 @@ class TestClassify:
         z = HsdPoint(x=np.zeros(2), y=np.zeros(1), s=np.zeros(2), kappa=0.0, tau=0.0)
         with pytest.raises(InvalidPoint):
             sp.classify_status(z, prob, 1e-6)
+
+
+def _flat_point():
+    x, y, s = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0]), np.ones(3)
+    return HsdPoint(x, y, s, kappa=0.5, tau=0.25), (x, y, s)
+
+
+def test_point_is_one_vector_in_the_hat_layout():
+    z, _ = _flat_point()
+    assert z.vec.tolist() == [1.0, 2.0, 3.0, 0.25, 4.0, 5.0, 1.0, 1.0, 1.0, 0.5]
+    for part in (z.x, z.y, z.s):
+        assert np.shares_memory(part, z.vec)
+    assert (z.tau, z.kappa) == (0.25, 0.5)
+    assert type(z.tau) is float and type(z.kappa) is float
+
+
+def test_point_writes_reach_its_vector():
+    z, _ = _flat_point()
+    z.tau, z.kappa = -1.0, 7.0
+    z.x[0], z.y[1], z.s[2] = -1.0, -2.0, -3.0
+    assert z.vec.tolist() == [-1.0, 2.0, 3.0, -1.0, 4.0, -2.0, 1.0, 1.0, -3.0, 7.0]
+    assert (z.tau, z.kappa) == (-1.0, 7.0)
+
+
+def test_point_never_aliases_its_arguments():
+    z, (x, y, s) = _flat_point()
+    for given, held in ((x, z.x), (y, z.y), (s, z.s)):
+        assert not np.shares_memory(given, z.vec)
+        given[0] = 99.0
+        assert held[0] != 99.0
+    z.x[1] = -5.0
+    assert x[1] == 2.0
+
+
+def test_point_copy_and_pickle_round_trip():
+    import pickle
+    z, _ = _flat_point()
+    for twin in (z.copy(), pickle.loads(pickle.dumps(z))):
+        assert twin.vec.tobytes() == z.vec.tobytes()
+        assert not np.shares_memory(twin.vec, z.vec)
+        for part in (twin.x, twin.y, twin.s):
+            assert np.shares_memory(part, twin.vec)
+        twin.tau = 3.0
+        assert (twin.vec[3], z.tau) == (3.0, 0.25)
+
+
+def test_point_over_keeps_the_vector():
+    z, _ = _flat_point()
+    vec = 2.0 * z.vec
+    w = z.over(vec)
+    assert w.vec is vec
+    assert (w.x.tolist(), w.y.tolist(), w.tau, w.kappa) == \
+        ([2.0, 4.0, 6.0], [8.0, 10.0], 0.5, 1.0)

@@ -255,3 +255,45 @@ def test_scaled_increment_diagnostics_on_toy_lp():
     nx, ns, bound = sp.scaled_increment_diagnostics(z, d, spec, GAMMA, DELTA)
     assert nx <= bound / 2.0
     assert ns <= bound * m
+
+
+@pytest.mark.parametrize("scaling", ["identity", "nt"])
+def test_direction_owns_its_vector(scaling):
+    """A direction is one vector in the point layout, which no other
+    direction and no scratch vector of the workspace shares, and the step
+    along it is a fresh point."""
+    rng = np.random.default_rng(359)
+    spec, prob, z, m, nu = _setup(rng)
+    work = KktWorkspace(prob)
+    system = sp.assemble(prob, z, _pick_scaling(scaling, z, spec, rng), nu, m,
+                         work)
+    first, second = sp.solve_direction(system), sp.solve_direction(system)
+    assert not np.shares_memory(first.vec, second.vec)
+    for scratch in (work.red, work.core_out, work.residual, work.step,
+                    work.matrix):
+        assert not np.shares_memory(first.vec, scratch)
+    n = spec.n
+    assert first.vec.tolist() == [*first.dx, first.dtau, *first.dy,
+                                  *first.ds, first.dkappa]
+    for part in (first.dx, first.dy, first.ds):
+        assert np.shares_memory(part, first.vec)
+    stepped = sp.step_point(z, first, 1.0)
+    for held in (z.vec, first.vec, system.rhs):
+        assert not np.shares_memory(stepped.vec, held)
+    assert stepped.vec.tobytes() == (z.vec + first.vec).tobytes()
+    assert (stepped.x.size, stepped.y.size) == (n, prob.p)
+
+
+def test_step_point_equals_the_five_separate_steps_bitwise():
+    rng = np.random.default_rng(367)
+    for _ in range(10):
+        spec, prob, z, m, nu = _setup(rng)
+        d = sp.solve_direction(
+            sp.assemble(prob, z, ScalingMatrix.identity(spec), nu, m))
+        for alpha in (1.0, 0.37):
+            stepped = sp.step_point(z, d, alpha)
+            for got, base, inc in ((stepped.x, z.x, d.dx), (stepped.y, z.y, d.dy),
+                                   (stepped.s, z.s, d.ds)):
+                assert got.tobytes() == (base + alpha * inc).tobytes()
+            assert stepped.tau == z.tau + alpha * d.dtau
+            assert stepped.kappa == z.kappa + alpha * d.dkappa

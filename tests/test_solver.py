@@ -427,3 +427,55 @@ def test_tight_epsilon_keeps_the_law(seed, scaling):
             assert abs(value / prev - nu) <= 1e-9 + 1e-15 * start / prev
             prev = value
     assert max(row.kkt_residual for row in tr.rows) <= 1e-9
+
+
+def test_shape_checks_do_not_grow_with_iterations(monkeypatch):
+    """solve checks the data's shapes at entry; the loop's residuals,
+    written into one buffer, check nothing per iterate."""
+    calls = count_calls(monkeypatch, sp.SocpProblem, "check_shapes")
+    prob = toy_lp()
+    counts = []
+    for eps in (1e-2, 1e-4):
+        calls.clear()
+        res = sp.solve(prob, cold_point(prob), SolverParams(epsilon=eps))
+        counts.append((len(calls), res.iterations))
+    assert counts[0][1] < counts[1][1]
+    assert counts[0][0] == counts[1][0]
+
+
+def _socpath_calls(prob, params):
+    """Calls into functions of socpath modules during one solve, by
+    sys.setprofile, with the solve's iteration count."""
+    import sys
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and \
+                frame.f_globals.get("__name__", "").startswith("socpath."):
+            calls.append(None)
+    start = cold_point(prob)
+    sys.setprofile(profile)
+    try:
+        res = sp.solve(prob, start, params)
+    finally:
+        sys.setprofile(None)
+    return len(calls), res.iterations
+
+
+@pytest.mark.parametrize("scaling, trace_enabled, ceiling", [
+    ("identity", False, 42), ("identity", True, 55),
+    ("nt", False, 53), ("nt", True, 66)])
+def test_socpath_calls_per_iteration(scaling, trace_enabled, ceiling):
+    """A regression guard on the per-step work in Python: the calls into
+    socpath functions that each iteration adds, from two solves of the
+    same problem that differ only in their iteration count.  numpy's own
+    Python frames are not counted, so the figure does not depend on its
+    version.  (The layout before the flat iterate took 48, 61, 59, 72.)"""
+    rng = np.random.default_rng(439)
+    prob = feasible_problem(sp.ConeSpec(l=2, soc_dims=(3, 3)), 2, rng)
+    (c1, i1), (c2, i2) = (
+        _socpath_calls(prob, SolverParams(epsilon=eps, scaling=scaling,
+                                          trace_enabled=trace_enabled))
+        for eps in (1e-2, 1e-4))
+    assert i1 < i2
+    assert (c2 - c1) / (i2 - i1) <= ceiling
