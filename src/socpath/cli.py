@@ -44,7 +44,6 @@ def _load_problem(path: str) -> SocpProblem:
 def _solver_params(args, trace: bool) -> SolverParams:
     return SolverParams(gamma=args.gamma, delta=args.delta,
                         epsilon=args.epsilon, scaling=args.scaling,
-                        max_iterations=args.max_iter,
                         stop_mode=args.stop_mode, trace_enabled=trace)
 
 
@@ -95,13 +94,9 @@ def cmd_warmstart(args) -> int:
                     _omega_policy(args.omega))
     warm = solve(new_problem, ws.start, params)
     Path(args.output).write_text(write_solution(new_problem, warm, params))
-    # the cold count: the warm solve itself at omega 0, a measured solve
-    # for the report, else the closed form that a cold solve meets exactly
-    cold = warm.iterations
-    if ws.omega > 0.0:
-        start = cold_start(new_problem.cones, p=new_problem.p)
-        cold = solve(new_problem, start, params).iterations if args.report \
-            else predicted_iterations(start, new_problem, params)
+    # the closed form, which every solve runs exactly, so no cold solve
+    cold = predicted_iterations(cold_start(new_problem.cones, p=new_problem.p),
+                                new_problem, params)
     if args.report:
         diag = ws.diagnostics.at_omega(ws.omega) if ws.omega > 0.0 \
             else ws.diagnostics
@@ -177,8 +172,6 @@ def _solver_flags(parser: argparse.ArgumentParser, stop_mode: str) -> None:
     parser.add_argument("--epsilon", type=float, default=SolverParams.epsilon)
     parser.add_argument("--scaling", choices=SCALINGS,
                         default=SolverParams.scaling)
-    parser.add_argument("--max-iter", type=int,
-                        default=SolverParams.max_iterations)
     parser.add_argument("--stop-mode", choices=STOP_MODES, default=stop_mode)
 
 

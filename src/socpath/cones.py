@@ -18,9 +18,9 @@ unit element e and the tail index, so that no per-step caller re-derives
 them; unit_element hands out a writable copy of e.  Nothing loops over
 the blocks: the tail norms take one stacked BLAS dot per tail length,
 bitwise np.linalg.norm (see tail_norms).  A Spectrum holds one vector's
-heads and tail norms; every spectral value, determinant, T_v and NT
-scaling of that vector reads them, so a caller that keeps the evaluation
-takes each tail norm once.  T_v is computed only at the block-diagonal
+heads, tail norms and smaller spectral values; the larger spectral values,
+determinant, T_v and NT scaling of that vector read them, so a caller
+that keeps the evaluation takes each tail norm once.  T_v is computed only at the block-diagonal
 entries, whose positions the spec keeps (`block_pattern`).
 """
 
@@ -167,11 +167,12 @@ def tail_norms(v: np.ndarray, spec: ConeSpec) -> np.ndarray:
 class Spectrum:
     """One evaluation of a vector v over the block layout of spec.
 
-    Per block: `head` v_1, `tail` ||v_{2:}|| and the spectral values
-    `lo` = v_1 - ||v_{2:}|| and `hi` = v_1 + ||v_{2:}||.
+    Per block: `head` v_1, `tail` ||v_{2:}|| and the smaller spectral
+    value `lo` = v_1 - ||v_{2:}||.  The larger one, head + tail, is taken
+    where it is read.
     """
 
-    __slots__ = ("spec", "v", "head", "tail", "lo", "hi")
+    __slots__ = ("spec", "v", "head", "tail", "lo")
 
     def __init__(self, v, spec: ConeSpec):
         self.spec = spec
@@ -179,7 +180,6 @@ class Spectrum:
         self.head = self.v[spec.heads]
         self.tail = tail_norms(self.v, spec)
         self.lo = self.head - self.tail
-        self.hi = self.head + self.tail
 
     def interior(self) -> bool:
         # the ufunc itself: ndarray.min calls through a Python wrapper
@@ -193,7 +193,7 @@ class Spectrum:
     def beta(self) -> np.ndarray:
         """sqrt(det v) per block; the factored det (v_1 - t)(v_1 + t)
         avoids cancellation near the boundary."""
-        return np.sqrt(self.lo * self.hi)
+        return np.sqrt(self.lo * (self.head + self.tail))
 
 
 def unit_element(spec: ConeSpec) -> np.ndarray:
@@ -217,7 +217,7 @@ def jordan_product(u, v, spec: ConeSpec) -> np.ndarray:
 def spectral_bounds(v, spec: ConeSpec) -> np.ndarray:
     """Per-block spectral values, shape (k, 2): columns (lambda_min, lambda_max)."""
     sv = Spectrum(v, spec)
-    return np.column_stack((sv.lo, sv.hi))
+    return np.column_stack((sv.lo, sv.head + sv.tail))
 
 
 def membership(v, spec: ConeSpec, strict: bool = False) -> bool:
@@ -274,7 +274,7 @@ def t_inverse_apply(v, u, spec: ConeSpec) -> np.ndarray:
     u = check_vector(u, spec)
     sv = Spectrum(v, spec).require_interior("scaling point of t_inverse_apply")
     w = t_apply_of(sv, spec.q * u)
-    return w / (spec.q * (sv.lo * sv.hi)[spec.block_of])
+    return w / (spec.q * (sv.lo * (sv.head + sv.tail))[spec.block_of])
 
 
 class ScalingMatrix:

@@ -30,7 +30,7 @@ class StartOutsideNeighborhood(SocpathError, ValueError):
 
 
 class MaxIterationsExceeded(SocpathError, RuntimeError):
-    """Safety cap on iterations was hit before the stopping criterion."""
+    """The stop criterion does not hold after the closed-form step count."""
 
 
 class ConeSpecMismatch(SocpathError, ValueError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -117,12 +117,9 @@ def parse_problem(text: str) -> SocpProblem:
 
 def write_problem(problem: SocpProblem) -> str:
     problem.check_shapes()
-    triplets: List[list] = []
-    for i in range(problem.p):
-        for j in range(problem.n):
-            v = problem.A[i, j]
-            if v != 0.0:
-                triplets.append([i, j, float(v)])
+    rows, cols = np.nonzero(problem.A)
+    triplets = [[int(i), int(j), float(v)]
+                for i, j, v in zip(rows, cols, problem.A[rows, cols])]
     doc = {
         "name": problem.name,
         "cones": {"l": problem.cones.l, "q": list(problem.cones.soc_dims)},

@@ -3,7 +3,9 @@
 The centering parameter nu = 1 - delta/sqrt(2(k+1)) is fixed before the
 loop and every step is a full Newton step, so mu and both residual norms
 contract by exactly nu per iteration and the iteration count is known in
-closed form before solving.
+closed form before solving.  The loop runs exactly that count and checks
+the stop criterion once, after its last step; a run that does not meet it
+there has broken the contraction law and raises MaxIterationsExceeded.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class SolverParams:
     delta: float = 0.03
     epsilon: float = 1e-6
     scaling: str = "identity"
-    max_iterations: Optional[int] = None
     trace_enabled: bool = True
     stop_mode: str = "relative"
 
@@ -54,8 +55,6 @@ class SolverParams:
                 raise InvalidParams("epsilon must lie in (0,1)")
         elif not (0.0 < self.epsilon < math.inf):
             raise InvalidParams("epsilon must be positive and finite")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise InvalidParams("max_iterations must be positive")
 
 
 @dataclass
@@ -148,15 +147,17 @@ def _stopped(params: SolverParams, res, m: float, start) -> bool:
 @one_blas_thread()
 def solve(problem: SocpProblem, start: HsdPoint,
           params: SolverParams) -> SolveResult:
-    """Run the fixed-step loop from `start` until the stop criterion holds.
+    """Run the closed-form count of full steps from `start`.
 
     The start must lie in N_2(gamma), strictly interior included, or
     StartOutsideNeighborhood is raised.  Every later iterate must stay
     strictly interior (tau, kappa > 0 and x, s inside the cone); one that
-    leaves raises NotInterior naming its iteration.  Data whose [A, -b]
-    has dependent rows is refused at entry (`SocpProblem.check_rows`).
-    The solve runs on one BLAS thread, so that its bytes do not depend on
-    the machine's thread count.
+    leaves raises NotInterior naming its iteration.  The stop criterion is
+    checked once, after the last step; if it does not hold there,
+    MaxIterationsExceeded is raised.  Data whose [A, -b] has dependent
+    rows is refused at entry (`SocpProblem.check_rows`).  The solve runs
+    on one BLAS thread, so that its bytes do not depend on the machine's
+    thread count.
     """
     problem.check_shapes()
     problem.check_finite()
@@ -178,25 +179,18 @@ def solve(problem: SocpProblem, start: HsdPoint,
     res = compute_residuals(problem, z)
     start_norms = (ev.mu, res.rp_norm, res.rd_norm)
     predicted = _closed_form_count(params, k, res, ev.mu)
-    max_iter = params.max_iterations
-    if max_iter is None:
-        max_iter = 2 * predicted + 100
     trace = SolveTrace(ev.mu, res.rp_norm, res.rd_norm, res.rg_abs) \
         if params.trace_enabled else None
     identity = ScalingMatrix.identity(spec)
     work = KktWorkspace(problem)
     # every iterate's residuals, written over; the shapes were checked above
     res_out = np.empty(problem.p + spec.n)
-    iters = 0
-    while not _stopped(params, res, ev.mu, start_norms):
-        if iters >= max_iter:
-            raise MaxIterationsExceeded(f"no convergence in {max_iter} steps")
+    for iters in range(1, predicted + 1):
         D = identity if params.scaling == "identity" \
             else nt_scaling_of(ev.x, ev.s)
         direction = solve_direction(
             assemble(problem, z, D, nu, ev.mu, work, res))
         z = step_point(z, direction, 1.0)
-        iters += 1
         ev = Evaluation(z, spec)
         if not ev.interior():
             raise NotInterior(
@@ -216,8 +210,13 @@ def solve(problem: SocpProblem, start: HsdPoint,
                 lambda_min_s=float(ev.s.lo.min()),
                 orth_defect=direction.orthogonality_defect,
                 kkt_residual=direction.system_residual))
+    if not _stopped(params, res, ev.mu, start_norms):
+        raise MaxIterationsExceeded(
+            f"the {params.stop_mode} stop criterion does not hold after the "
+            f"closed-form count of {predicted} steps: mu={ev.mu:.3e}, "
+            f"||r_p||={res.rp_norm:.3e}, ||r_d||={res.rd_norm:.3e}")
     status = classify_status(z, problem, params.epsilon)
     solution = (status.x, status.y, status.s) if status.status == "optimal" \
         else None
     return SolveResult(status=status, point=z, solution=solution,
-                       iterations=iters, trace=trace, predicted=predicted)
+                       iterations=predicted, trace=trace, predicted=predicted)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,8 +19,8 @@ from socpath.solver import SCALINGS, STOP_MODES
 from socpath.fileio import TRACE_COLUMNS, parse_point, write_problem
 from socpath.warmstart import BENCH_EPSILON, perturb_problem
 
-from util import (count_calls, feasible_problem, infeasible_lp, mixed_spec,
-                  random_problem, soc_fixture, toy_lp)
+from util import (count_calls, feasible_problem, half_steps, infeasible_lp,
+                  mixed_spec, random_problem, soc_fixture, toy_lp)
 
 
 @pytest.fixture
@@ -101,12 +102,22 @@ class TestSolveCommand:
         assert json.loads(err)["error"]["type"] == "InvalidParams"
         assert not (tmp_path / "o.json").exists()
 
-    def test_max_iterations_exits_3(self, run, toy_file, tmp_path):
+    def test_short_steps_exit_3(self, run, toy_file, tmp_path, monkeypatch):
+        """A solve whose steps break the contraction law stops at the
+        closed-form count and exits 3, writing no solution."""
+        half_steps(monkeypatch)
         code, _, err = run("solve", "--problem", toy_file,
-                           "--output", tmp_path / "o.json",
-                           "--max-iter", "3")
+                           "--output", tmp_path / "o.json")
         assert code == 3
         assert json.loads(err)["error"]["type"] == "MaxIterationsExceeded"
+        assert not (tmp_path / "o.json").exists()
+
+    def test_no_iteration_cap_flag(self, toy_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--problem", str(toy_file),
+                  "--output", str(tmp_path / "o.json"), "--max-iter", "3"])
+        assert info.value.code == 2
+        assert "--max-iter" in capsys.readouterr().err
 
     def test_singular_system_exits_3(self, run, tmp_path):
         prob = SocpProblem(
@@ -333,33 +344,26 @@ class TestWarmstartCommand:
         assert float(kv["omega"]) > 0.0
         report_file = tmp_path / "report.json"
         code, _, _ = run(*argv, "--report", report_file)
-        assert code == 0 and len(calls) == 3
+        assert code == 0 and len(calls) == 2
         report = json.loads(report_file.read_text())
         assert int(kv["cold"]) == report["cold_iterations"]
         assert int(kv["warm"]) == report["warm_iterations"]
 
-    def test_max_iter_caps_only_the_solves_run(self, run, tmp_path, capsys):
+    def test_short_steps_exit_3(self, run, tmp_path, capsys, monkeypatch):
+        """The warm solve runs the closed-form count too: with half steps
+        it exits 3 rather than run on."""
         argv = self._warmstart_argv(tmp_path, 623)
         capsys.readouterr()
-        code, out, _ = run(*argv)
-        kv = dict(item.split("=") for item in out.split())
-        warm, cold = int(kv["warm"]), int(kv["cold"])
-        assert code == 0 and warm + 1 < cold
-        cap = (warm + cold) // 2
-        code, out, _ = run(*argv, "--max-iter", cap)
-        assert code == 0
-        assert out == f"status=optimal omega={kv['omega']} cold={cold} " \
-                      f"warm={warm}\n"
-        # a measured saving solves cold, under the same cap
-        code, _, err = run(*argv, "--max-iter", cap,
-                           "--report", tmp_path / "report.json")
+        half_steps(monkeypatch)
+        code, _, err = run(*argv, "--report", tmp_path / "report.json")
         assert code == 3
         assert json.loads(err)["error"]["type"] == "MaxIterationsExceeded"
+        assert not (tmp_path / "report.json").exists()
 
     def test_trace_built_only_when_written(self, run, toy_file, tmp_path,
                                            capsys, monkeypatch):
-        """solve traces only for --trace; warmstart writes no trace, so
-        none of its solves builds one, with or without --report."""
+        """solve traces only for --trace; warmstart writes no trace, so its
+        one solve builds none, with or without --report."""
         argv = self._warmstart_argv(tmp_path, 623)
         capsys.readouterr()
         calls = count_calls(monkeypatch, socpath.cli, "solve")
@@ -371,7 +375,7 @@ class TestWarmstartCommand:
         calls.clear()
         assert run(*argv)[0] == 0
         assert run(*argv, "--report", tmp_path / "report.json")[0] == 0
-        assert [params.trace_enabled for _, _, params in calls] == [False] * 3
+        assert [params.trace_enabled for _, _, params in calls] == [False] * 2
 
     def test_boundary_prev_exits_3(self, run, toy_file, tmp_path):
         sol_file = tmp_path / "prev.json"
@@ -590,6 +594,22 @@ class TestParser:
         assert (args["bench"].gamma, args["bench"].delta) \
             == (SolverParams.gamma, SolverParams.delta)
         assert args["bench"].epsilon == BENCH_EPSILON
+
+    def test_readme_names_every_flag_and_no_other(self):
+        """The README's command-line section and the parser list the same
+        options, so the README cannot name a stale flag."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        named = set(re.findall(r"--[a-z][a-z-]*[a-z]", section))
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {flag for parser in sub.choices.values()
+                   for action in parser._actions
+                   for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"}
+        assert named - options == set()
+        assert options - named == set()
 
     def test_choices_are_the_solvers(self):
         sub = next(a for a in build_parser()._actions

@@ -16,12 +16,14 @@ from socpath import (
     SolverParams,
     StartOutsideNeighborhood,
 )
+from socpath.solver import SCALINGS, STOP_MODES
 
 from util import (
     cold_point,
     count_calls,
     dual_infeasible_lp,
     feasible_problem,
+    half_steps,
     infeasible_lp,
     mixed_spec,
     soc_fixture,
@@ -87,8 +89,6 @@ def test_solver_params_validation():
         SolverParams(scaling="cholesky")
     with pytest.raises(InvalidParams):
         SolverParams(stop_mode="sometimes")
-    with pytest.raises(InvalidParams):
-        SolverParams(max_iterations=0)
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"),
@@ -181,10 +181,21 @@ def test_non_finite_data_rejected(field, value):
     assert isinstance(info.value, ValueError)
 
 
-def test_max_iterations_cap():
+@pytest.mark.parametrize("scaling", SCALINGS)
+@pytest.mark.parametrize("stop_mode", STOP_MODES)
+def test_short_steps_raise_at_the_closed_form_count(monkeypatch, scaling,
+                                                    stop_mode):
+    """solve runs exactly the closed-form count and checks the stop
+    criterion once: half steps contract by less than nu, so the criterion
+    fails after `predicted` steps and solve raises there, not later."""
+    alphas = half_steps(monkeypatch)
     prob = toy_lp()
-    with pytest.raises(MaxIterationsExceeded):
-        sp.solve(prob, cold_point(prob), SolverParams(epsilon=1e-6, max_iterations=5))
+    params = SolverParams(epsilon=1e-2, scaling=scaling, stop_mode=stop_mode)
+    predicted = sp.predicted_iterations(cold_point(prob), prob, params)
+    with pytest.raises(MaxIterationsExceeded,
+                       match=f"{stop_mode} stop .* {predicted} steps: mu="):
+        sp.solve(prob, cold_point(prob), params)
+    assert len(alphas) == predicted > 0
 
 
 def test_zero_initial_residuals_declared_satisfied():
@@ -427,6 +438,23 @@ def test_tight_epsilon_keeps_the_law(seed, scaling):
             assert abs(value / prev - nu) <= 1e-9 + 1e-15 * start / prev
             prev = value
     assert max(row.kkt_residual for row in tr.rows) <= 1e-9
+
+
+@pytest.mark.parametrize("scaling", SCALINGS)
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("gamma, delta, count", [(0.0525, 0.078, 875),
+                                                 (0.06, 0.05, 1370)])
+def test_admissible_pairs_keep_the_law(gamma, delta, count, seed, scaling):
+    """Pairs other than the default, one next to the edge of the admissible
+    region for k=6, keep the closed-form count and solve."""
+    spec = sp.ConeSpec(3, (4, 5, 6))
+    assert sp.validate_params(gamma, delta, spec.k)[0]
+    prob = feasible_problem(spec, 5, np.random.default_rng(seed))
+    params = SolverParams(gamma=gamma, delta=delta, epsilon=1e-8,
+                          scaling=scaling, trace_enabled=False)
+    res = sp.solve(prob, cold_point(prob), params)
+    assert res.iterations == res.predicted == count
+    assert res.status.status == "optimal"
 
 
 def test_shape_checks_do_not_grow_with_iterations(monkeypatch):

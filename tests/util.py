@@ -1,8 +1,9 @@
-"""Shared generators for the test suite, and a call counter. Everything
-is seeded."""
+"""Shared generators for the test suite, a call counter and a half-step
+patch of the solver. Everything is seeded."""
 
 import numpy as np
 
+import socpath.solver
 from socpath import ConeSpec, HsdPoint, SocpProblem, cold_start
 
 
@@ -172,3 +173,17 @@ def count_calls(monkeypatch, owner, name):
         return original(*args, **kwargs)
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def half_steps(monkeypatch):
+    """Make solve take each step at half the length it asks for, so that
+    no step contracts mu and the residuals by nu.  Returns the list of the
+    step lengths asked for, one per step."""
+    step = socpath.solver.step_point
+    alphas = []
+
+    def half_step(z, direction, alpha):
+        alphas.append(alpha)
+        return step(z, direction, 0.5 * alpha)
+    monkeypatch.setattr(socpath.solver, "step_point", half_step)
+    return alphas
