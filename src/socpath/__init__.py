@@ -13,8 +13,8 @@ from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
 from .geometry import (Classification, Evaluation, HsdPoint,
                        NeighborhoodParams, classify_status, d2, dinf,
                        in_neighborhood, mu)
-from .kkt import (KktSystem, NewtonDirection, assemble,
-                  scaled_increment_diagnostics, solve_direction, step_point)
+from .kkt import (NewtonDirection, assemble, scaled_increment_diagnostics,
+                  solve_direction, step_point)
 from .problem import Residuals, SocpProblem, compute_residuals
 from .solver import (SolveResult, SolveTrace, SolverParams, TraceRow,
                      centering_nu, predicted_iterations, solve,
@@ -36,7 +36,7 @@ __all__ = [
     "SocpathError", "StartOutsideNeighborhood",
     "Classification", "Evaluation", "HsdPoint", "NeighborhoodParams",
     "classify_status", "d2", "dinf", "in_neighborhood", "mu",
-    "KktSystem", "NewtonDirection", "assemble",
+    "NewtonDirection", "assemble",
     "scaled_increment_diagnostics", "solve_direction", "step_point",
     "Residuals", "SocpProblem", "compute_residuals",
     "SolveResult", "SolveTrace", "SolverParams", "TraceRow", "centering_nu",

@@ -40,24 +40,23 @@ A point and a direction are one vector each in the hat layout
 dsh, are its leading and trailing m entries, and core's unknowns
 (dxh, dy) its leading m+p.  A `KktWorkspace` holds what one solve keeps:
 A_hat, the matrix with A_hat, A_hat' and C_hat written once, a factor
-buffer, the positions of the entries each step writes, and scratch
-vectors that `solve_direction` writes over on each call: the reduced
-right-hand side, core's product, the three-row residual and the
-refinement step.  `solve_direction` writes the step's entries into a
-fresh copy of that matrix, factors it with LAPACK getrf, runs one
-refinement pass against the full three-row system in dxh = Dh' u and
-dsh = Dh^{-1} v, and reports that system's relative residual, which it
-computes without forming the system.  What a caller may keep owns its
-arrays: a point, a `KktSystem` (which may be solved again after other
-systems of its workspace) and a `NewtonDirection`; no scratch vector
-leaves `solve_direction`.
+buffer, the positions of the entries each step writes, and the buffers
+of one step.  It holds one step at a time: `assemble` writes the step
+into the workspace and returns it, and the next `assemble` writes over
+it.  `solve_direction` writes the step's entries into a fresh copy of
+that matrix, factors it with LAPACK getrf, runs one refinement pass
+against the full three-row system in dxh = Dh' u and dsh = Dh^{-1} v,
+and reports that system's relative residual, which it computes without
+forming the system.  What a caller may keep owns its arrays: a point
+and a `NewtonDirection`; no buffer of the workspace leaves
+`solve_direction`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -87,7 +86,8 @@ class NewtonDirection:
 
 
 class KktWorkspace:
-    """The solve-constant part of the reduced Newton system of one problem.
+    """The reduced Newton system of one problem: its solve-constant part
+    and the one step that `assemble` last wrote.
 
     `spec` is the hat cone, whose layout every step reads.
     `base` is [[C_hat, A_hat', 0], [A_hat, 0, 0], [0, 0, 0]] of order
@@ -99,6 +99,15 @@ class KktWorkspace:
     `values` are concatenate((g, rho, det, E's diagonal, E's head
     column))[src] * sign.  `red` (whose w rows stay 0), `core_out`,
     `residual` and `step` are the scratch vectors of `solve_direction`.
+
+    The step is the full three-row right-hand side `rhs`, split by
+    `row_blocks`, and what the reduced solve reads: the scaled point
+    (xb, sb), Q xb, the head a of each entry's block, det per block, g,
+    the diagonal and head column of E and `values`.  Under a scaling
+    other than the identity (`scaled`) it also holds Dh and Dh^{-1}
+    (identities of order n+1 whose leading n x n block the step writes),
+    A_hat Dh' and D c.  `rhs`, `dh`, `dh_inv`, `ad` and `dc` are
+    allocated once; the next step writes over them and the rest.
     """
 
     def __init__(self, problem: SocpProblem):
@@ -122,7 +131,6 @@ class KktWorkspace:
         self.base = base
         self.core = base[:m + p, :m + p]
         self.matrix = np.empty_like(base)
-        self.eye = np.eye(m)
         self._matrix_flat = self.matrix.reshape(-1, order="F")
         self.spec = spec
         self.tail = tail.astype(float)
@@ -145,57 +153,16 @@ class KktWorkspace:
             (self.src < 2 * m) | (self.src >= 2 * m + k), -1.0, 1.0)
         self.red, self.core_out = np.zeros(N), np.empty(m + p)
         self.residual, self.step = np.empty(p + 2 * m), np.empty(p + 2 * m)
-
-
-@dataclass
-class KktSystem:
-    """One step's Newton system.
-
-    `rhs` is the full three-row right-hand side, split by `row_blocks`.
-    The rest is what the reduced solve reads: the scaled point (xb, sb),
-    Q xb, the head a of each entry's block, det per block, g, the
-    diagonal and head column of E, the step's entries `values` (see
-    `KktWorkspace.pos`) and, for a scaling other than the identity, Dh,
-    Dh^{-1}, A_hat Dh' and D c.  A system owns its arrays, so it may be
-    solved again after other systems of its workspace.
-    """
-
-    rhs: np.ndarray
-    row_blocks: Dict[str, slice]
-    work: KktWorkspace
-    xb: np.ndarray
-    sb: np.ndarray
-    xq: np.ndarray
-    a: np.ndarray
-    det: np.ndarray
-    g: np.ndarray
-    e_diag: np.ndarray
-    e_head: np.ndarray
-    values: np.ndarray
-    dh: Optional[np.ndarray] = None
-    dh_inv: Optional[np.ndarray] = None
-    ad: Optional[np.ndarray] = None
-    dc: Optional[np.ndarray] = None
-
-    def matrix(self) -> np.ndarray:
-        """The reduced matrix, written into a fresh copy of the
-        workspace's base in its factor buffer."""
-        work, n, m, p = self.work, self.work.n, self.work.m, self.work.p
-        K = work.matrix
-        K[...] = work.base
-        work._matrix_flat[work.pos] = self.values
-        if self.dh is not None:
-            K[m:m + p, :m] = self.ad
-            K[:m, m:m + p] = self.ad.T
-            K[:n, n] = -self.dc
-            K[n, :n] = self.dc
-        return K
+        self.rhs = np.empty(p + 2 * m)
+        self.dh, self.dh_inv = np.eye(m), np.eye(m)
+        self.ad, self.dc = np.empty((p, m)), np.empty(n)
 
 
 def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
              nu: float, mu: float, work: Optional[KktWorkspace] = None,
-             res: Optional[Residuals] = None) -> KktSystem:
-    """Build the reduced system for the current iterate.
+             res: Optional[Residuals] = None) -> KktWorkspace:
+    """Write the reduced system of the current iterate into the workspace
+    over its last step, and return the workspace.
 
     `work` and `res`, the workspace and the residuals, are built if absent.
     """
@@ -207,16 +174,16 @@ def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
         raise DimensionMismatch(
             f"expected a point with x and s of length {n} and y of length "
             f"{p}, got {z.x.size}, {z.s.size} and {z.y.size}")
-    dh = dh_inv = ad = dc = None
-    if D.is_identity:
-        zv = z.vec.copy()
-        xb, sb = zv[:m], zv[m + p:]
-    else:
-        dh, dh_inv = work.eye.copy(), work.eye.copy()
+    work.scaled = not D.is_identity
+    if work.scaled:
+        dh, dh_inv = work.dh, work.dh_inv
         dh[:n, :n] = D.matrix()
         dh_inv[:n, :n] = D.inverse_matrix()
         xb, sb = dh_inv.T @ z.vec[:m], dh @ z.vec[m + p:]
-        ad, dc = work.A_hat @ dh.T, dh[:n, :n] @ work.c
+        np.matmul(work.A_hat, dh.T, out=work.ad)
+        np.matmul(dh[:n, :n], work.c, out=work.dc)
+    else:
+        xb, sb = z.vec[:m], z.vec[m + p:]
     hat = work.spec
     head = xb[hat.heads]
     t = tail_norms(xb, hat)
@@ -229,13 +196,14 @@ def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
     e_head = work.tail * sb / a
     # one gather; the product with -1.0 is an exact negation
     values = np.concatenate((g, rho, det, e_diag, e_head))[work.src] * work.sign
+    work.xb, work.sb, work.xq, work.a, work.det = xb, sb, xq, a, det
+    work.g, work.e_diag, work.e_head, work.values = g, e_diag, e_head, values
     res = compute_residuals(problem, z) if res is None else res
-    rhs = np.empty(p + 2 * m)
+    rhs = work.rhs
     rhs[:p], rhs[p:p + n], rhs[p + n] = res.r_p, res.r_d, -res.r_g
     rhs[:p + m] *= -(1.0 - nu)
     np.subtract(nu * mu * hat.e, jordan(xb, sb, hat), out=rhs[p + m:])
-    return KktSystem(rhs, work.row_blocks, work, xb, sb, xq, a,
-                     det, g, e_diag, e_head, values, dh, dh_inv, ad, dc)
+    return work
 
 
 def solve_dense(K: np.ndarray, rhs: np.ndarray
@@ -249,67 +217,75 @@ def solve_dense(K: np.ndarray, rhs: np.ndarray
     return u, (lu, piv)
 
 
-def _reduced_rhs(sys: KktSystem, r: np.ndarray) -> np.ndarray:
+def _reduced_rhs(work: KktWorkspace, r: np.ndarray) -> np.ndarray:
     """f3 = Xb^{-1} r3 of the three-row r; writes r's reduced right-hand
     side into the workspace's `red`."""
-    work, hat, m, p = sys.work, sys.work.spec, sys.work.m, sys.work.p
+    hat, m, p = work.spec, work.m, work.p
     r3 = r[p + m:]
-    dot = np.add.reduceat(sys.xq * r3, hat.heads) / sys.det
-    f3 = (sys.xq * dot[hat.block_of] + work.tail * r3) / sys.a
-    top = r[p:p + m] if sys.dh is None else sys.dh @ r[p:p + m]
+    dot = np.add.reduceat(work.xq * r3, hat.heads) / work.det
+    f3 = (work.xq * dot[hat.block_of] + work.tail * r3) / work.a
+    top = work.dh @ r[p:p + m] if work.scaled else r[p:p + m]
     np.subtract(top, f3, out=work.red[:m])
     work.red[m:m + p] = r[:p]
     return f3
 
 
-def _recover(sys: KktSystem, u: np.ndarray, f3: np.ndarray,
+def _recover(work: KktWorkspace, u: np.ndarray, f3: np.ndarray,
              out: np.ndarray) -> np.ndarray:
     """(dxh, dy, dsh) from the reduced solution u = (Dh^{-T} dxh, dy, w),
     written into out in the point layout."""
-    work, m, p = sys.work, sys.work.m, sys.work.p
+    m, p = work.m, work.p
     ub = u[:m]
-    vb = f3 - (sys.g * u[work.w_of] + sys.e_diag * ub
-               + sys.e_head * ub[work.spec.head_of])
-    if sys.dh is None:
-        out[:m + p], out[m + p:] = u[:m + p], vb
-    else:
-        np.matmul(sys.dh.T, ub, out=out[:m])
+    vb = f3 - (work.g * u[work.w_of] + work.e_diag * ub
+               + work.e_head * ub[work.spec.head_of])
+    if work.scaled:
+        np.matmul(work.dh.T, ub, out=out[:m])
         out[m:m + p] = u[m:m + p]
-        np.matmul(sys.dh_inv, vb, out=out[m + p:])
+        np.matmul(work.dh_inv, vb, out=out[m + p:])
+    else:
+        out[:m + p], out[m + p:] = u[:m + p], vb
     return out
 
 
-def _residual(sys: KktSystem, d: np.ndarray) -> np.ndarray:
+def _residual(work: KktWorkspace, d: np.ndarray) -> np.ndarray:
     """The full three-row residual rhs - M d of a direction d in the point
     layout, matrix-free and in the workspace's `residual`: A_hat dxh,
     C_hat dxh + A_hat' dy + dsh, sb o (Dh^{-T} dxh) + xb o (Dh dsh)."""
-    work, m, p = sys.work, sys.work.m, sys.work.p
+    m, p = work.m, work.p
     v = np.matmul(work.core, d[:m + p], out=work.core_out)
     dxb, dsh = d[:m], d[m + p:]
     dsb = dsh
-    if sys.dh is not None:
-        dxb, dsb = sys.dh_inv.T @ dxb, sys.dh @ dsh
-    e, rhs = work.residual, sys.rhs
+    if work.scaled:
+        dxb, dsb = work.dh_inv.T @ dxb, work.dh @ dsh
+    e, rhs = work.residual, work.rhs
     np.subtract(rhs[:p], v[m:], out=e[:p])
     np.subtract(rhs[p:p + m], v[:m] + dsh, out=e[p:p + m])
-    np.subtract(rhs[p + m:], jordan(sys.sb, dxb, work.spec)
-                + jordan(sys.xb, dsb, work.spec), out=e[p + m:])
+    np.subtract(rhs[p + m:], jordan(work.sb, dxb, work.spec)
+                + jordan(work.xb, dsb, work.spec), out=e[p + m:])
     return e
 
 
-def solve_direction(sys: KktSystem) -> NewtonDirection:
-    """Factor the reduced system, solve, and refine once against the full
-    system.  An exactly zero pivot or a non-finite residual raises
-    SingularSystem."""
-    work, n, m, p = sys.work, sys.work.n, sys.work.m, sys.work.p
-    f3 = _reduced_rhs(sys, sys.rhs)
-    u, factors = solve_dense(sys.matrix(), work.red)
-    d = _recover(sys, u, f3, np.empty(p + 2 * m))
-    f3 = _reduced_rhs(sys, _residual(sys, d))
+def solve_direction(work: KktWorkspace) -> NewtonDirection:
+    """Factor the reduced system of the step that `assemble` last wrote,
+    solve, and refine once against the full system.  An exactly zero
+    pivot or a non-finite residual raises SingularSystem."""
+    n, m, p = work.n, work.m, work.p
+    f3 = _reduced_rhs(work, work.rhs)
+    K = work.matrix
+    K[...] = work.base
+    work._matrix_flat[work.pos] = work.values
+    if work.scaled:
+        K[m:m + p, :m] = work.ad
+        K[:m, m:m + p] = work.ad.T
+        K[:n, n] = -work.dc
+        K[n, :n] = work.dc
+    u, factors = solve_dense(K, work.red)
+    d = _recover(work, u, f3, np.empty(p + 2 * m))
+    f3 = _reduced_rhs(work, _residual(work, d))
     du, _ = _getrs(*factors, work.red)
-    d += _recover(sys, du, f3, work.step)
-    e = _residual(sys, d)
-    rel = math.sqrt(e @ e) / (1.0 + math.sqrt(sys.rhs.dot(sys.rhs)))
+    d += _recover(work, du, f3, work.step)
+    e = _residual(work, d)
+    rel = math.sqrt(e @ e) / (1.0 + math.sqrt(work.rhs.dot(work.rhs)))
     if not math.isfinite(rel):
         raise SingularSystem("the Newton direction is not finite")
     return NewtonDirection(d, d[:n], d[m:m + p], d[m + p:-1],

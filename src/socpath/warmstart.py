@@ -44,10 +44,10 @@ def cold_start(spec: ConeSpec, p: int = 0) -> HsdPoint:
     return HsdPoint(e, np.zeros(p), e.copy(), kappa=1.0, tau=1.0)
 
 
-def check_weight(omega: float, name: str = "omega") -> None:
+def check_weight(omega: float) -> None:
     """A blend weight is a number in [0,1], so NaN, inf and strings fail."""
     if isinstance(omega, str) or not (0.0 <= omega <= 1.0):
-        raise ValueError(f"{name} must lie in [0,1]")
+        raise ValueError("omega must lie in [0,1]")
 
 
 def check_omega(omega: Union[str, float]) -> None:
@@ -189,21 +189,24 @@ class WarmStartDiagnostics:
 
 
 def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
-                gamma: float, omega_eval: float = 1.0,
-                delta: float = SolverParams.delta) -> WarmStartDiagnostics:
-    """Evaluate the warm-start sufficient conditions at omega_eval.
+                gamma: float, delta: float = SolverParams.delta
+                ) -> WarmStartDiagnostics:
+    """Evaluate the warm-start sufficient conditions at omega 1; `at_omega`
+    evaluates them at another weight.
 
     `prev` is the previous instance's pair (x_o, y_o, s_o), already
     scaled back from the embedding (tau divided out).  delta feeds the
-    contraction rate used for predicted_saving.
+    contraction rate used for predicted_saving.  gamma and delta must
+    pass `SolverParams`' check, or InvalidParams is raised before any
+    evaluation.
     """
+    SolverParams(gamma=gamma, delta=delta)
     if prev_p.cones != new_p.cones:
         raise ConeSpecMismatch("problems must share a cone structure")
     prev_p.check_shapes()
     new_p.check_shapes()
     if prev_p.A.shape != new_p.A.shape:
         raise DimensionMismatch("problems must share matrix dimensions")
-    check_weight(omega_eval, "omega_eval")
     spec = new_p.cones
     pair = xs, y_o, ss = _previous_pair(prev, spec, new_p.p)
     x_o, s_o = xs.v, ss.v
@@ -244,7 +247,7 @@ def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
         dual_vacuous=dual_vacuous, gamma=gamma, delta=delta, k=spec.k,
         dev_norm=dev_norm, s_o_norm=float(np.linalg.norm(s_o)),
         soc_first=xs.head[soc], soc_beta=xs.beta()[soc], pair=pair)
-    return diag.at_omega(omega_eval)
+    return diag.at_omega(1.0)
 
 
 def choose_omega(diag: WarmStartDiagnostics) -> float:
@@ -265,7 +268,7 @@ def choose_omega(diag: WarmStartDiagnostics) -> float:
 @dataclass
 class WarmStart:
     """A blend for the new instance, or the cold start at omega 0 with the
-    `fallback` reason.  `diagnostics` are evaluated at omega_eval=1."""
+    `fallback` reason.  `diagnostics` are evaluated at omega 1."""
 
     start: HsdPoint
     omega: float

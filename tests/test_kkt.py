@@ -1,5 +1,7 @@
 """Newton system assembly, solve, and direction identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from socpath import HsdPoint, ScalingMatrix, SingularSystem, SocpProblem
 from socpath.kkt import KktWorkspace, increment_bound
 
 from oracles import kkt_oracle
-from util import (cold_point, interior_hsd_point, mixed_spec, random_problem,
-                  toy_lp)
+from util import (cold_point, feasible_problem, interior_hsd_point, mixed_spec,
+                  random_problem, toy_lp)
 
 GAMMA, DELTA = 0.08, 0.03
 
@@ -201,25 +203,77 @@ def test_scaling_equivalence_with_transformed_problem():
 
 
 @pytest.mark.parametrize("scaling", ["identity", "nt"])
-def test_system_solves_again(scaling):
-    """A system owns its arrays: assembling and solving another system of
-    the same workspace first, or solving it twice, changes nothing."""
+def test_kept_direction_survives_the_next_step(scaling):
+    """A workspace holds one step at a time, and a direction kept from one
+    step keeps its bytes after the same workspace assembles and solves
+    the next."""
     rng = np.random.default_rng(353)
     spec, prob, z, m, nu = _setup(rng)
-    alone = sp.solve_direction(
-        sp.assemble(prob, z, _pick_scaling(scaling, z, spec, rng), nu, m))
     work = KktWorkspace(prob)
-    system = sp.assemble(prob, z, _pick_scaling(scaling, z, spec, rng), nu, m,
-                         work)
+    kept = sp.solve_direction(sp.assemble(
+        prob, z, _pick_scaling(scaling, z, spec, rng), nu, m, work))
+    before = kept.vec.tobytes()
     other_z = interior_hsd_point(prob, rng)
-    sp.solve_direction(sp.assemble(prob, other_z,
-                                   _pick_scaling(scaling, other_z, spec, rng),
-                                   nu, sp.mu(other_z, spec), work))
-    for d in (sp.solve_direction(system), sp.solve_direction(system)):
-        for got, want in ((d.dx, alone.dx), (d.dy, alone.dy), (d.ds, alone.ds)):
-            assert np.array_equal(got, want)
-        assert (d.dtau, d.dkappa, d.system_residual) == \
-            (alone.dtau, alone.dkappa, alone.system_residual)
+    other = sp.solve_direction(sp.assemble(
+        prob, other_z, _pick_scaling(scaling, other_z, spec, rng), nu,
+        sp.mu(other_z, spec), work))
+    assert other.vec.tobytes() != before
+    assert kept.vec.tobytes() == before
+
+
+def test_scaling_sequence_matches_fresh_workspaces():
+    """Identity, NT and identity steps in one workspace give the direction
+    bytes and system residual of three fresh workspaces: no step reads
+    Dh, Dh^{-1} or entries left by the step before."""
+    rng = np.random.default_rng(373)
+    spec, prob, _, _, nu = _setup(rng)
+    work = KktWorkspace(prob)
+    for scaling in ("identity", "nt", "identity"):
+        z = interior_hsd_point(prob, rng)
+        D, m = _pick_scaling(scaling, z, spec, rng), sp.mu(z, spec)
+        shared = sp.solve_direction(sp.assemble(prob, z, D, nu, m, work))
+        fresh = sp.solve_direction(sp.assemble(prob, z, D, nu, m))
+        assert shared.vec.tobytes() == fresh.vec.tobytes()
+        assert shared.system_residual == fresh.system_residual
+
+
+def test_nt_step_writes_into_the_workspace_buffers():
+    """An NT step writes its right-hand side, Dh, Dh^{-1}, A_hat Dh' and
+    D c into the arrays the workspace allocated; Dh and Dh^{-1} keep the
+    last row and column of the identity."""
+    rng = np.random.default_rng(379)
+    spec, prob, z, m, nu = _setup(rng)
+    work = KktWorkspace(prob)
+    names = ("rhs", "dh", "dh_inv", "ad", "dc")
+    before = [getattr(work, name) for name in names]
+    D = sp.nt_scaling(z.x, z.s, spec)
+    assert sp.assemble(prob, z, D, nu, m, work) is work
+    assert all(getattr(work, name) is held
+               for name, held in zip(names, before))
+    n, unit = spec.n, [0.0] * spec.n + [1.0]
+    for dh, dense in ((work.dh, D.matrix()), (work.dh_inv, D.inverse_matrix())):
+        assert np.array_equal(dh[:n, :n], dense)
+        assert dh[n].tolist() == unit and dh[:, n].tolist() == unit
+
+
+def test_nt_step_allocates_no_matrix():
+    """Once its workspace exists, an NT step writes Dh, Dh^{-1} and A_hat Dh'
+    into the workspace's buffers: its allocations peak below one p x (n+1)
+    array, the smaller of the two matrix shapes."""
+    prob = feasible_problem(sp.ConeSpec(l=20, soc_dims=(30, 40, 30)), 60,
+                            np.random.default_rng(5))
+    spec, z = prob.cones, cold_point(prob)
+    D, m = sp.nt_scaling(z.x, z.s, spec), sp.mu(z, spec)
+    nu, res = sp.centering_nu(DELTA, spec.k), sp.compute_residuals(prob, z)
+    work = KktWorkspace(prob)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sp.solve_direction(sp.assemble(prob, z, D, nu, m, work, res))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 8 * prob.p * (spec.n + 1)
 
 
 def test_singular_system_raises():
@@ -260,25 +314,24 @@ def test_scaled_increment_diagnostics_on_toy_lp():
 @pytest.mark.parametrize("scaling", ["identity", "nt"])
 def test_direction_owns_its_vector(scaling):
     """A direction is one vector in the point layout, which no other
-    direction and no scratch vector of the workspace shares, and the step
-    along it is a fresh point."""
+    direction and no buffer of the workspace shares, and the step along it
+    is a fresh point."""
     rng = np.random.default_rng(359)
     spec, prob, z, m, nu = _setup(rng)
     work = KktWorkspace(prob)
-    system = sp.assemble(prob, z, _pick_scaling(scaling, z, spec, rng), nu, m,
-                         work)
-    first, second = sp.solve_direction(system), sp.solve_direction(system)
+    sp.assemble(prob, z, _pick_scaling(scaling, z, spec, rng), nu, m, work)
+    first, second = sp.solve_direction(work), sp.solve_direction(work)
     assert not np.shares_memory(first.vec, second.vec)
-    for scratch in (work.red, work.core_out, work.residual, work.step,
-                    work.matrix):
-        assert not np.shares_memory(first.vec, scratch)
+    for buffer in (work.red, work.core_out, work.residual, work.step,
+                   work.matrix, work.rhs, work.dh, work.dh_inv, work.ad):
+        assert not np.shares_memory(first.vec, buffer)
     n = spec.n
     assert first.vec.tolist() == [*first.dx, first.dtau, *first.dy,
                                   *first.ds, first.dkappa]
     for part in (first.dx, first.dy, first.ds):
         assert np.shares_memory(part, first.vec)
     stepped = sp.step_point(z, first, 1.0)
-    for held in (z.vec, first.vec, system.rhs):
+    for held in (z.vec, first.vec, work.rhs):
         assert not np.shares_memory(stepped.vec, held)
     assert stepped.vec.tobytes() == (z.vec + first.vec).tobytes()
     assert (stepped.x.size, stepped.y.size) == (n, prob.p)

@@ -1,8 +1,10 @@
 """The package's public surface and source hygiene."""
 
 import ast
+import builtins
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import socpath
@@ -12,6 +14,7 @@ import socpath.cones
 import socpath.kkt
 import socpath.problem
 import socpath.solver
+import socpath.warmstart
 
 from util import cold_point, toy_lp
 
@@ -22,6 +25,38 @@ def test_every_export_resolves():
     namespace = {}
     exec("from socpath import *", namespace)
     assert set(socpath.__all__) <= set(namespace)
+
+
+def _resolves(path):
+    """Whether a dotted name resolves on socpath, on one of its modules or
+    in builtins; a `socpath.` prefix is read from the package."""
+    head, *attrs = path.split(".")
+    if head == "socpath":
+        owners, head, attrs = [socpath], attrs[0], attrs[1:]
+    else:
+        owners = [socpath, builtins] + [
+            module for name, module in vars(socpath).items()
+            if inspect.ismodule(module) and module.__name__ == f"socpath.{name}"]
+    for owner in owners:
+        obj = getattr(owner, head, None)
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_readme_names_only_what_exists():
+    """Every backticked CamelCase name or dotted socpath path in the
+    README, call parentheses stripped, resolves, so the README cannot name
+    a class, function or attribute that is gone."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    names = {re.sub(r"\(.*\)$", "", span.strip())
+             for span in re.findall(r"`([^`\n]+)`", readme)}
+    named = {name for name in names if re.fullmatch(
+        r"(?:socpath|[A-Z]\w*[a-z]\w*)(?:\.\w+)+|[A-Z]\w*[a-z]\w*", name)}
+    assert "socpath.kkt.KktWorkspace" in named and "Spectrum" in named
+    assert sorted(name for name in named if not _resolves(name)) == []
 
 
 def _unused_imports(path):

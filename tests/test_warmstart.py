@@ -189,7 +189,7 @@ class TestDiagnostics:
         prev = _converged_prev(prob)
         x_o, _, s_o = prev
         for omega in (0.3, 0.8, 1.0):
-            d = sp.diagnostics(prob, prob, prev, gamma=0.08, omega_eval=omega)
+            d = sp.diagnostics(prob, prob, prev, gamma=0.08).at_omega(omega)
             k = spec.k
             e = sp.unit_element(spec)
             dev = np.linalg.norm((x_o + s_o) - d.psi_o * e)
@@ -239,7 +239,7 @@ class TestDiagnostics:
         rng = np.random.default_rng(557)
         spec = mixed_spec(rng)
         prob, pair = feasible_problem_with_pair(spec, 3, rng, scale=0.4)
-        d = sp.diagnostics(prob, prob, pair, gamma=0.08, omega_eval=0.6)
+        d = sp.diagnostics(prob, prob, pair, gamma=0.08).at_omega(0.6)
         assert d.c_a == 0.0 and d.c_b == 0.0
         assert d.c_p < 1e-12 and d.c_d < 1e-12
         assert d.c_at == 0.0 and d.c_c == 0.0
@@ -501,6 +501,22 @@ def test_warm_start_rejects_omega_first(monkeypatch, omega):
     prev = (np.ones(prob.n), np.zeros(prob.p), np.ones(prob.n))
     with pytest.raises(ValueError, match=r"\[0,1\]"):
         sp.warm_start(prob, prob, prev, 0.08, omega=omega)
+
+
+@pytest.mark.parametrize("fn", ["diagnostics", "warm_start"])
+@pytest.mark.parametrize("gamma, delta", [
+    (0.08, 0.0), (0.08, -0.5), (0.08, math.nan), (0.08, 1.0), (0.08, 2.0),
+    (0.0, 0.03), (-1.0, 0.03), (math.nan, 0.03), (1.0, 0.03), (1.5, 0.03)])
+def test_out_of_range_gamma_delta_raise_first(monkeypatch, fn, gamma, delta):
+    """diagnostics, and warm_start through it, refuse a (gamma, delta) that
+    SolverParams refuses, with InvalidParams and before evaluating the
+    previous pair."""
+    calls = count_calls(monkeypatch, sp.warmstart, "_previous_pair")
+    prob = toy_lp()
+    prev = (np.ones(prob.n), np.zeros(prob.p), np.ones(prob.n))
+    with pytest.raises(sp.InvalidParams):
+        getattr(sp, fn)(prob, prob, prev, gamma, delta=delta)
+    assert calls == []
 
 
 def test_warm_start_tail_norms(monkeypatch):
