@@ -16,9 +16,8 @@ from .geometry import (Classification, Evaluation, HsdPoint,
 from .kkt import (NewtonDirection, assemble, scaled_increment_diagnostics,
                   solve_direction, step_point)
 from .problem import Residuals, SocpProblem, compute_residuals
-from .solver import (SolveResult, SolveTrace, SolverParams, TraceRow,
-                     centering_nu, predicted_iterations, solve,
-                     validate_params)
+from .solver import (SolveResult, SolveTrace, SolverParams, centering_nu,
+                     predicted_iterations, solve, validate_params)
 from .warmstart import (WarmStart, WarmStartDiagnostics, choose_omega,
                         cold_start, diagnostics, warm_start,
                         warm_start_point)
@@ -39,7 +38,7 @@ __all__ = [
     "NewtonDirection", "assemble",
     "scaled_increment_diagnostics", "solve_direction", "step_point",
     "Residuals", "SocpProblem", "compute_residuals",
-    "SolveResult", "SolveTrace", "SolverParams", "TraceRow", "centering_nu",
+    "SolveResult", "SolveTrace", "SolverParams", "centering_nu",
     "predicted_iterations", "solve", "validate_params",
     "WarmStart", "WarmStartDiagnostics", "choose_omega", "cold_start",
     "diagnostics", "warm_start", "warm_start_point",

@@ -3,14 +3,15 @@
 Problems travel as JSON with a triplet-encoded matrix; duplicate
 triplets are summed.  Writers emit a canonical form (sorted triplets,
 shortest round-trip float repr, fixed key order) so that byte-identical
-output is reproducible and parse/write round-trips are stable.
+output is reproducible and parse/write round-trips are stable.  A trace
+is CSV: the column `iter`, the step number, then the solver's table
+columns TRACE_VALUES, each value to 17 significant digits.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
 from typing import Dict, Optional
 
 import numpy as np
@@ -19,11 +20,9 @@ from .cones import ConeSpec
 from .errors import ParseError
 from .geometry import HsdPoint, mu
 from .problem import SocpProblem, compute_residuals
-from .solver import SolverParams, SolveResult, SolveTrace, TraceRow
+from .solver import TRACE_VALUES, SolverParams, SolveResult, SolveTrace
 
-# TraceRow fields after `iteration`, in column order
-_TRACE_VALUES = tuple(f.name for f in fields(TraceRow))[1:]
-TRACE_COLUMNS = ("iter",) + _TRACE_VALUES
+TRACE_COLUMNS = ("iter",) + TRACE_VALUES
 
 STATUS_NAMES = ("optimal", "primal_infeasible", "dual_infeasible", "ill_posed")
 
@@ -192,10 +191,10 @@ def write_solution(problem: SocpProblem, result: SolveResult,
 
 
 def write_trace(trace: Optional[SolveTrace]) -> str:
-    """Deterministic trace table: header plus one row per iteration."""
+    """Deterministic trace table: header plus one line per step, the step
+    number and then its row of the trace table."""
     lines = [",".join(TRACE_COLUMNS)]
     if trace is not None:
-        for r in trace.rows:
-            lines.append(str(r.iteration) + "," + ",".join(
-                format(getattr(r, name), ".17g") for name in _TRACE_VALUES))
+        lines += [f"{i}," + ",".join(format(v, ".17g") for v in row)
+                  for i, row in enumerate(trace.rows.tolist(), 1)]
     return "\n".join(lines) + "\n"

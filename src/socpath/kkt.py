@@ -100,14 +100,15 @@ class KktWorkspace:
     column))[src] * sign.  `red` (whose w rows stay 0), `core_out`,
     `residual` and `step` are the scratch vectors of `solve_direction`.
 
-    The step is the full three-row right-hand side `rhs`, split by
-    `row_blocks`, and what the reduced solve reads: the scaled point
-    (xb, sb), Q xb, the head a of each entry's block, det per block, g,
-    the diagonal and head column of E and `values`.  Under a scaling
-    other than the identity (`scaled`) it also holds Dh and Dh^{-1}
-    (identities of order n+1 whose leading n x n block the step writes),
-    A_hat Dh' and D c.  `rhs`, `dh`, `dh_inv`, `ad` and `dc` are
-    allocated once; the next step writes over them and the rest.
+    The step is the full right-hand side `rhs` (its primal, dual and
+    complementarity rows, of lengths p, n+1 and n+1), and what the
+    reduced solve reads: the scaled point (xb, sb), Q xb, the head a of
+    each entry's block, det per block, g, the diagonal and head column of
+    E and `values`.  Under a scaling other than the identity (`scaled`)
+    it also holds Dh and Dh^{-1} (identities of order n+1 whose leading
+    n x n block the step writes), A_hat Dh' and D c.  `rhs`, `dh`,
+    `dh_inv`, `ad` and `dc` are allocated once; the next step writes over
+    them and the rest.
     """
 
     def __init__(self, problem: SocpProblem):
@@ -119,8 +120,6 @@ class KktWorkspace:
         expanded = np.add.reduceat(tail, spec.heads) > 0  # blocks with a tail
         N = m + p + int(expanded.sum())
         self.n, self.p, self.m = n, p, m
-        self.row_blocks = {"primal": slice(0, p), "dual": slice(p, p + m),
-                           "complementarity": slice(p + m, p + 2 * m)}
         self.A_hat = np.hstack([problem.A, -problem.b[:, None]])
         self.c = problem.c
         base = np.zeros((N, N), order="F")

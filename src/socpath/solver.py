@@ -11,8 +11,8 @@ there has broken the contraction law and raises MaxIterationsExceeded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,30 +57,23 @@ class SolverParams:
             raise InvalidParams("epsilon must be positive and finite")
 
 
-@dataclass
-class TraceRow:
-    iteration: int
-    mu: float
-    d2: float
-    dinf: float
-    rp_norm: float
-    rd_norm: float
-    rg_abs: float
-    tau: float
-    kappa: float
-    lambda_min_x: float
-    lambda_min_s: float
-    orth_defect: float
-    kkt_residual: float
+# the trace's columns, one row per step; the CSV puts `iter` before them
+TRACE_VALUES = ("mu", "d2", "dinf", "rp_norm", "rd_norm", "rg_abs", "tau",
+                "kappa", "lambda_min_x", "lambda_min_s", "orth_defect",
+                "kkt_residual")
+_TRACE_DTYPE = np.dtype([(name, np.float64) for name in TRACE_VALUES])
 
 
 @dataclass
 class SolveTrace:
+    """The start's mu and residual norms, and `rows`, a record array with
+    one row per step (row i is step i + 1) and the columns TRACE_VALUES.
+    `neighborhood_violations` counts the rows with d2 > gamma mu."""
     start_mu: float
     start_rp_norm: float
     start_rd_norm: float
     start_rg_abs: float
-    rows: List[TraceRow] = field(default_factory=list)
+    rows: np.recarray
     neighborhood_violations: int = 0
 
 
@@ -91,7 +84,7 @@ class SolveResult:
     solution: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     iterations: int
     trace: Optional[SolveTrace]
-    predicted: Optional[int] = None
+    predicted: int
 
 
 def validate_params(gamma: float, delta: float, k: int) -> Tuple[bool, float]:
@@ -179,7 +172,8 @@ def solve(problem: SocpProblem, start: HsdPoint,
     res = compute_residuals(problem, z)
     start_norms = (ev.mu, res.rp_norm, res.rd_norm)
     predicted = _closed_form_count(params, k, res, ev.mu)
-    trace = SolveTrace(ev.mu, res.rp_norm, res.rd_norm, res.rg_abs) \
+    trace = SolveTrace(ev.mu, res.rp_norm, res.rd_norm, res.rg_abs,
+                       np.recarray(predicted, _TRACE_DTYPE)) \
         if params.trace_enabled else None
     identity = ScalingMatrix.identity(spec)
     work = KktWorkspace(problem)
@@ -199,17 +193,13 @@ def solve(problem: SocpProblem, start: HsdPoint,
                 f"lambda_min(s)={ev.s.lo.min():.3e}")
         res = compute_residuals(problem, z, res_out)
         if trace is not None:
-            dist2 = ev.d2()
-            if dist2 > params.gamma * ev.mu:
-                trace.neighborhood_violations += 1
-            trace.rows.append(TraceRow(
-                iteration=iters, mu=ev.mu, d2=dist2, dinf=ev.dinf(),
-                rp_norm=res.rp_norm, rd_norm=res.rd_norm,
-                rg_abs=res.rg_abs, tau=ev.tau, kappa=ev.kappa,
-                lambda_min_x=float(ev.x.lo.min()),
-                lambda_min_s=float(ev.s.lo.min()),
-                orth_defect=direction.orthogonality_defect,
-                kkt_residual=direction.system_residual))
+            trace.rows[iters - 1] = (
+                ev.mu, ev.d2(), ev.dinf(), res.rp_norm, res.rd_norm,
+                res.rg_abs, ev.tau, ev.kappa, ev.x.lo.min(), ev.s.lo.min(),
+                direction.orthogonality_defect, direction.system_residual)
+    if trace is not None:
+        trace.neighborhood_violations = int(np.count_nonzero(
+            trace.rows.d2 > params.gamma * trace.rows.mu))
     if not _stopped(params, res, ev.mu, start_norms):
         raise MaxIterationsExceeded(
             f"the {params.stop_mode} stop criterion does not hold after the "

@@ -10,6 +10,8 @@ from socpath import ConeSpec, ParseError, SocpProblem, SolverParams
 from socpath.fileio import (TRACE_COLUMNS, parse_point, parse_problem,
                             solution_document, write_problem, write_solution,
                             write_trace)
+from socpath.geometry import Evaluation
+from socpath.solver import TRACE_VALUES
 
 from util import (cold_point, count_calls, infeasible_lp, mixed_spec,
                   random_problem, toy_lp)
@@ -39,9 +41,11 @@ def test_trace_columns_fixed():
 
 
 def test_trace_columns_follow_trace_row_fields():
-    names = [f.name for f in dataclasses.fields(sp.TraceRow)]
-    assert names[0] == "iteration"
-    assert TRACE_COLUMNS[1:] == tuple(names[1:])
+    prob = toy_lp()
+    result = sp.solve(prob, cold_point(prob),
+                      SolverParams(epsilon=0.5, stop_mode="unified"))
+    assert TRACE_COLUMNS == ("iter",) + TRACE_VALUES
+    assert result.trace.rows.dtype.names == TRACE_VALUES
 
 
 class TestParseProblem:
@@ -220,12 +224,44 @@ class TestWriteTrace:
         assert len(lines) == len(result.trace.rows) + 1
         assert lines[0] == ",".join(TRACE_COLUMNS)
         # every numeric field round-trips through its 17-digit repr
-        for line, row in zip(lines[1:], result.trace.rows):
-            fields = line.split(",")
-            assert int(fields[0]) == row.iteration
+        for step, row in enumerate(result.trace.rows, 1):
+            fields = lines[step].split(",")
+            assert int(fields[0]) == step
             assert float(fields[1]) == row.mu
             assert float(fields[4]) == row.rp_norm
             assert float(fields[12]) == row.kkt_residual
+
+    def test_violations_count_the_rows_over_the_radius(self, monkeypatch):
+        """neighborhood_violations counts exactly the table rows with
+        d2 > gamma mu, and the CSV's d2 column shows those rows."""
+        prob = toy_lp()
+        params = SolverParams(epsilon=0.5, stop_mode="unified")
+        real, calls = Evaluation.d2, []
+
+        def d2(ev):
+            # call 0 is the start's neighborhood check, call i step i's row
+            calls.append(None)
+            if len(calls) - 1 in (2, 5):
+                return 2.0 * params.gamma * ev.mu
+            return real(ev)
+        monkeypatch.setattr(Evaluation, "d2", d2)
+        result = sp.solve(prob, cold_point(prob), params)
+        assert result.iterations > 5
+        assert result.trace.neighborhood_violations == 2
+        cells = [line.split(",")
+                 for line in write_trace(result.trace).splitlines()[1:]]
+        assert [int(c[0]) for c in cells
+                if float(c[2]) > params.gamma * float(c[1])] == [2, 5]
+
+    def test_start_meeting_epsilon_gives_an_empty_table(self):
+        prob = toy_lp()
+        params = SolverParams(epsilon=10.0, stop_mode="unified")
+        result = sp.solve(prob, cold_point(prob), params)
+        assert result.iterations == result.predicted == 0
+        assert len(result.trace.rows) == 0
+        assert result.trace.rows.dtype.names == TRACE_VALUES
+        assert result.trace.neighborhood_violations == 0
+        assert write_trace(result.trace) == ",".join(TRACE_COLUMNS) + "\n"
 
     def test_mu_column_contracts_at_nu(self):
         prob = toy_lp()

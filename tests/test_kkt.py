@@ -139,8 +139,9 @@ def test_nu_one_zeroes_affine_rows():
     spec, prob, z, m, _ = _setup(rng)
     system = sp.assemble(prob, z, ScalingMatrix.identity(spec), 1.0, m)
     # the primal and dual row blocks carry a (1-nu) factor
-    assert np.abs(system.rhs[system.row_blocks["primal"]]).max() == 0.0
-    assert np.abs(system.rhs[system.row_blocks["dual"]]).max() == 0.0
+    p = prob.p
+    assert np.abs(system.rhs[:p]).max() == 0.0
+    assert np.abs(system.rhs[p:p + prob.n + 1]).max() == 0.0
 
 
 def test_affine_rows_read_the_iterate_residuals():
@@ -154,7 +155,7 @@ def test_affine_rows_read_the_iterate_residuals():
     for given in (None, res):
         system = sp.assemble(prob, z, ScalingMatrix.identity(spec), nu, m,
                              res=given)
-        affine = system.rhs[:system.row_blocks["dual"].stop]
+        affine = system.rhs[:prob.p + prob.n + 1]
         assert affine.tobytes() == expected.tobytes()
 
 
@@ -170,7 +171,7 @@ def test_feasible_start_has_zero_primal_rhs():
     assert sp.compute_residuals(prob, z).rp_norm == 0.0
     system = sp.assemble(prob, z, ScalingMatrix.identity(spec),
                          sp.centering_nu(DELTA, spec.k), sp.mu(z, spec))
-    assert not np.any(system.rhs[system.row_blocks["primal"]])
+    assert not np.any(system.rhs[:prob.p])
 
 
 def test_scaling_equivalence_with_transformed_problem():

@@ -296,6 +296,34 @@ def test_trace_does_not_change_iterates(scaling):
         assert np.array_equal(getattr(on.point, name), getattr(off.point, name))
 
 
+@pytest.mark.parametrize("scaling", ["identity", "nt"])
+def test_trace_table_is_allocated_once(scaling, monkeypatch):
+    """The trace is one record array of exactly `iterations` rows, which
+    exists at its full length before the first step."""
+    from socpath import solver
+    traces, seen = [], []
+
+    def record(*args):
+        traces.append(sp.SolveTrace(*args))
+        return traces[-1]
+
+    def step(z, d, alpha):
+        if not seen:
+            seen.append((traces[0].rows, len(traces[0].rows)))
+        return sp.step_point(z, d, alpha)
+    monkeypatch.setattr(solver, "SolveTrace", record)
+    monkeypatch.setattr(solver, "step_point", step)
+    rng = np.random.default_rng(433)
+    prob = feasible_problem(sp.ConeSpec(l=3, soc_dims=(4, 1, 3)), 4, rng)
+    res = sp.solve(prob, cold_point(prob),
+                   SolverParams(epsilon=1e-3, scaling=scaling))
+    rows = res.trace.rows
+    assert isinstance(rows, np.recarray)
+    assert len(rows) == res.iterations == res.predicted > 0
+    assert len(seen) == 1
+    assert seen[0][0] is rows and seen[0][1] == res.iterations
+
+
 def _leave_x(z):
     z.x[0] = -1.0
 
@@ -490,16 +518,23 @@ def _socpath_calls(prob, params):
     return len(calls), res.iterations
 
 
-@pytest.mark.parametrize("scaling, trace_enabled, ceiling", [
-    ("identity", False, 38), ("identity", True, 51),
-    ("nt", False, 49), ("nt", True, 62)])
-def test_socpath_calls_per_iteration(scaling, trace_enabled, ceiling):
+# per (scaling, trace_enabled): the measured calls per iteration plus one
+CALLS_PER_ITERATION_CEILING = {
+    ("identity", False): 38, ("identity", True): 50,
+    ("nt", False): 49, ("nt", True): 61}
+
+
+@pytest.mark.parametrize("scaling, trace_enabled",
+                         list(CALLS_PER_ITERATION_CEILING))
+def test_socpath_calls_per_iteration(scaling, trace_enabled):
     """A regression guard on the per-step work in Python: the calls into
     socpath functions that each iteration adds, from two solves of the
     same problem that differ only in their iteration count.  numpy's own
     Python frames are not counted, so the figure does not depend on its
     version.  (The layout before the flat iterate took 48, 61, 59, 72,
-    and the step before it moved into the workspace 39, 52, 50, 63.)"""
+    the step before it moved into the workspace 39, 52, 50, 63, and the
+    trace before it was one table 37, 50, 48, 61.)"""
+    ceiling = CALLS_PER_ITERATION_CEILING[scaling, trace_enabled]
     rng = np.random.default_rng(439)
     prob = feasible_problem(sp.ConeSpec(l=2, soc_dims=(3, 3)), 2, rng)
     (c1, i1), (c2, i2) = (
