@@ -123,6 +123,8 @@ def cmd_check(args) -> int:
     ev = Evaluation(z, problem.cones)
     interior = ev.interior()
     dist2, distinf = (ev.d2(), ev.dinf()) if interior else (math.nan, math.nan)
+    in_n2 = ev.within(NeighborhoodParams(args.gamma))
+    in_ninf = interior and distinf <= args.gamma * ev.mu
     lines = [
         f"mu={ev.mu:.17g}",
         f"d2={dist2:.17g}",
@@ -131,8 +133,8 @@ def cmd_check(args) -> int:
         f"rd_norm={res.rd_norm:.17g}",
         f"rg_abs={res.rg_abs:.17g}",
         f"interior={'true' if interior else 'false'}",
-        f"in_n2={'true' if ev.within(NeighborhoodParams(args.gamma, '2')) else 'false'}",
-        f"in_ninf={'true' if ev.within(NeighborhoodParams(args.gamma, 'inf')) else 'false'}",
+        f"in_n2={'true' if in_n2 else 'false'}",
+        f"in_ninf={'true' if in_ninf else 'false'}",
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

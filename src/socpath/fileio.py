@@ -79,22 +79,27 @@ def parse_problem(text: str) -> SocpProblem:
         raise ParseError("expected an array", field="cones.q")
     q = tuple(_count(v, f"cones.q[{i}]", minimum=1)
               for i, v in enumerate(q_raw))
-    try:
-        spec = ConeSpec(l, q)
-    except ValueError as exc:
-        raise ParseError(str(exc), field="cones") from exc
 
     mat = _require(data, "A", "")
     if not isinstance(mat, dict):
         raise ParseError("expected an object", field="A")
     rows = _count(_require(mat, "rows", "A."), "A.rows")
     cols = _count(_require(mat, "cols", "A."), "A.cols")
-    if cols != spec.n:
+    # the sizes are checked against the lists the file holds before the
+    # cone's layout or A is built, so that no count alone sizes an array
+    dim = l + sum(q)
+    if cols != dim:
         raise ParseError(
-            f"cols = {cols} but the cone has dimension {spec.n}", field="A.cols")
+            f"cols = {cols} but the cone has dimension {dim}", field="A.cols")
     triplets = _require(mat, "triplets", "A.")
     if not isinstance(triplets, list):
         raise ParseError("expected an array", field="A.triplets")
+    b = _vector(_require(data, "b", ""), rows, "b")
+    c = _vector(_require(data, "c", ""), cols, "c")
+    try:
+        spec = ConeSpec(l, q)
+    except ValueError as exc:
+        raise ParseError(str(exc), field="cones") from exc
     A = np.zeros((rows, cols))
     for idx, t in enumerate(triplets):
         where = f"A.triplets[{idx}]"
@@ -109,8 +114,6 @@ def parse_problem(text: str) -> SocpProblem:
             raise ParseError(f"col {j} out of range for {cols} cols",
                              field=where)
         A[i, j] += _number(t[2], f"{where}[2]")
-    b = _vector(_require(data, "b", ""), rows, "b")
-    c = _vector(_require(data, "c", ""), cols, "c")
     return SocpProblem(A, b, c, spec, name=name)
 
 

@@ -57,13 +57,10 @@ class HsdPoint:
 @dataclass(frozen=True)
 class NeighborhoodParams:
     gamma: float
-    flavor: str = "2"
 
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0,1)")
-        if self.flavor not in ("2", "inf"):
-            raise ValueError("flavor must be '2' or 'inf'")
 
 
 def mu(z: HsdPoint, spec: ConeSpec) -> float:
@@ -78,10 +75,9 @@ class Evaluation:
 
     It holds the Spectrum of x and of s, tau, kappa and mu.  interior()
     asks for tau, kappa > 0 and both spectra interior; within(params) is
-    membership in N_2(gamma) or N_inf(gamma), and a non-interior point is
-    out.  The scaled product point w = T_x s is taken once, on first use;
-    d2 reads w alone, and only dinf takes the spectral bounds of w, also
-    once.
+    membership in N_2(gamma), and a non-interior point is out.  The scaled
+    product point w = T_x s is taken once, on first use; d2 reads w alone,
+    and only dinf takes the spectral bounds of w.
     """
 
     def __init__(self, z: HsdPoint, spec: ConeSpec):
@@ -104,19 +100,13 @@ class Evaluation:
         extra = self.kappa * self.tau - self.mu
         return math.sqrt(2.0) * math.sqrt(float(dev @ dev) + extra * extra)
 
-    @cached_property
-    def w_bounds(self) -> np.ndarray:
-        return spectral_bounds(self.w, self.x.spec)
-
     def dinf(self) -> float:
-        worst = float(np.max(np.abs(self.w_bounds - self.mu)))
+        bounds = spectral_bounds(self.w, self.x.spec)
+        worst = float(np.max(np.abs(bounds - self.mu)))
         return max(worst, abs(self.kappa * self.tau - self.mu))
 
     def within(self, params: NeighborhoodParams) -> bool:
-        if not self.interior():
-            return False
-        dist = self.d2() if params.flavor == "2" else self.dinf()
-        return dist <= params.gamma * self.mu
+        return self.interior() and self.d2() <= params.gamma * self.mu
 
 
 def d2(z: HsdPoint, spec: ConeSpec) -> float:
@@ -131,7 +121,7 @@ def dinf(z: HsdPoint, spec: ConeSpec) -> float:
 
 def in_neighborhood(z: HsdPoint, spec: ConeSpec,
                     params: NeighborhoodParams) -> bool:
-    """Membership in N_2(gamma) or N_inf(gamma); non-interior points are out."""
+    """Membership in N_2(gamma); non-interior points are out."""
     return Evaluation(z, spec).within(params)
 
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -64,8 +64,8 @@ from scipy.linalg import get_lapack_funcs
 from .cones import (ConeSpec, ScalingMatrix, jordan, t_apply, t_inverse_apply,
                     tail_norms)
 from .errors import DimensionMismatch, SingularSystem
-from .geometry import HsdPoint
-from .problem import Residuals, SocpProblem, compute_residuals
+from .geometry import Evaluation, HsdPoint
+from .problem import Residuals, SocpProblem
 
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
@@ -157,22 +157,19 @@ class KktWorkspace:
         self.ad, self.dc = np.empty((p, m)), np.empty(n)
 
 
-def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
-             nu: float, mu: float, work: Optional[KktWorkspace] = None,
-             res: Optional[Residuals] = None) -> KktWorkspace:
-    """Write the reduced system of the current iterate into the workspace
-    over its last step, and return the workspace.
-
-    `work` and `res`, the workspace and the residuals, are built if absent.
-    """
-    if D.spec.n != problem.cones.n:
-        raise DimensionMismatch("scaling and problem cones disagree")
-    work = KktWorkspace(problem) if work is None else work
+def assemble(work: KktWorkspace, z: HsdPoint, ev: Evaluation,
+             D: ScalingMatrix, nu: float, res: Residuals) -> KktWorkspace:
+    """Write the reduced system of the iterate z into the workspace over
+    its last step, and return the workspace.  `ev` and `res` are z's
+    `Evaluation` and `Residuals`; mu is ev.mu."""
     n, m, p = work.n, work.m, work.p
+    if D.spec.n != n:
+        raise DimensionMismatch("scaling and problem cones disagree")
     if z.x.shape != (n,) or z.s.shape != (n,) or z.y.shape != (p,):
         raise DimensionMismatch(
             f"expected a point with x and s of length {n} and y of length "
             f"{p}, got {z.x.size}, {z.s.size} and {z.y.size}")
+    hat = work.spec
     work.scaled = not D.is_identity
     if work.scaled:
         dh, dh_inv = work.dh, work.dh_inv
@@ -181,11 +178,12 @@ def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
         xb, sb = dh_inv.T @ z.vec[:m], dh @ z.vec[m + p:]
         np.matmul(work.A_hat, dh.T, out=work.ad)
         np.matmul(dh[:n, :n], work.c, out=work.dc)
+        head, t = xb[hat.heads], tail_norms(xb, hat)
     else:
+        # xh's heads and tail norms are x's, with tau's 1-dimensional block
         xb, sb = z.vec[:m], z.vec[m + p:]
-    hat = work.spec
-    head = xb[hat.heads]
-    t = tail_norms(xb, hat)
+        head = np.concatenate((ev.x.head, (ev.tau,)))
+        t = np.concatenate((ev.x.tail, (0.0,)))
     det = (head - t) * (head + t)
     a = head[hat.block_of]
     xq = hat.q * xb
@@ -197,11 +195,10 @@ def assemble(problem: SocpProblem, z: HsdPoint, D: ScalingMatrix,
     values = np.concatenate((g, rho, det, e_diag, e_head))[work.src] * work.sign
     work.xb, work.sb, work.xq, work.a, work.det = xb, sb, xq, a, det
     work.g, work.e_diag, work.e_head, work.values = g, e_diag, e_head, values
-    res = compute_residuals(problem, z) if res is None else res
     rhs = work.rhs
     rhs[:p], rhs[p:p + n], rhs[p + n] = res.r_p, res.r_d, -res.r_g
     rhs[:p + m] *= -(1.0 - nu)
-    np.subtract(nu * mu * hat.e, jordan(xb, sb, hat), out=rhs[p + m:])
+    np.subtract(nu * ev.mu * hat.e, jordan(xb, sb, hat), out=rhs[p + m:])
     return work
 
 

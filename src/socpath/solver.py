@@ -182,8 +182,7 @@ def solve(problem: SocpProblem, start: HsdPoint,
     for iters in range(1, predicted + 1):
         D = identity if params.scaling == "identity" \
             else nt_scaling_of(ev.x, ev.s)
-        direction = solve_direction(
-            assemble(problem, z, D, nu, ev.mu, work, res))
+        direction = solve_direction(assemble(work, z, ev, D, nu, res))
         z = step_point(z, direction, 1.0)
         ev = Evaluation(z, spec)
         if not ev.interior():

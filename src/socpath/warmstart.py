@@ -293,7 +293,7 @@ def warm_start(prev_p: SocpProblem, new_p: SocpProblem, prev, gamma: float,
             fallback = "empty admissible set"
     if fallback is None:
         start = _blend(diag.pair, omega)
-        if in_neighborhood(start, spec, NeighborhoodParams(gamma, "2")):
+        if in_neighborhood(start, spec, NeighborhoodParams(gamma)):
             return WarmStart(start, float(omega), None, diag)
         fallback = "outside neighborhood"
     return WarmStart(cold_start(spec, p=p), 0.0, fallback, diag)

@@ -233,6 +233,35 @@ class TestCheckCommand:
         assert code == 0 and parse_kv(out)["interior"] == "true"
         assert len(calls) <= 3
 
+    def test_in_ninf_but_not_in_n2(self, run, toy_file, tmp_path):
+        """x o s = (2, 2) and kappa tau = 1 give mu = 5/3, d2/mu = 0.69
+        and dinf/mu = 0.4: at gamma 0.5 the point is in N_inf, not N_2,
+        and in_ninf reads the printed dinf."""
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({
+            "x": [1.0, 2.0], "y": [0.0], "s": [2.0, 1.0],
+            "kappa": 1.0, "tau": 1.0,
+        }))
+        code, out, _ = run("check", "--problem", toy_file, "--point", point,
+                           "--gamma", "0.5")
+        assert code == 0
+        kv = parse_kv(out)
+        assert float(kv["d2"]) > 0.5 * float(kv["mu"]) >= float(kv["dinf"])
+        assert kv["in_n2"] == "false" and kv["in_ninf"] == "true"
+
+    def test_gamma_outside_unit_interval_exits_2(self, run, toy_file,
+                                                 tmp_path):
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({
+            "x": [1.0, 1.0], "y": [0.0], "s": [1.0, 1.0],
+            "kappa": 1.0, "tau": 1.0,
+        }))
+        code, out, err = run("check", "--problem", toy_file, "--point", point,
+                             "--gamma", "1.5")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": "gamma must lie in (0,1)"}
+
     def test_dimension_mismatch_exits_2(self, run, toy_file, tmp_path):
         point = tmp_path / "point.json"
         point.write_text(json.dumps({
@@ -317,6 +346,22 @@ class TestWarmstartCommand:
                            "--output", tmp_path / "warm.json")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_previous_solution_without_positive_tau_exits_2(
+            self, run, toy_file, tmp_path, tau):
+        sol_file = tmp_path / "sol.json"
+        sol_file.write_text(json.dumps({
+            "x": [1.0, 1.0], "y": [0.0], "s": [1.0, 1.0],
+            "kappa": 1.0, "tau": tau,
+        }))
+        code, _, err = run("warmstart", "--prev-problem", toy_file,
+                           "--prev-solution", sol_file, "--problem", toy_file,
+                           "--output", tmp_path / "warm.json")
+        assert code == 2
+        assert json.loads(err)["error"] == {
+            "type": "InvalidPoint",
+            "message": "previous solution must have tau > 0"}
 
     def _warmstart_argv(self, tmp_path, seed):
         rng = np.random.default_rng(seed)

@@ -123,6 +123,15 @@ def test_spec_takes_integers_only(l, soc_dims, error):
     assert parse_problem(write_problem(problem)).cones == spec
 
 
+@pytest.mark.parametrize("l, soc_dims, error", [
+    (-1, (3,), "l must be nonnegative"),
+    (1, (3, 0), "every second-order block dimension must be >= 1"),
+])
+def test_spec_refuses_negative_l_and_empty_blocks(l, soc_dims, error):
+    with pytest.raises(ValueError, match=error):
+        ConeSpec(l, soc_dims)
+
+
 @pytest.mark.parametrize("clone", [lambda spec: pickle.loads(pickle.dumps(spec)),
                                    copy.deepcopy])
 def test_spec_copy_rebuilds_read_only_layout(clone):

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import socpath as sp
 from socpath import ConeSpec, ParseError, SocpProblem, SolverParams
+from socpath.cli import main
 from socpath.fileio import (TRACE_COLUMNS, parse_point, parse_problem,
                             solution_document, write_problem, write_solution,
                             write_trace)
@@ -122,6 +124,53 @@ class TestParseProblem:
             parse_problem(doc_text(
                 cones={"l": 0, "q": []},
                 A={"rows": 1, "cols": 0, "triplets": []}, b=[1.0], c=[]))
+
+    @pytest.mark.parametrize("override, field", [
+        ({"cones": {"l": 2 ** 62, "q": []}}, "A.cols"),
+        ({"cones": {"l": 2 ** 70, "q": []}}, "A.cols"),
+        ({"cones": {"l": 0, "q": [2 ** 62]}}, "A.cols"),
+        ({"A": {"rows": 2 ** 70, "cols": 2, "triplets": []}}, "b"),
+        ({"A": {"rows": 1, "cols": 2 ** 62, "triplets": []}}, "A.cols"),
+    ], ids=["l-2^62", "l-2^70", "q-2^62", "rows-2^70", "cols-2^62"])
+    def test_huge_count_refused_before_any_allocation(
+            self, monkeypatch, tmp_path, capsys, override, field):
+        """A count that the file's lists do not back exits 2 with a
+        ParseError, before the cone's layout or A is built."""
+        def unreached(*args, **kwargs):
+            raise AssertionError("built an array from a count")
+        monkeypatch.setattr(sp.fileio, "ConeSpec", unreached)
+        monkeypatch.setattr(sp.fileio.np, "zeros", unreached)
+        path = tmp_path / "huge.json"
+        path.write_text(doc_text(**override))
+        code = main(["check", "--problem", str(path),
+                     "--point", str(tmp_path / "absent.json")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and error["type"] == "ParseError"
+        assert error["context"] == f"field {field!r}"
+
+
+@pytest.mark.parametrize("parse, text, field, message", [
+    (parse_problem, "[]", None, "top level must be an object"),
+    (parse_problem, doc_text(name=3), "name", "expected a string"),
+    (parse_problem, doc_text(cones=[2]), "cones", "expected an object"),
+    (parse_problem, doc_text(cones={"l": 2, "q": 3}), "cones.q",
+     "expected an array"),
+    (parse_problem, doc_text(A=[[1.0, 1.0]]), "A", "expected an object"),
+    (parse_problem, doc_text(A={"rows": 1, "cols": 2, "triplets": {}}),
+     "A.triplets", "expected an array"),
+    (parse_problem, doc_text(A={"rows": 1, "cols": 2, "triplets": [[0, 0]]}),
+     "A.triplets[0]", "expected [row, col, value]"),
+    (parse_problem, doc_text(b=1.0), "b", "expected an array"),
+    (parse_point, '{"x": [1.0],\n "y": }', None, "invalid JSON"),
+    (parse_point, "[]", None, "top level must be an object"),
+    (parse_point, '{"x": [1.0], "y": 0.0, "s": [1.0]}', "y",
+     "expected an array"),
+], ids=["problem-top", "name", "cones", "cones.q", "A", "A.triplets",
+        "triplet", "b", "point-json", "point-top", "point-y"])
+def test_structural_error_names_its_field(parse, text, field, message):
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
+        parse(text)
+    assert info.value.field == field
 
 
 class TestRoundTrip:

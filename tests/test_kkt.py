@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import socpath as sp
-from socpath import HsdPoint, ScalingMatrix, SingularSystem, SocpProblem
+from socpath import (DimensionMismatch, HsdPoint, ScalingMatrix,
+                     SingularSystem, SocpProblem)
 from socpath.kkt import KktWorkspace, increment_bound
 
 from oracles import kkt_oracle
@@ -26,6 +27,14 @@ def _setup(rng, p_rows=None):
     return spec, prob, z, m, nu
 
 
+def _assemble(prob, z, D, nu, work=None):
+    """The Newton system of z as solve assembles it, from z's evaluation
+    and residuals, into `work` or a fresh workspace."""
+    work = KktWorkspace(prob) if work is None else work
+    return sp.assemble(work, z, sp.Evaluation(z, prob.cones), D, nu,
+                       sp.compute_residuals(prob, z))
+
+
 def _pick_scaling(name, z, spec, rng):
     if name == "identity":
         return ScalingMatrix.identity(spec)
@@ -40,7 +49,7 @@ def test_direction_matches_five_block_oracle(scaling):
     for _ in range(20):
         spec, prob, z, m, nu = _setup(rng)
         D = _pick_scaling(scaling, z, spec, rng)
-        direction = sp.solve_direction(sp.assemble(prob, z, D, nu, m))
+        direction = sp.solve_direction(_assemble(prob, z, D, nu))
         ox, oy, os_, okap, otau = kkt_oracle(
             prob, z, D.matrix(), D.inverse_matrix(), nu, m
         )
@@ -59,7 +68,7 @@ def test_direction_satisfies_row_equations(scaling):
     for _ in range(20):
         spec, prob, z, m, nu = _setup(rng)
         D = _pick_scaling(scaling, z, spec, rng)
-        d = sp.solve_direction(sp.assemble(prob, z, D, nu, m))
+        d = sp.solve_direction(_assemble(prob, z, D, nu))
         A, b, c = prob.A, prob.b, prob.c
         one = 1.0 - nu
         tol = 1e-10 * (1 + m)
@@ -88,7 +97,7 @@ def test_solve_diagnostics_bounds():
     rng = np.random.default_rng(313)
     for _ in range(30):
         spec, prob, z, m, nu = _setup(rng)
-        d = sp.solve_direction(sp.assemble(prob, z, ScalingMatrix.identity(spec), nu, m))
+        d = sp.solve_direction(_assemble(prob, z, ScalingMatrix.identity(spec), nu))
         assert d.system_residual <= 1e-10
         assert d.orthogonality_defect <= 1e-9 * (spec.k + 1) * m
 
@@ -99,7 +108,7 @@ def test_orthogonality_identity():
         for _ in range(20):
             spec, prob, z, m, nu = _setup(rng)
             D = _pick_scaling(scaling, z, spec, rng)
-            d = sp.solve_direction(sp.assemble(prob, z, D, nu, m))
+            d = sp.solve_direction(_assemble(prob, z, D, nu))
             assert abs(d.dx @ d.ds + d.dkappa * d.dtau) <= 1e-9 * (spec.k + 1) * m
 
 
@@ -107,7 +116,7 @@ def test_fractional_step_contraction():
     rng = np.random.default_rng(331)
     for _ in range(20):
         spec, prob, z, m, nu = _setup(rng)
-        d = sp.solve_direction(sp.assemble(prob, z, ScalingMatrix.identity(spec), nu, m))
+        d = sp.solve_direction(_assemble(prob, z, ScalingMatrix.identity(spec), nu))
         r0 = sp.compute_residuals(prob, z)
         for alpha in (0.25, 0.5, 1.0):
             za = sp.step_point(z, d, alpha)
@@ -125,8 +134,7 @@ def test_centered_pure_centering_gives_zero_direction():
         spec = mixed_spec(rng)
         prob = random_problem(spec, 2, rng)
         z = interior_hsd_point(prob, rng, centered=True)
-        m = sp.mu(z, spec)
-        d = sp.solve_direction(sp.assemble(prob, z, ScalingMatrix.identity(spec), 1.0, m))
+        d = sp.solve_direction(_assemble(prob, z, ScalingMatrix.identity(spec), 1.0))
         scale = max(1.0, np.abs(z.x).max())
         for part in (d.dx, d.dy, d.ds):
             assert np.abs(part).max() < 1e-11 * scale
@@ -137,7 +145,7 @@ def test_centered_pure_centering_gives_zero_direction():
 def test_nu_one_zeroes_affine_rows():
     rng = np.random.default_rng(347)
     spec, prob, z, m, _ = _setup(rng)
-    system = sp.assemble(prob, z, ScalingMatrix.identity(spec), 1.0, m)
+    system = _assemble(prob, z, ScalingMatrix.identity(spec), 1.0)
     # the primal and dual row blocks carry a (1-nu) factor
     p = prob.p
     assert np.abs(system.rhs[:p]).max() == 0.0
@@ -146,17 +154,29 @@ def test_nu_one_zeroes_affine_rows():
 
 def test_affine_rows_read_the_iterate_residuals():
     """The primal and dual row groups are -(1-nu) (r_p, r_d, -r_g), bit
-    for bit from the Residuals the stop test reads, whether the caller
-    hands them in or assemble computes them."""
+    for bit from the Residuals the stop test reads."""
     rng = np.random.default_rng(353)
     spec, prob, z, m, nu = _setup(rng)
     res = sp.compute_residuals(prob, z)
     expected = -(1.0 - nu) * np.concatenate((res.r_p, res.r_d, (-res.r_g,)))
-    for given in (None, res):
-        system = sp.assemble(prob, z, ScalingMatrix.identity(spec), nu, m,
-                             res=given)
-        affine = system.rhs[:prob.p + prob.n + 1]
-        assert affine.tobytes() == expected.tobytes()
+    system = _assemble(prob, z, ScalingMatrix.identity(spec), nu)
+    affine = system.rhs[:prob.p + prob.n + 1]
+    assert affine.tobytes() == expected.tobytes()
+
+
+def test_identity_step_reads_the_evaluation_spectra():
+    """An identity step takes xh's heads and tail norms from the
+    evaluation of x with tau's block appended; its det per block and a
+    per entry are bitwise those of xh's own heads and tail norms."""
+    rng = np.random.default_rng(359)
+    for _ in range(10):
+        spec, prob, z, _, nu = _setup(rng)
+        system = _assemble(prob, z, ScalingMatrix.identity(spec), nu)
+        hat, xh = spec.hat(), z.vec[:spec.n + 1]
+        head, t = xh[hat.heads], sp.cones.tail_norms(xh, hat)
+        det = (head - t) * (head + t)
+        assert system.det.tobytes() == det.tobytes()
+        assert system.a.tobytes() == head[hat.block_of].tobytes()
 
 
 def test_feasible_start_has_zero_primal_rhs():
@@ -169,8 +189,8 @@ def test_feasible_start_has_zero_primal_rhs():
     prob = SocpProblem(A=A, b=A @ e, c=e.copy(), cones=spec)
     z = cold_point(prob)
     assert sp.compute_residuals(prob, z).rp_norm == 0.0
-    system = sp.assemble(prob, z, ScalingMatrix.identity(spec),
-                         sp.centering_nu(DELTA, spec.k), sp.mu(z, spec))
+    system = _assemble(prob, z, ScalingMatrix.identity(spec),
+                       sp.centering_nu(DELTA, spec.k))
     assert not np.any(system.rhs[:prob.p])
 
 
@@ -181,7 +201,7 @@ def test_scaling_equivalence_with_transformed_problem():
     for _ in range(20):
         spec, prob, z, m, nu = _setup(rng)
         D = sp.random_automorphism(spec, rng)
-        d = sp.solve_direction(sp.assemble(prob, z, D, nu, m))
+        d = sp.solve_direction(_assemble(prob, z, D, nu))
 
         Dm, Dinv = D.matrix(), D.inverse_matrix()
         tprob = SocpProblem(
@@ -191,7 +211,7 @@ def test_scaling_equivalence_with_transformed_problem():
             x=Dinv.T @ z.x, y=z.y, s=Dm @ z.s, kappa=z.kappa, tau=z.tau
         )
         td = sp.solve_direction(
-            sp.assemble(tprob, tz, ScalingMatrix.identity(spec), nu, m)
+            _assemble(tprob, tz, ScalingMatrix.identity(spec), nu)
         )
         back_dx = Dm.T @ td.dx
         back_ds = Dinv @ td.ds
@@ -211,13 +231,12 @@ def test_kept_direction_survives_the_next_step(scaling):
     rng = np.random.default_rng(353)
     spec, prob, z, m, nu = _setup(rng)
     work = KktWorkspace(prob)
-    kept = sp.solve_direction(sp.assemble(
-        prob, z, _pick_scaling(scaling, z, spec, rng), nu, m, work))
+    kept = sp.solve_direction(_assemble(
+        prob, z, _pick_scaling(scaling, z, spec, rng), nu, work))
     before = kept.vec.tobytes()
     other_z = interior_hsd_point(prob, rng)
-    other = sp.solve_direction(sp.assemble(
-        prob, other_z, _pick_scaling(scaling, other_z, spec, rng), nu,
-        sp.mu(other_z, spec), work))
+    other = sp.solve_direction(_assemble(
+        prob, other_z, _pick_scaling(scaling, other_z, spec, rng), nu, work))
     assert other.vec.tobytes() != before
     assert kept.vec.tobytes() == before
 
@@ -231,9 +250,9 @@ def test_scaling_sequence_matches_fresh_workspaces():
     work = KktWorkspace(prob)
     for scaling in ("identity", "nt", "identity"):
         z = interior_hsd_point(prob, rng)
-        D, m = _pick_scaling(scaling, z, spec, rng), sp.mu(z, spec)
-        shared = sp.solve_direction(sp.assemble(prob, z, D, nu, m, work))
-        fresh = sp.solve_direction(sp.assemble(prob, z, D, nu, m))
+        D = _pick_scaling(scaling, z, spec, rng)
+        shared = sp.solve_direction(_assemble(prob, z, D, nu, work))
+        fresh = sp.solve_direction(_assemble(prob, z, D, nu))
         assert shared.vec.tobytes() == fresh.vec.tobytes()
         assert shared.system_residual == fresh.system_residual
 
@@ -248,7 +267,7 @@ def test_nt_step_writes_into_the_workspace_buffers():
     names = ("rhs", "dh", "dh_inv", "ad", "dc")
     before = [getattr(work, name) for name in names]
     D = sp.nt_scaling(z.x, z.s, spec)
-    assert sp.assemble(prob, z, D, nu, m, work) is work
+    assert _assemble(prob, z, D, nu, work) is work
     assert all(getattr(work, name) is held
                for name, held in zip(names, before))
     n, unit = spec.n, [0.0] * spec.n + [1.0]
@@ -260,17 +279,18 @@ def test_nt_step_writes_into_the_workspace_buffers():
 def test_nt_step_allocates_no_matrix():
     """Once its workspace exists, an NT step writes Dh, Dh^{-1} and A_hat Dh'
     into the workspace's buffers: its allocations peak below one p x (n+1)
-    array, the smaller of the two matrix shapes."""
+    array, the smaller of the two matrix shapes.  The evaluation and the
+    residuals, which solve holds already, are built before the count."""
     prob = feasible_problem(sp.ConeSpec(l=20, soc_dims=(30, 40, 30)), 60,
                             np.random.default_rng(5))
     spec, z = prob.cones, cold_point(prob)
-    D, m = sp.nt_scaling(z.x, z.s, spec), sp.mu(z, spec)
+    D, ev = sp.nt_scaling(z.x, z.s, spec), sp.Evaluation(z, spec)
     nu, res = sp.centering_nu(DELTA, spec.k), sp.compute_residuals(prob, z)
     work = KktWorkspace(prob)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sp.solve_direction(sp.assemble(prob, z, D, nu, m, work, res))
+        sp.solve_direction(sp.assemble(work, z, ev, D, nu, res))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -287,10 +307,40 @@ def test_singular_system_raises():
         cones=spec,
     )
     z = sp.cold_start(spec, p=2)
-    m = sp.mu(z, spec)
     nu = sp.centering_nu(DELTA, spec.k)
     with pytest.raises(SingularSystem):
-        sp.solve_direction(sp.assemble(prob, z, ScalingMatrix.identity(spec), nu, m))
+        sp.solve_direction(_assemble(prob, z, ScalingMatrix.identity(spec), nu))
+
+
+def test_non_finite_direction_raises(monkeypatch):
+    """A direction that is not finite, here from a NaN solution of the
+    reduced system, raises SingularSystem."""
+    original = sp.kkt.solve_dense
+
+    def nan_solve(K, rhs):
+        u, factors = original(K, rhs)
+        return np.full_like(u, np.nan), factors
+    monkeypatch.setattr(sp.kkt, "solve_dense", nan_solve)
+    prob = toy_lp()
+    system = _assemble(prob, cold_point(prob),
+                       ScalingMatrix.identity(prob.cones), 0.9)
+    with pytest.raises(SingularSystem, match="not finite"):
+        sp.solve_direction(system)
+
+
+def test_assemble_checks_the_scaling_and_the_point():
+    """A scaling over other cones than the workspace's problem, or a point
+    of other lengths, raises DimensionMismatch."""
+    prob = toy_lp()
+    z, work = cold_point(prob), KktWorkspace(prob)
+    ev, res = sp.Evaluation(z, prob.cones), sp.compute_residuals(prob, z)
+    identity = ScalingMatrix.identity(prob.cones)
+    other = ScalingMatrix.identity(sp.ConeSpec(l=3, soc_dims=()))
+    with pytest.raises(DimensionMismatch, match="scaling and problem"):
+        sp.assemble(work, z, ev, other, 0.9, res)
+    long_y = HsdPoint(x=z.x, y=np.zeros(2), s=z.s, kappa=1.0, tau=1.0)
+    with pytest.raises(DimensionMismatch, match="got 2, 2 and 2"):
+        sp.assemble(work, long_y, ev, identity, 0.9, res)
 
 
 def test_increment_bound_frozen():
@@ -306,7 +356,7 @@ def test_scaled_increment_diagnostics_on_toy_lp():
     z = sp.cold_start(spec, p=1)
     m = sp.mu(z, spec)
     nu = sp.centering_nu(DELTA, spec.k)
-    d = sp.solve_direction(sp.assemble(prob, z, ScalingMatrix.identity(spec), nu, m))
+    d = sp.solve_direction(_assemble(prob, z, ScalingMatrix.identity(spec), nu))
     nx, ns, bound = sp.scaled_increment_diagnostics(z, d, spec, GAMMA, DELTA)
     assert nx <= bound / 2.0
     assert ns <= bound * m
@@ -320,7 +370,7 @@ def test_direction_owns_its_vector(scaling):
     rng = np.random.default_rng(359)
     spec, prob, z, m, nu = _setup(rng)
     work = KktWorkspace(prob)
-    sp.assemble(prob, z, _pick_scaling(scaling, z, spec, rng), nu, m, work)
+    _assemble(prob, z, _pick_scaling(scaling, z, spec, rng), nu, work)
     first, second = sp.solve_direction(work), sp.solve_direction(work)
     assert not np.shares_memory(first.vec, second.vec)
     for buffer in (work.red, work.core_out, work.residual, work.step,
@@ -343,7 +393,7 @@ def test_step_point_equals_the_five_separate_steps_bitwise():
     for _ in range(10):
         spec, prob, z, m, nu = _setup(rng)
         d = sp.solve_direction(
-            sp.assemble(prob, z, ScalingMatrix.identity(spec), nu, m))
+            _assemble(prob, z, ScalingMatrix.identity(spec), nu))
         for alpha in (1.0, 0.37):
             stepped = sp.step_point(z, d, alpha)
             for got, base, inc in ((stepped.x, z.x, d.dx), (stepped.y, z.y, d.dy),

@@ -33,6 +33,9 @@ def test_shape_mismatch_raises():
     bad_b = SocpProblem(A=np.ones((1, 2)), b=np.ones(2), c=np.ones(2), cones=spec)
     with pytest.raises(DimensionMismatch):
         bad_b.check_shapes()
+    bad_c = SocpProblem(A=np.ones((1, 2)), b=np.ones(1), c=np.ones(3), cones=spec)
+    with pytest.raises(DimensionMismatch, match="^c has length 3, expected 2$"):
+        bad_c.check_shapes()
     not_matrix = SocpProblem(A=np.ones((1, 2, 3)), b=np.ones(1), c=np.ones(2),
                              cones=spec)
     with pytest.raises(DimensionMismatch, match="^A must be a matrix$"):
@@ -149,6 +152,9 @@ class TestResiduals:
         prob = toy_lp()
         z = HsdPoint(x=np.ones(3), y=np.zeros(1), s=np.ones(3), kappa=1.0, tau=1.0)
         with pytest.raises(DimensionMismatch):
+            sp.compute_residuals(prob, z)
+        z = HsdPoint(x=np.ones(2), y=np.zeros(2), s=np.ones(2), kappa=1.0, tau=1.0)
+        with pytest.raises(DimensionMismatch, match="^y has length 2, expected 1$"):
             sp.compute_residuals(prob, z)
 
 

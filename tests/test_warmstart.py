@@ -10,6 +10,7 @@ import socpath as sp
 from socpath import (
     ConeSpec,
     ConeSpecMismatch,
+    DimensionMismatch,
     EmptyAdmissibleSet,
     NeighborhoodParams,
     NotInterior,
@@ -24,6 +25,7 @@ from util import (
     cold_point,
     count_calls,
     feasible_problem_with_pair,
+    infeasible_lp,
     interior_vector,
     mixed_spec,
     toy_lp,
@@ -301,6 +303,16 @@ class TestDiagnostics:
         with pytest.raises(ConeSpecMismatch):
             sp.diagnostics(prob, other, (e, np.zeros(1), e), gamma=0.08)
 
+    def test_shape_mismatch_raises(self):
+        prob = toy_lp()
+        taller = SocpProblem(A=np.ones((2, 2)), b=np.ones(2), c=prob.c.copy(),
+                             cones=prob.cones)
+        e = np.ones(2)
+        with pytest.raises(DimensionMismatch, match="share matrix dimensions"):
+            sp.diagnostics(prob, taller, (e, np.zeros(1), e), gamma=0.08)
+        with pytest.raises(DimensionMismatch, match="y_o has length 2, expected 1"):
+            sp.diagnostics(prob, prob, (e, np.zeros(2), e), gamma=0.08)
+
     @pytest.mark.parametrize("omega", ["max-admissible", 0.5])
     def test_prev_outside_cone_raises(self, omega):
         # a second-order block with head below its tail norm
@@ -352,7 +364,7 @@ def test_neighborhood_sufficiency():
                 continue
             q = sp.warm_start_point(prev, omega, spec, p=prob.p)
             assert sp.in_neighborhood(
-                q, spec, NeighborhoodParams(gamma, "2")
+                q, spec, NeighborhoodParams(gamma)
             ), (trial, omega, da.omega_min)
             checked += 1
     assert checked >= 30
@@ -529,6 +541,30 @@ def test_warm_start_tail_norms(monkeypatch):
     calls = count_calls(monkeypatch, sp.cones, "tail_norms")
     sp.warm_start(prob, prob, pair, 0.08, omega=1.0)
     assert len(calls) == 4
+
+
+def test_warm_start_falls_back_on_empty_admissible_set():
+    """A previous pair far from the cold start's scale admits no weight:
+    warm_start returns the cold start at omega 0 and says why."""
+    prob = toy_lp()
+    far = (1e3 * np.ones(2), np.zeros(1), 1e3 * np.ones(2))
+    with pytest.raises(EmptyAdmissibleSet):
+        sp.choose_omega(sp.diagnostics(prob, prob, far, gamma=0.08))
+    ws = sp.warm_start(prob, prob, far, 0.08)
+    assert (ws.omega, ws.fallback) == (0.0, "empty admissible set")
+    assert ws.start.vec.tobytes() == cold_point(prob).vec.tobytes()
+
+
+def test_run_bench_skips_warm_start_after_a_non_optimal_solve():
+    """A previous instance that did not solve optimal has no solution to
+    warm-start from: its row is cold only, with the reason."""
+    report = sp.warmstart.run_bench(infeasible_lp(), 1, 0.0, 0.0, 0.0, 0,
+                                    epsilon=1e-2)
+    (row,) = report["rows"]
+    assert row["status"] == "primal_infeasible"
+    assert row["fallback"] == "previous solve not optimal"
+    assert row["cold_iterations"] == report["baseline_iterations"]
+    assert row["omega"] is row["warm_iterations"] is None
 
 
 def test_keyword_defaults_are_solver_params():
