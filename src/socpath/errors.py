@@ -14,7 +14,7 @@ class NotInterior(SocpathError, ValueError):
 
 
 class NonFiniteData(SocpathError, ValueError):
-    """Problem data contain NaN or inf."""
+    """Problem data contain NaN or inf, or entries whose squares overflow."""
 
 
 class InvalidParams(SocpathError, ValueError):

@@ -36,7 +36,10 @@ def _require(data: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError("expected a number", field=where)
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError("expected a finite number", field=where) from None
     if not math.isfinite(v):
         raise ParseError("expected a finite number", field=where)
     return v

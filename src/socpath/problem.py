@@ -57,9 +57,17 @@ class SocpProblem:
             raise DimensionMismatch(f"c has length {c.shape[0]}, expected {n}")
 
     def check_finite(self) -> None:
+        """Raise NonFiniteData when A, b or c holds NaN or inf, or entries
+        so large (about 1e154 and up) that its sum of squares, which the
+        residual norms and the row check take, overflows."""
         for name in ("A", "b", "c"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            v = getattr(self, name).ravel()
+            if not np.all(np.isfinite(v)):
                 raise NonFiniteData(f"{name} contains NaN or inf")
+            with np.errstate(over="ignore"):
+                if not math.isfinite(v @ v):
+                    raise NonFiniteData(
+                        f"{name} is too large: its sum of squares overflows")
 
     def check_rows(self) -> None:
         """[A, -b] must have independent rows, or every Newton system of

@@ -39,6 +39,17 @@ def toy_file(tmp_path):
     return path
 
 
+def run_python(code, *argv, **env):
+    """Run `code` in a fresh interpreter that imports this checkout's
+    socpath, with `argv` as its arguments and `env` added to the
+    environment; fails the test if it exits nonzero."""
+    package_root = str(Path(sp.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                   check=True, timeout=120, stdout=subprocess.DEVNULL)
+
+
 def parse_kv(out):
     return dict(line.split("=", 1) for line in out.strip().split("\n"))
 
@@ -153,21 +164,14 @@ class TestSolveCommand:
                                 np.random.default_rng(7))
         path = tmp_path / "p.json"
         path.write_text(write_problem(prob))
-        package_root = str(Path(sp.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):
             out, trace = tmp_path / f"s{threads}.json", tmp_path / f"t{threads}.csv"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [package_root,
-                                         os.environ.get("PYTHONPATH")])))
-            subprocess.run(
-                [sys.executable, "-c",
-                 "import sys; from socpath.cli import main; "
-                 "sys.exit(main(sys.argv[1:]))",
-                 "solve", "--problem", str(path), "--output", str(out),
-                 "--epsilon", "1e-2", "--trace", str(trace)],
-                env=env, check=True, timeout=120, stdout=subprocess.DEVNULL)
+            run_python("import sys; from socpath.cli import main; "
+                       "sys.exit(main(sys.argv[1:]))",
+                       "solve", "--problem", path, "--output", out,
+                       "--epsilon", "1e-2", "--trace", trace,
+                       OPENBLAS_NUM_THREADS=threads)
             digests.append(hashlib.sha256(
                 out.read_bytes() + trace.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
@@ -663,3 +667,39 @@ class TestParser:
             actions = {a.dest: a for a in sub.choices[cmd]._actions}
             assert actions["scaling"].choices is SCALINGS
             assert actions["stop_mode"].choices is STOP_MODES
+
+
+IMPORT_GUARD = """
+import sys
+import numpy as np
+from socpath import kkt
+from socpath.cli import main
+
+problem, out = sys.argv[1:]
+sol = f"{out}/identity.json"
+for argv in (
+        ["solve", "--problem", problem, "--output", sol,
+         "--trace", f"{out}/identity.csv"],
+        ["solve", "--problem", problem, "--output", f"{out}/nt.json",
+         "--trace", f"{out}/nt.csv", "--scaling", "nt"],
+        ["warmstart", "--prev-problem", problem, "--prev-solution", sol,
+         "--problem", problem, "--output", f"{out}/warm.json",
+         "--omega", "auto"],
+        ["check", "--problem", problem, "--point", sol]):
+    assert main(argv) == 0, argv
+assert "scipy.linalg" not in sys.modules
+
+import scipy.linalg
+K = np.asfortranarray(np.random.default_rng(5).standard_normal((9, 9)))
+lu, piv = scipy.linalg.lu_factor(K)
+_, (our_lu, our_piv) = kkt.solve_dense(K.copy(order="F"), np.ones(9))
+assert lu.tobytes() == our_lu.tobytes() and piv.tobytes() == our_piv.tobytes()
+"""
+
+
+def test_commands_never_import_scipy_linalg(toy_file, tmp_path):
+    """solve (identity and NT, traced), warmstart and check run without the
+    scipy.linalg package, whose import would double a command's start-up;
+    importing it afterwards in the same process gives the factors
+    `solve_dense` gives, so its _flapack and ours coexist."""
+    run_python(IMPORT_GUARD, toy_file, tmp_path)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -5,9 +6,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import socpath as sp
-from socpath import ConeSpec, ParseError, SocpProblem, SolverParams
+from socpath import ConeSpec, ParseError, SocpathError, SocpProblem, SolverParams
 from socpath.cli import main
 from socpath.fileio import (TRACE_COLUMNS, parse_point, parse_problem,
                             solution_document, write_problem, write_solution,
@@ -116,6 +118,9 @@ class TestParseProblem:
     def test_nonfinite_rejected(self):
         with pytest.raises(ParseError, match="finite"):
             parse_problem(doc_text(c=[1.0, float("inf")]))
+        with pytest.raises(ParseError, match="finite") as info:
+            parse_problem(doc_text(b=[10 ** 400]))  # beyond the float range
+        assert info.value.field == "b[0]"
         with pytest.raises(ParseError, match="number"):
             parse_problem(doc_text(b=["one"]))
 
@@ -147,6 +152,89 @@ class TestParseProblem:
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2 and error["type"] == "ParseError"
         assert error["context"] == f"field {field!r}"
+
+
+def _paths(node, prefix=()):
+    """The path of every member of a JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+MISSING = object()
+# wrong types, bools, negative and huge counts, non-finite numbers, nested
+# lists, and a deleted member
+MUTANTS = ["text", None, {}, True, False, -1, -2 ** 31, 2 ** 31, 2 ** 62,
+           2 ** 70, 10 ** 400, 1e308, math.nan, math.inf, -math.inf, [],
+           [[1.0]], [[[0, 0, 1.0]]], MISSING]
+SIZE_LIMIT = 10 ** 4
+
+
+def _mutated(path, value):
+    doc = copy.deepcopy(MINIMAL_DOC)
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[last]
+    else:
+        parent[last] = value
+    return json.dumps(doc)
+
+
+def _bounded(real, size):
+    """`real`, refusing a call whose `size` exceeds what a small file
+    could back, before anything is allocated."""
+    def call(*args, **kwargs):
+        if size(*args, **kwargs) > SIZE_LIMIT:
+            raise AssertionError("sized an array from a count")
+        return real(*args, **kwargs)
+    return call
+
+
+def _cells(shape, *args, **kwargs):
+    dims = shape if isinstance(shape, (tuple, list)) else (shape,)
+    return math.prod(int(d) for d in dims)
+
+
+# 500 examples exhaust the 21 x 19 (path, mutant) pairs
+@settings(max_examples=500, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(list(_paths(MINIMAL_DOC))),
+       value=st.sampled_from(MUTANTS))
+def test_mutated_problem_fails_typed(tmp_path, capsys, path, value):
+    """One field of a small problem, mutated, either parses or raises a
+    SocpathError; `socpath solve` on it exits 0, or 2 or 3 with one line
+    of JSON that names a SocpathError and no traceback.  No cone layout
+    or array is sized beyond what the file backs."""
+    text = _mutated(path, value)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sp.fileio, "ConeSpec", _bounded(
+            ConeSpec, lambda l, q=(): l + sum(q)))
+        patch.setattr(np, "zeros", _bounded(np.zeros, _cells))
+        try:
+            parse_problem(text)
+        except SocpathError:
+            parsed = False
+        else:
+            parsed = True
+        problem = tmp_path / "p.json"
+        problem.write_text(text)
+        code = main(["solve", "--problem", str(problem), "--output",
+                     str(tmp_path / "s.json"), "--epsilon", "0.5"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if parsed and code == 0:
+        assert err == ""
+        return
+    assert code in (2, 3) and len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert issubclass(getattr(sp.errors, error["type"]), SocpathError)
+    if not parsed:
+        assert code == 2 and error["type"] == "ParseError"
 
 
 @pytest.mark.parametrize("parse, text, field, message", [

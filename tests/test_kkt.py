@@ -312,6 +312,42 @@ def test_singular_system_raises():
         sp.solve_direction(_assemble(prob, z, ScalingMatrix.identity(spec), nu))
 
 
+@pytest.mark.parametrize("order", [1, 37, 191])
+def test_lapack_wrappers_match_scipy_linalg_bitwise(order):
+    """kkt's getrf and getrs, loaded from scipy's _flapack file, give the
+    factors, pivots and solution of scipy.linalg.lapack's, to the byte;
+    37 and 191 are the reduced orders of the warm-drift and dense-kkt
+    benchmark solves."""
+    from scipy.linalg import lapack
+    rng = np.random.default_rng(order)
+    K = np.asfortranarray(rng.standard_normal((order, order)))
+    rhs = rng.standard_normal(order)
+    ours, theirs = sp.kkt._getrf(K), lapack.dgetrf(K)
+    for a, b in zip(ours, theirs):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    lu, piv, _ = ours
+    assert (sp.kkt._getrs(lu, piv, rhs)[0].tobytes()
+            == lapack.dgetrs(lu, piv, rhs)[0].tobytes())
+
+
+def test_solve_dense_factors_in_place():
+    rng = np.random.default_rng(2)
+    K = np.asfortranarray(rng.standard_normal((6, 6)))
+    rhs = rng.standard_normal(6)
+    expected = np.linalg.solve(K, rhs)
+    u, (lu, piv) = sp.kkt.solve_dense(K, rhs)
+    assert np.shares_memory(lu, K)
+    assert np.allclose(u, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_solve_dense_names_the_zero_pivot_column():
+    """A K whose third column is zero has an exactly zero third pivot."""
+    K = np.asfortranarray(np.random.default_rng(4).standard_normal((5, 5)))
+    K[:, 2] = 0.0
+    with pytest.raises(SingularSystem, match="zero pivot in column 3$"):
+        sp.kkt.solve_dense(K, np.ones(5))
+
+
 def test_non_finite_direction_raises(monkeypatch):
     """A direction that is not finite, here from a NaN solution of the
     reduced system, raises SingularSystem."""

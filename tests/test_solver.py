@@ -196,8 +196,10 @@ def test_start_outside_neighborhood_rejected():
 
 
 @pytest.mark.parametrize("field", ["A", "b", "c"])
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
 def test_non_finite_data_rejected(field, value):
+    """NaN, inf, and an entry whose square overflows, which would make
+    the residual norms inf, are refused before any step."""
     prob = toy_lp()
     getattr(prob, field).flat[0] = value
     with pytest.raises(NonFiniteData, match=f"^{field} ") as info:
