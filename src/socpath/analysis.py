@@ -2,14 +2,12 @@
 
 The O(k^{1/2} log eps^{-1}) bound is proved with quantities that the
 solver never forms: the arrow matrix mat(v) of the Jordan product, the
-dense T_v, the split mat(v) = T_v + U_v with its projector P_v, the
-scaled product point w = T_x s, R = T_x mat(x)^{-1} mat(s) T_x, arbitrary
-members of the scaling group and the normalized residual constants of the
-embedding's start point.  They are built here, most of them as dense
-n x n matrices, for the acceptance suite and the unit tests that check
-the bound's pieces.  Keeping them out of `cones`, `kkt` and `solver`
-leaves those modules with only what a solve runs; no package module but
-`__init__` imports this one.
+scaled product point w = T_x s, R = T_x mat(x)^{-1} mat(s) T_x and
+arbitrary members of the scaling group.  They are built here, most of
+them as dense n x n matrices, for the acceptance suite and the unit tests
+that check the bound's pieces.  Keeping them out of `cones`, `kkt` and
+`solver` leaves those modules with only what a solve runs; no package
+module but `__init__` imports this one.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import numpy as np
 
 from .cones import (ConeSpec, ScalingMatrix, Spectrum, _t_dense, check_vector,
                     t_apply)
-from .problem import SocpProblem, compute_residuals
 
 
 def arrow_matrix(v, spec: ConeSpec) -> np.ndarray:
@@ -33,34 +30,6 @@ def arrow_matrix(v, spec: ConeSpec) -> np.ndarray:
     M[idx, spec.head_of] = v
     M[idx, idx] = v[spec.head_of]
     return M
-
-
-def t_scaling_matrix(v, spec: ConeSpec) -> np.ndarray:
-    """Dense symmetric PD square root of the quadratic representation of v."""
-    return _t_dense(
-        Spectrum(v, spec).require_interior("argument of t_scaling_matrix"))
-
-
-def u_p_matrices(v, spec: ConeSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Split mat(v) = T_v + U_v; returns (U_v, P_v).
-
-    U_v acts only on block tails: U_v = (v_1 - beta_v) P_v embedded with a
-    zero first row and column, where P_v projects onto the orthogonal
-    complement of the tail direction.  Blocks with zero tail (and linear
-    blocks) contribute zero to both matrices.
-    """
-    sv = Spectrum(v, spec).require_interior("argument of u_p_matrices")
-    v = sv.v
-    U = np.zeros((spec.n, spec.n))
-    P = np.zeros((spec.n, spec.n))
-    for (o, d), t, b in zip(spec.blocks, sv.tail, sv.beta()):
-        if t == 0.0:
-            continue
-        tail = v[o + 1:o + d]
-        proj = np.eye(d - 1) - np.outer(tail, tail) / (t * t)
-        P[o + 1:o + d, o + 1:o + d] = proj
-        U[o + 1:o + d, o + 1:o + d] = (v[o] - b) * proj
-    return U, P
 
 
 def w_vector(x, s, spec: ConeSpec) -> np.ndarray:
@@ -115,24 +84,3 @@ def random_automorphism(spec: ConeSpec, seed=None) -> ScalingMatrix:
     th = thetas[spec.block_of]
     return ScalingMatrix(spec, q[:, None] * G.T * q / th, th[:, None] * G,
                          thetas)
-
-
-def embed_residual_constants(problem: SocpProblem, z0, nu0: float = 1.0):
-    """Normalized embedding constants of the start point.
-
-    Returns (rt_p, rt_d, rt_g, beta_t) with
-        rt_p = (A x0 - b tau0)/nu0,
-        rt_d = (-A'y0 + c tau0 - s0)/nu0   (dual residual enters negated),
-        rt_g = (b'y0 - c'x0 - kappa0)/nu0,
-        beta_t = -(rt_p'y0 + rt_d'x0 + rt_g tau0).
-    """
-    if nu0 <= 0.0:
-        raise ValueError("nu0 must be positive")
-    res = compute_residuals(problem, z0)
-    rt_p = res.r_p / nu0
-    rt_d = -res.r_d / nu0
-    rt_g = res.r_g / nu0
-    beta_t = -(rt_p @ np.asarray(z0.y, dtype=float)
-               + rt_d @ np.asarray(z0.x, dtype=float)
-               + rt_g * z0.tau)
-    return rt_p, rt_d, rt_g, float(beta_t)

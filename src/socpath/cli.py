@@ -16,7 +16,7 @@ from typing import Dict, Union
 from .errors import (InvalidPoint, MaxIterationsExceeded, NotInterior,
                      ParseError, SingularSystem, StartOutsideNeighborhood)
 from .fileio import parse_point, parse_problem, write_solution, write_trace
-from .geometry import Evaluation, NeighborhoodParams
+from .geometry import Evaluation
 from .problem import SocpProblem, compute_residuals
 from .solver import (SCALINGS, STOP_MODES, SolverParams, predicted_iterations,
                      solve)
@@ -90,7 +90,7 @@ def cmd_warmstart(args) -> int:
         raise InvalidPoint("previous solution must have tau > 0")
     prev = (sol.x / sol.tau, sol.y / sol.tau, sol.s / sol.tau)
     params = _solver_params(args, False)
-    ws = warm_start(prev_problem, new_problem, prev, args.gamma, args.delta,
+    ws = warm_start(prev_problem, new_problem, prev, params,
                     _omega_policy(args.omega))
     warm = solve(new_problem, ws.start, params)
     Path(args.output).write_text(write_solution(new_problem, warm, params))
@@ -123,7 +123,7 @@ def cmd_check(args) -> int:
     ev = Evaluation(z, problem.cones)
     interior = ev.interior()
     dist2, distinf = (ev.d2(), ev.dinf()) if interior else (math.nan, math.nan)
-    in_n2 = ev.within(NeighborhoodParams(args.gamma))
+    in_n2 = ev.within(SolverParams(gamma=args.gamma).gamma)
     in_ninf = interior and distinf <= args.gamma * ev.mu
     lines = [
         f"mu={ev.mu:.17g}",

@@ -136,7 +136,9 @@ def write_problem(problem: SocpProblem) -> str:
 
 
 def parse_point(text: str) -> HsdPoint:
-    """Read an embedding point (x, y, s, kappa, tau) from solution JSON."""
+    """Read an embedding point (x, y, s, kappa, tau) from solution JSON.
+    Entries so large (about 1e154 and up) that the point's sum of squares
+    overflows raise ParseError."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -154,7 +156,12 @@ def parse_point(text: str) -> HsdPoint:
         raise ParseError("x and s must have equal length", field="s")
     kappa = _number(_require(data, "kappa", ""), "kappa")
     tau = _number(_require(data, "tau", ""), "tau")
-    return HsdPoint(x, y, s, kappa=kappa, tau=tau)
+    z = HsdPoint(x, y, s, kappa=kappa, tau=tau)
+    # a finite sum of squares bounds x's + kappa tau, which mu sums
+    with np.errstate(over="ignore"):
+        if not math.isfinite(z.vec @ z.vec):
+            raise ParseError("too large: the point's sum of squares overflows")
+    return z
 
 
 def solution_document(problem: SocpProblem, result: SolveResult,

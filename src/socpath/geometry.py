@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import (ConeSpec, Spectrum, check_vector, spectral_bounds,
-                    t_apply_of)
+from .cones import ConeSpec, Spectrum, spectral_bounds, t_apply_of
 from .errors import InvalidPoint
 from .problem import SocpProblem
 
@@ -54,27 +53,12 @@ class HsdPoint:
                      lambda z, value: z.vec.put(z.vec.size - 1, value))
 
 
-@dataclass(frozen=True)
-class NeighborhoodParams:
-    gamma: float
-
-    def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError("gamma must lie in (0,1)")
-
-
-def mu(z: HsdPoint, spec: ConeSpec) -> float:
-    x = check_vector(z.x, spec)
-    s = check_vector(z.s, spec)
-    return float((x @ s + z.kappa * z.tau) / (spec.k + 1))
-
-
 class Evaluation:
     """One evaluation of an HSD point z, which every reader of its
     interiority, mu and centrality shares.
 
     It holds the Spectrum of x and of s, tau, kappa and mu.  interior()
-    asks for tau, kappa > 0 and both spectra interior; within(params) is
+    asks for tau, kappa > 0 and both spectra interior; within(gamma) is
     membership in N_2(gamma), and a non-interior point is out.  The scaled
     product point w = T_x s is taken once, on first use; d2 reads w alone,
     and only dinf takes the spectral bounds of w.
@@ -105,8 +89,13 @@ class Evaluation:
         worst = float(np.max(np.abs(bounds - self.mu)))
         return max(worst, abs(self.kappa * self.tau - self.mu))
 
-    def within(self, params: NeighborhoodParams) -> bool:
-        return self.interior() and self.d2() <= params.gamma * self.mu
+    def within(self, gamma: float) -> bool:
+        return self.interior() and self.d2() <= gamma * self.mu
+
+
+def mu(z: HsdPoint, spec: ConeSpec) -> float:
+    """The complementarity parameter (x's + kappa tau)/(k+1)."""
+    return Evaluation(z, spec).mu
 
 
 def d2(z: HsdPoint, spec: ConeSpec) -> float:
@@ -119,10 +108,9 @@ def dinf(z: HsdPoint, spec: ConeSpec) -> float:
     return Evaluation(z, spec).dinf()
 
 
-def in_neighborhood(z: HsdPoint, spec: ConeSpec,
-                    params: NeighborhoodParams) -> bool:
+def in_neighborhood(z: HsdPoint, spec: ConeSpec, gamma: float) -> bool:
     """Membership in N_2(gamma); non-interior points are out."""
-    return Evaluation(z, spec).within(params)
+    return Evaluation(z, spec).within(gamma)
 
 
 @dataclass

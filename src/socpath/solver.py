@@ -20,8 +20,8 @@ from ._blas import one_blas_thread
 from .cones import ScalingMatrix, nt_scaling_of
 from .errors import (InvalidParams, MaxIterationsExceeded, NotInterior,
                      StartOutsideNeighborhood)
-from .geometry import (Classification, Evaluation, HsdPoint,
-                       NeighborhoodParams, classify_status, mu)
+from .geometry import (Classification, Evaluation, HsdPoint, classify_status,
+                       mu)
 from .kkt import (KktWorkspace, assemble, centering_nu, solve_direction,
                   step_point)
 from .problem import Residuals, SocpProblem, compute_residuals
@@ -166,7 +166,7 @@ def solve(problem: SocpProblem, start: HsdPoint,
     # one evaluation and one Residuals per iterate feed its checks, its
     # trace row and the next Newton system; the start's, its N_2 check
     ev = Evaluation(z, spec)
-    if not ev.within(NeighborhoodParams(params.gamma)):
+    if not ev.within(params.gamma):
         raise StartOutsideNeighborhood(
             "start must lie in the 2-norm neighborhood of the central path")
     res = compute_residuals(problem, z)

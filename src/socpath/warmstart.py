@@ -19,7 +19,7 @@ import numpy as np
 from .cones import ConeSpec, Spectrum, t_apply_of, unit_element
 from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
                      NotInterior)
-from .geometry import HsdPoint, NeighborhoodParams, in_neighborhood
+from .geometry import HsdPoint, in_neighborhood
 from .kkt import centering_nu
 from .problem import SocpProblem, compute_residuals
 from .solver import SolverParams, solve
@@ -189,18 +189,16 @@ class WarmStartDiagnostics:
 
 
 def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
-                gamma: float, delta: float = SolverParams.delta
-                ) -> WarmStartDiagnostics:
+                params: SolverParams) -> WarmStartDiagnostics:
     """Evaluate the warm-start sufficient conditions at omega 1; `at_omega`
     evaluates them at another weight.
 
     `prev` is the previous instance's pair (x_o, y_o, s_o), already
-    scaled back from the embedding (tau divided out).  delta feeds the
-    contraction rate used for predicted_saving.  gamma and delta must
-    pass `SolverParams`' check, or InvalidParams is raised before any
-    evaluation.
+    scaled back from the embedding (tau divided out).  `params` are those
+    of the solve the blend starts: its gamma is the radius of the target
+    neighborhood, and its delta the contraction rate behind
+    predicted_saving.
     """
-    SolverParams(gamma=gamma, delta=delta)
     if prev_p.cones != new_p.cones:
         raise ConeSpecMismatch("problems must share a cone structure")
     prev_p.check_shapes()
@@ -235,7 +233,8 @@ def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
 
     e = spec.e
     mu_o, gamma_o = float(x_o @ s_o) / spec.k, math.inf
-    if xs.interior() and ss.interior():
+    # an interior pair whose x_o's_o underflows to 0 has no centrality
+    if mu_o > 0.0 and xs.interior() and ss.interior():
         dev = t_apply_of(xs, s_o) - mu_o * e
         gamma_o = math.sqrt(2.0) * float(np.linalg.norm(dev)) / mu_o
     psi_o = float(e @ (x_o + s_o)) / spec.k
@@ -244,8 +243,8 @@ def diagnostics(prev_p: SocpProblem, new_p: SocpProblem, prev,
     diag = WarmStartDiagnostics(
         c_a=c_a, c_b=c_b, c_p=c_p, c_at=c_at, c_c=c_c, c_d=c_d, c_mu=mu_o,
         psi_o=psi_o, gamma_o=gamma_o, primal_vacuous=primal_vacuous,
-        dual_vacuous=dual_vacuous, gamma=gamma, delta=delta, k=spec.k,
-        dev_norm=dev_norm, s_o_norm=float(np.linalg.norm(s_o)),
+        dual_vacuous=dual_vacuous, gamma=params.gamma, delta=params.delta,
+        k=spec.k, dev_norm=dev_norm, s_o_norm=float(np.linalg.norm(s_o)),
         soc_first=xs.head[soc], soc_beta=xs.beta()[soc], pair=pair)
     return diag.at_omega(1.0)
 
@@ -276,14 +275,15 @@ class WarmStart:
     diagnostics: WarmStartDiagnostics
 
 
-def warm_start(prev_p: SocpProblem, new_p: SocpProblem, prev, gamma: float,
-               delta: float = SolverParams.delta,
+def warm_start(prev_p: SocpProblem, new_p: SocpProblem, prev,
+               params: SolverParams,
                omega: Union[str, float] = "max-admissible") -> WarmStart:
     """Choose omega ("max-admissible" for choose_omega's scan, or a weight
     in [0,1] used as given) and blend; fall back to the cold start when no
-    weight is admissible or the blend lies outside N_2(gamma)."""
+    weight is admissible or the blend lies outside N_2(gamma) of `params`,
+    those of the solve the blend starts."""
     check_omega(omega)
-    diag = diagnostics(prev_p, new_p, prev, gamma=gamma, delta=delta)
+    diag = diagnostics(prev_p, new_p, prev, params)
     spec, p = new_p.cones, new_p.p
     fallback = None
     if isinstance(omega, str):
@@ -293,7 +293,7 @@ def warm_start(prev_p: SocpProblem, new_p: SocpProblem, prev, gamma: float,
             fallback = "empty admissible set"
     if fallback is None:
         start = _blend(diag.pair, omega)
-        if in_neighborhood(start, spec, NeighborhoodParams(gamma)):
+        if in_neighborhood(start, spec, params.gamma):
             return WarmStart(start, float(omega), None, diag)
         fallback = "outside neighborhood"
     return WarmStart(cold_start(spec, p=p), 0.0, fallback, diag)
@@ -383,7 +383,7 @@ def run_bench(base: SocpProblem, steps: int, perturb_a: float,
             row["fallback"] = "previous solve not optimal"
         else:
             ws = warm_start(prev_problem, new_problem, prev_result.solution,
-                            gamma, delta, omega_policy)
+                            params, omega_policy)
             row["fallback"] = ws.fallback
             if ws.fallback is None:
                 warm_result = cold_result if ws.omega == 0.0 \

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import socpath as sp
-from socpath import ConeSpec, HsdPoint, NeighborhoodParams, SolverParams
+from socpath import ConeSpec, HsdPoint, SolverParams
 from socpath.cli import run_bench
 from socpath.cones import t_inverse_apply
 from socpath.kkt import increment_bound

@@ -22,6 +22,8 @@ from socpath.warmstart import BENCH_EPSILON, perturb_problem
 from util import (count_calls, feasible_problem, half_steps, infeasible_lp,
                   mixed_spec, random_problem, soc_fixture, toy_lp)
 
+DATA = Path(__file__).parent / "data"
+
 
 @pytest.fixture
 def run(capsys):
@@ -264,7 +266,7 @@ class TestCheckCommand:
                              "--gamma", "1.5")
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == {
-            "type": "ValueError", "message": "gamma must lie in (0,1)"}
+            "type": "InvalidParams", "message": "gamma must lie in (0,1)"}
 
     def test_dimension_mismatch_exits_2(self, run, toy_file, tmp_path):
         point = tmp_path / "point.json"
@@ -440,6 +442,24 @@ class TestWarmstartCommand:
         assert code == 3
         assert json.loads(err)["error"]["type"] == "NotInterior"
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "NotInterior at iteration 819 of 902: under the identity scaling "
+        "the warm iterate leaves N_2 from step 803 (d2/(gamma mu) up to "
+        "8.9 at step 805), when mu has fallen to about 4.5e-10 because "
+        "the residuals (||r_p|| 0.06 against a start mu of 1.3e-7) set "
+        "the unified count; NT finishes but reaches d2/(gamma mu) 2.09 "
+        "at step 901"))
+    def test_warm_drift_seed_2207_chain_step(self, run, tmp_path):
+        """The second warm step of the benchmark's warm-drift chain at seed
+        2207 (n=20, p=10), from the files that chain writes."""
+        code, _, err = run("warmstart",
+                           "--prev-problem", DATA / "drift-1.json",
+                           "--prev-solution", DATA / "drift-1.sol.json",
+                           "--problem", DATA / "drift-2.json",
+                           "--omega", "auto", "--epsilon", "1e-4",
+                           "--output", tmp_path / "warm.json")
+        assert code == 0, err
+
 
 class TestPerturbProblem:
     def test_respects_norm_bounds(self):
@@ -593,7 +613,7 @@ class TestBenchCommand:
         step1 = perturb_problem(base, size, size, size,
                                 np.random.default_rng(seed))
         diag = sp.diagnostics(base, step1, (z.x / z.tau, z.y / z.tau,
-                                            z.s / z.tau), gamma=0.08)
+                                            z.s / z.tau), params)
         assert omega < diag.omega_min
         report = run_bench(base, steps=2, perturb_a=size, perturb_b=size,
                            perturb_c=size, seed=seed, epsilon=1e-2,

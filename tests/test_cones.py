@@ -16,6 +16,11 @@ from util import boundary_vector, interior_vector, mixed_spec, mixed_specs
 SQRT3 = np.sqrt(3.0)
 
 
+def t_dense(v, spec):
+    """The dense T_v that NT scaling and r_matrix read."""
+    return sp.cones._t_dense(sp.cones.Spectrum(v, spec))
+
+
 def test_spec_basic_counts():
     spec = ConeSpec(l=2, soc_dims=(3, 4))
     assert spec.k == 4
@@ -232,12 +237,12 @@ def test_membership_random_consistency():
 class TestTScaling:
     def test_frozen_2d(self):
         spec = ConeSpec(l=0, soc_dims=(2,))
-        T = sp.t_scaling_matrix(np.array([2.0, 1.0]), spec)
+        T = t_dense(np.array([2.0, 1.0]), spec)
         assert np.allclose(T, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
 
     def test_frozen_3d_with_zero_tail_entry(self):
         spec = ConeSpec(l=0, soc_dims=(3,))
-        T = sp.t_scaling_matrix(np.array([2.0, 1.0, 0.0]), spec)
+        T = t_dense(np.array([2.0, 1.0, 0.0]), spec)
         want = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, SQRT3]])
         assert np.allclose(T, want, atol=1e-12)
 
@@ -246,14 +251,14 @@ class TestTScaling:
         for _ in range(100):
             spec = mixed_spec(rng)
             v = interior_vector(spec, rng)
-            assert np.abs(sp.t_scaling_matrix(v, spec) - t_oracle(v, spec)).max() < 1e-10
+            assert np.abs(t_dense(v, spec) - t_oracle(v, spec)).max() < 1e-10
 
     def test_maps_unit_to_v(self):
         rng = np.random.default_rng(43)
         for _ in range(100):
             spec = mixed_spec(rng)
             v = interior_vector(spec, rng)
-            T = sp.t_scaling_matrix(v, spec)
+            T = t_dense(v, spec)
             assert np.abs(T @ sp.unit_element(spec) - v).max() < 1e-12
 
     def test_square_is_quadratic_representation(self):
@@ -261,7 +266,7 @@ class TestTScaling:
         for _ in range(50):
             spec = mixed_spec(rng)
             v = interior_vector(spec, rng)
-            T = sp.t_scaling_matrix(v, spec)
+            T = t_dense(v, spec)
             n = spec.n
             Qv = np.zeros((n, n))
             for start, dim in spec.blocks:
@@ -279,41 +284,10 @@ class TestTScaling:
         for spec in mixed_specs(rng, 50):
             v = interior_vector(spec, rng)
             u = rng.standard_normal(spec.n)
-            T = sp.t_scaling_matrix(v, spec)
+            T = t_dense(v, spec)
             assert np.abs(sp.cones.t_apply(v, u, spec) - T @ u).max() < 1e-11
             got = sp.cones.t_inverse_apply(v, u, spec)
             assert np.abs(T @ got - u).max() < 1e-9 * (1 + np.abs(u).max())
-
-    def test_rejects_non_interior(self):
-        spec = ConeSpec(l=0, soc_dims=(2,))
-        with pytest.raises(NotInterior):
-            sp.t_scaling_matrix(np.array([1.0, 1.0]), spec)
-
-
-def test_u_p_matrices_frozen():
-    spec = ConeSpec(l=0, soc_dims=(3,))
-    v = np.array([2.0, 1.0, 0.0])
-    U, P = sp.u_p_matrices(v, spec)
-    want_u = np.diag([0.0, 0.0, 2.0 - SQRT3])
-    assert np.allclose(U, want_u, atol=1e-12)
-    assert np.allclose(P, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
-
-
-def test_u_p_matrices_properties():
-    rng = np.random.default_rng(59)
-    for _ in range(50):
-        spec = mixed_spec(rng)
-        v = interior_vector(spec, rng)
-        U, P = sp.u_p_matrices(v, spec)
-        M = sp.arrow_matrix(v, spec)
-        T = sp.t_scaling_matrix(v, spec)
-        # U is the gap between the arrow matrix and its PSD square-root factor
-        assert np.abs(M - T - U).max() < 1e-12
-        # P is an orthogonal projector
-        assert np.abs(P @ P - P).max() < 1e-12
-        assert np.abs(P - P.T).max() < 1e-14
-        # the gap is PSD: arrow dominates T in eigenvalue order
-        assert np.linalg.eigvalsh(M - T).min() >= -1e-12
 
 
 def test_w_vector_frozen():
@@ -587,7 +561,7 @@ def test_t_scaling_matrix_equals_block_by_block_bitwise():
             T[:, 0] = vb
             T.flat[d + 1::d + 1] += beta
             ref[o:o + d, o:o + d] = T
-        assert sp.t_scaling_matrix(v, spec).tobytes() == ref.tobytes()
+        assert t_dense(v, spec).tobytes() == ref.tobytes()
 
 
 def test_dense_scaling_forms_cached_read_only():

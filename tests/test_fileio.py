@@ -172,8 +172,8 @@ MUTANTS = ["text", None, {}, True, False, -1, -2 ** 31, 2 ** 31, 2 ** 62,
 SIZE_LIMIT = 10 ** 4
 
 
-def _mutated(path, value):
-    doc = copy.deepcopy(MINIMAL_DOC)
+def _mutated(path, value, doc=MINIMAL_DOC):
+    doc = copy.deepcopy(doc)
     *head, last = path
     parent = doc
     for key in head:
@@ -225,7 +225,13 @@ def test_mutated_problem_fails_typed(tmp_path, capsys, path, value):
         problem.write_text(text)
         code = main(["solve", "--problem", str(problem), "--output",
                      str(tmp_path / "s.json"), "--epsilon", "0.5"])
-    err = capsys.readouterr().err
+    _assert_typed(code, capsys.readouterr().err, parsed)
+
+
+def _assert_typed(code, err, parsed):
+    """A command exits 0 with nothing on stderr, or 2 or 3 with one line
+    of JSON that names a SocpathError, and 2 with a ParseError when its
+    file did not parse; never with a traceback."""
     assert "Traceback" not in err
     if parsed and code == 0:
         assert err == ""
@@ -235,6 +241,50 @@ def test_mutated_problem_fails_typed(tmp_path, capsys, path, value):
     assert issubclass(getattr(sp.errors, error["type"]), SocpathError)
     if not parsed:
         assert code == 2 and error["type"] == "ParseError"
+
+
+POINT_DOC = {"x": [1.0, 1.0], "y": [0.0], "s": [1.0, 1.0], "kappa": 1.0,
+             "tau": 1.0}
+
+
+# 500 examples exhaust the 10 x 19 (path, mutant) pairs
+@settings(max_examples=500, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(list(_paths(POINT_DOC))),
+       value=st.sampled_from(MUTANTS))
+def test_mutated_point_fails_typed(tmp_path, capsys, path, value):
+    """One member of a point for MINIMAL_DOC's problem, mutated, either
+    parses or raises a SocpathError; `socpath check` on it and `socpath
+    warmstart` from it as the previous solution each exit as
+    _assert_typed says."""
+    text = _mutated(path, value, POINT_DOC)
+    try:
+        parse_point(text)
+    except SocpathError:
+        parsed = False
+    else:
+        parsed = True
+    problem, point = tmp_path / "p.json", tmp_path / "z.json"
+    problem.write_text(json.dumps(MINIMAL_DOC))
+    point.write_text(text)
+    for argv in (["check", "--problem", problem, "--point", point],
+                 ["warmstart", "--prev-problem", problem, "--prev-solution",
+                  point, "--problem", problem, "--epsilon", "0.5",
+                  "--output", tmp_path / "s.json"]):
+        code = main([str(a) for a in argv])
+        _assert_typed(code, capsys.readouterr().err, parsed)
+
+
+@pytest.mark.parametrize("key", ["x", "s", "kappa", "tau"])
+def test_point_whose_squares_overflow_refused(key):
+    """A point so large that its sum of squares, which bounds
+    x's + kappa tau, overflows is refused as it is read."""
+    doc = copy.deepcopy(POINT_DOC)
+    doc[key] = [1e155, 1.0] if key in ("x", "s") else 1e155
+    with pytest.raises(ParseError, match="sum of squares overflows"):
+        parse_point(json.dumps(doc))
+    doc[key] = [1e150, 1.0] if key in ("x", "s") else 1e150
+    parse_point(json.dumps(doc))
 
 
 @pytest.mark.parametrize("parse, text, field, message", [

@@ -9,7 +9,6 @@ from socpath import (
     DimensionMismatch,
     HsdPoint,
     InvalidPoint,
-    NeighborhoodParams,
     SocpProblem,
 )
 
@@ -80,7 +79,7 @@ def test_in_neighborhood_two_norm():
     spec = ConeSpec(l=1, soc_dims=(3,))
     prob = random_problem(spec, 2, rng)
     z = interior_hsd_point(prob, rng, centered=True)
-    tight = NeighborhoodParams(gamma=1e-12)
+    tight = 1e-12
     assert sp.in_neighborhood(z, spec, tight)
     # nudge off center: still interior, small positive distance
     z2 = HsdPoint(
@@ -90,8 +89,8 @@ def test_in_neighborhood_two_norm():
     ratio = sp.d2(z2, spec) / sp.mu(z2, spec)
     assert 0.0 < ratio < 0.5
     assert not sp.in_neighborhood(z2, spec, tight)
-    assert not sp.in_neighborhood(z2, spec, NeighborhoodParams(ratio * 0.99))
-    assert sp.in_neighborhood(z2, spec, NeighborhoodParams(ratio * 1.01))
+    assert not sp.in_neighborhood(z2, spec, ratio * 0.99)
+    assert sp.in_neighborhood(z2, spec, ratio * 1.01)
 
 
 def test_non_interior_point_outside_every_neighborhood():
@@ -99,7 +98,7 @@ def test_non_interior_point_outside_every_neighborhood():
     z = HsdPoint(
         x=np.array([1.0, 0.0]), y=np.zeros(1), s=np.ones(2), kappa=1.0, tau=1.0
     )
-    wide = NeighborhoodParams(0.999999)
+    wide = 0.999999
     assert not sp.in_neighborhood(z, spec, wide)
     # kappa = 0 is non-interior too
     z2 = HsdPoint(x=np.ones(2), y=np.zeros(1), s=np.ones(2), kappa=0.0, tau=1.0)
@@ -114,7 +113,7 @@ def test_in_neighborhood_evaluates_once(monkeypatch):
     spec = ConeSpec(l=1, soc_dims=(3, 4))
     z = interior_hsd_point(random_problem(spec, 2, rng), rng)
     calls = count_calls(monkeypatch, sp.cones, "tail_norms")
-    sp.in_neighborhood(z, spec, NeighborhoodParams(0.5))
+    sp.in_neighborhood(z, spec, 0.5)
     assert len(calls) == 2
 
 
@@ -124,7 +123,7 @@ def test_in_neighborhood_rejects_wrong_length_first():
     for x, s in ((np.ones(3), np.ones(2)), (np.ones(2), np.ones(3))):
         z = HsdPoint(x=x, y=np.zeros(1), s=s, kappa=0.0, tau=1.0)
         with pytest.raises(DimensionMismatch):
-            sp.in_neighborhood(z, spec, NeighborhoodParams(0.5))
+            sp.in_neighborhood(z, spec, 0.5)
 
 class TestClassify:
     def test_optimal(self):

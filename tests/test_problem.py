@@ -156,59 +156,3 @@ class TestResiduals:
         z = HsdPoint(x=np.ones(2), y=np.zeros(2), s=np.ones(2), kappa=1.0, tau=1.0)
         with pytest.raises(DimensionMismatch, match="^y has length 2, expected 1$"):
             sp.compute_residuals(prob, z)
-
-
-class TestEmbedConstants:
-    def test_feasible_point_zeroes(self):
-        rng = np.random.default_rng(23)
-        spec = mixed_spec(rng)
-        A = rng.standard_normal((2, spec.n))
-        x = interior_vector(spec, rng)
-        s = interior_vector(spec, rng)
-        y = rng.standard_normal(2)
-        prob = SocpProblem(A=A, b=A @ x, c=A.T @ y + s, cones=spec)
-        z0 = HsdPoint(x=x, y=y, s=s, kappa=1.0, tau=1.0)
-        rp, rd, _, _ = sp.embed_residual_constants(prob, z0, 1.0)
-        assert np.abs(rp).max() < 1e-12
-        assert np.abs(rd).max() < 1e-12
-
-    def test_cold_start_sign_convention(self):
-        prob = toy_lp()
-        q = cold_point(prob)
-        r = sp.compute_residuals(prob, q)
-        rp, rd, rg, beta = sp.embed_residual_constants(prob, q, 1.0)
-        assert np.array_equal(rp, r.r_p)
-        assert np.array_equal(rd, -r.r_d)
-        assert rg == r.r_g
-
-    def test_sign_relation_exact(self):
-        # power-of-two nu0 keeps division/multiplication rounding-free, so
-        # the sign relation holds bitwise; generic nu0 gets an ulp allowance
-        rng = np.random.default_rng(29)
-        for trial in range(30):
-            spec = mixed_spec(rng)
-            prob = random_problem(spec, 2, rng)
-            z = interior_hsd_point(prob, rng)
-            r = sp.compute_residuals(prob, z)
-            nu0 = float(rng.choice([0.25, 0.5, 1.0, 2.0, 4.0]))
-            _, rd, _, _ = sp.embed_residual_constants(prob, z, nu0)
-            assert np.array_equal(rd * nu0, -r.r_d)
-            nu0 = float(rng.uniform(0.3, 3.0))
-            _, rd, _, _ = sp.embed_residual_constants(prob, z, nu0)
-            assert np.abs(rd * nu0 + r.r_d).max() <= 4 * np.finfo(float).eps * np.abs(r.r_d).max()
-
-    def test_beta_closes_the_affine_row(self):
-        rng = np.random.default_rng(31)
-        for _ in range(30):
-            spec = mixed_spec(rng)
-            prob = random_problem(spec, 3, rng)
-            z = interior_hsd_point(prob, rng)
-            nu0 = float(rng.uniform(0.5, 2.0))
-            rp, rd, rg, beta = sp.embed_residual_constants(prob, z, nu0)
-            acc = rp @ z.y + rd @ z.x + rg * z.tau + beta
-            assert abs(acc) < 1e-12 * (1 + abs(beta))
-
-    def test_nonpositive_nu_rejected(self):
-        prob = toy_lp()
-        with pytest.raises(ValueError):
-            sp.embed_residual_constants(prob, cold_point(prob), 0.0)

@@ -12,7 +12,6 @@ from socpath import (
     ConeSpecMismatch,
     DimensionMismatch,
     EmptyAdmissibleSet,
-    NeighborhoodParams,
     NotInterior,
     SocpProblem,
     SolverParams,
@@ -145,7 +144,7 @@ class TestDiagnostics:
         prob = toy_lp()
         spec = prob.cones
         e = sp.unit_element(spec)
-        d = sp.diagnostics(prob, prob, (e, np.zeros(1), e), gamma=0.08)
+        d = sp.diagnostics(prob, prob, (e, np.zeros(1), e), SolverParams())
         assert d.psi_o == 2.0
         assert d.rho == 0.0
         assert abs(d.xi_o - (-2.0 * 0.08)) < 1e-15
@@ -158,7 +157,7 @@ class TestDiagnostics:
         prob, _ = feasible_problem_with_pair(spec, 3, rng)
         prev = _converged_prev(prob)
         new = _drifted(prob, rng)
-        d = sp.diagnostics(prob, new, prev, gamma=0.08)
+        d = sp.diagnostics(prob, new, prev, SolverParams())
         x_o, y_o, s_o = prev
 
         dA = new.A - prob.A
@@ -191,7 +190,7 @@ class TestDiagnostics:
         prev = _converged_prev(prob)
         x_o, _, s_o = prev
         for omega in (0.3, 0.8, 1.0):
-            d = sp.diagnostics(prob, prob, prev, gamma=0.08).at_omega(omega)
+            d = sp.diagnostics(prob, prob, prev, SolverParams()).at_omega(omega)
             k = spec.k
             e = sp.unit_element(spec)
             dev = np.linalg.norm((x_o + s_o) - d.psi_o * e)
@@ -213,7 +212,7 @@ class TestDiagnostics:
         rng = np.random.default_rng(563)
         spec = ConeSpec(l=2, soc_dims=(3, 4))
         prob, pair = feasible_problem_with_pair(spec, 2, rng)
-        d = sp.diagnostics(prob, prob, pair, gamma=0.08)
+        d = sp.diagnostics(prob, prob, pair, SolverParams())
         assert math.isfinite(d.gamma_o) and d.soc_first.size == 2
         assert len(calls) == 2
 
@@ -227,7 +226,7 @@ class TestDiagnostics:
             prob, pair = feasible_problem_with_pair(spec, 2, rng)
             new = _drifted(prob, rng)
             x_o, y_o, s_o = pair
-            d = sp.diagnostics(prob, new, pair, gamma=0.08)
+            d = sp.diagnostics(prob, new, pair, SolverParams())
             e = sp.unit_element(spec)
             rp_cold = np.linalg.norm(new.A @ e - new.b)
             rd_cold = np.linalg.norm(e - new.c)
@@ -241,7 +240,7 @@ class TestDiagnostics:
         rng = np.random.default_rng(557)
         spec = mixed_spec(rng)
         prob, pair = feasible_problem_with_pair(spec, 3, rng, scale=0.4)
-        d = sp.diagnostics(prob, prob, pair, gamma=0.08).at_omega(0.6)
+        d = sp.diagnostics(prob, prob, pair, SolverParams()).at_omega(0.6)
         assert d.c_a == 0.0 and d.c_b == 0.0
         assert d.c_p < 1e-12 and d.c_d < 1e-12
         assert d.c_at == 0.0 and d.c_c == 0.0
@@ -277,20 +276,24 @@ class TestDiagnostics:
         y0 = np.array([0.0])
         e3 = np.ones(3)
         # central pair: xi_o = -gamma*psi_o < 0
-        classify(sp.diagnostics(lp3, lp3, (0.7 * e3, y0, 0.7 * e3), gamma=0.08), 0.08)
+        classify(sp.diagnostics(lp3, lp3, (0.7 * e3, y0, 0.7 * e3),
+                                SolverParams(gamma=0.08)), 0.08)
         # equal products keep gamma_o = 0 while x_o + s_o stays uneven
         x_u = np.array([2.0, 0.5, 1.0])
-        classify(sp.diagnostics(lp3, lp3, (x_u, y0, 1.0 / x_u), gamma=0.1), 0.1)
+        classify(sp.diagnostics(lp3, lp3, (x_u, y0, 1.0 / x_u),
+                                SolverParams(gamma=0.1)), 0.1)
         # spread products push gamma_o above the requested gamma
         x_s = np.array([1.2, 1.0 / 1.2, 1.0])
-        classify(sp.diagnostics(lp3, lp3, (x_s, y0, x_s.copy()), gamma=0.3), 0.3)
+        classify(sp.diagnostics(lp3, lp3, (x_s, y0, x_s.copy()),
+                                SolverParams(gamma=0.3)), 0.3)
 
         for trial in range(20):
             spec = spec_at_least(rng, 3)
             prob, _ = feasible_problem_with_pair(spec, 2, rng)
             prev = _converged_prev(prob, eps=10 ** rng.uniform(-3, -1))
             gamma = float(rng.uniform(0.02, 0.3))
-            classify(sp.diagnostics(prob, _drifted(prob, rng), prev, gamma=gamma), gamma)
+            classify(sp.diagnostics(prob, _drifted(prob, rng), prev,
+                                    SolverParams(gamma=gamma)), gamma)
         assert min(hits.values()) > 0
 
     def test_cone_mismatch_raises(self):
@@ -301,7 +304,7 @@ class TestDiagnostics:
         )
         e = np.ones(2)
         with pytest.raises(ConeSpecMismatch):
-            sp.diagnostics(prob, other, (e, np.zeros(1), e), gamma=0.08)
+            sp.diagnostics(prob, other, (e, np.zeros(1), e), SolverParams())
 
     def test_shape_mismatch_raises(self):
         prob = toy_lp()
@@ -309,9 +312,9 @@ class TestDiagnostics:
                              cones=prob.cones)
         e = np.ones(2)
         with pytest.raises(DimensionMismatch, match="share matrix dimensions"):
-            sp.diagnostics(prob, taller, (e, np.zeros(1), e), gamma=0.08)
+            sp.diagnostics(prob, taller, (e, np.zeros(1), e), SolverParams())
         with pytest.raises(DimensionMismatch, match="y_o has length 2, expected 1"):
-            sp.diagnostics(prob, prob, (e, np.zeros(2), e), gamma=0.08)
+            sp.diagnostics(prob, prob, (e, np.zeros(2), e), SolverParams())
 
     @pytest.mark.parametrize("omega", ["max-admissible", 0.5])
     def test_prev_outside_cone_raises(self, omega):
@@ -321,10 +324,11 @@ class TestDiagnostics:
                            c=np.ones(4), cones=spec)
         x_o = np.array([1.0, 0.5, 1.0, 0.0])
         with pytest.raises(NotInterior):
-            sp.diagnostics(prob, prob, (x_o, np.zeros(1), x_o.copy()), gamma=0.08)
+            sp.diagnostics(prob, prob, (x_o, np.zeros(1), x_o.copy()),
+                           SolverParams())
         with pytest.raises(NotInterior):
-            sp.warm_start(prob, prob, (x_o, np.zeros(1), x_o.copy()), 0.08,
-                          omega=omega)
+            sp.warm_start(prob, prob, (x_o, np.zeros(1), x_o.copy()),
+                          SolverParams(), omega=omega)
 
     def test_vacuous_flags(self):
         # cold-start primal residual vanishes when b = A e
@@ -338,7 +342,7 @@ class TestDiagnostics:
             rng.standard_normal(2),
             interior_vector(spec, rng),
         )
-        d = sp.diagnostics(new, new, prev, gamma=0.08)
+        d = sp.diagnostics(new, new, prev, SolverParams())
         assert d.primal_vacuous and d.dual_vacuous
 
 
@@ -352,7 +356,7 @@ def test_neighborhood_sufficiency():
         prob, _ = feasible_problem_with_pair(spec, 2, rng)
         prev = _converged_prev(prob, eps=10 ** rng.uniform(-3, -1))
         gamma = float(rng.uniform(0.05, 0.3))
-        d = sp.diagnostics(prob, prob, prev, gamma=gamma)
+        d = sp.diagnostics(prob, prob, prev, SolverParams(gamma=gamma))
         if d.infeasible or d.gamma_o >= gamma:
             continue
         # the admissible segment sits near 1 for partially converged
@@ -363,9 +367,8 @@ def test_neighborhood_sufficiency():
             if da.omega_min is None or omega < da.omega_min:
                 continue
             q = sp.warm_start_point(prev, omega, spec, p=prob.p)
-            assert sp.in_neighborhood(
-                q, spec, NeighborhoodParams(gamma)
-            ), (trial, omega, da.omega_min)
+            assert sp.in_neighborhood(q, spec, gamma), \
+                (trial, omega, da.omega_min)
             checked += 1
     assert checked >= 30
 
@@ -425,7 +428,7 @@ class TestChooseOmega:
         A = rng.standard_normal((2, spec.n))
         y_star = rng.standard_normal(2)
         prob = SocpProblem(A=A, b=A @ (t * e), c=A.T @ y_star + t * e, cones=spec)
-        return sp.diagnostics(prob, prob, (t * e, y_star, t * e), gamma=0.08)
+        return sp.diagnostics(prob, prob, (t * e, y_star, t * e), SolverParams())
 
     def test_unconstrained_returns_grid_max(self):
         d = self._slack_diag()
@@ -446,7 +449,8 @@ class TestChooseOmega:
         # asking for a tighter neighborhood than that is unsatisfiable
         lp3 = self._lp3()
         x_s = np.array([1.2, 1.0 / 1.2, 1.0])
-        d = sp.diagnostics(lp3, lp3, (x_s, np.array([0.0]), x_s.copy()), gamma=0.3)
+        d = sp.diagnostics(lp3, lp3, (x_s, np.array([0.0]), x_s.copy()),
+                           SolverParams(gamma=0.3))
         assert d.gamma_o > 0.3
         assert d.xi_o > 0
         assert d.infeasible and d.omega_min is None
@@ -475,7 +479,7 @@ class TestChooseOmega:
         A = rng.standard_normal((1, spec.n))
         y_o = rng.standard_normal(1)
         prob = SocpProblem(A=A, b=A @ x_o, c=A.T @ y_o + s_o, cones=spec)
-        return sp.diagnostics(prob, prob, (x_o, y_o, s_o), gamma=0.9)
+        return sp.diagnostics(prob, prob, (x_o, y_o, s_o), SolverParams(gamma=0.9))
 
     @pytest.mark.parametrize("seed", [15587, 11178, 10144])
     def test_interior_weight_matches_scan_oracle(self, seed):
@@ -489,7 +493,8 @@ class TestChooseOmega:
         assert sp.choose_omega(d) == choose_omega_oracle(d) == 1.0
         lp3 = self._lp3()
         x_s = np.array([1.2, 1.0 / 1.2, 1.0])
-        d = sp.diagnostics(lp3, lp3, (x_s, np.array([0.0]), x_s.copy()), gamma=0.3)
+        d = sp.diagnostics(lp3, lp3, (x_s, np.array([0.0]), x_s.copy()),
+                           SolverParams(gamma=0.3))
         assert choose_omega_oracle(d) is None
         with pytest.raises(EmptyAdmissibleSet):
             sp.choose_omega(d)
@@ -512,7 +517,7 @@ def test_warm_start_rejects_omega_first(monkeypatch, omega):
     prob = toy_lp()
     prev = (np.ones(prob.n), np.zeros(prob.p), np.ones(prob.n))
     with pytest.raises(ValueError, match=r"\[0,1\]"):
-        sp.warm_start(prob, prob, prev, 0.08, omega=omega)
+        sp.warm_start(prob, prob, prev, SolverParams(), omega=omega)
 
 
 @pytest.mark.parametrize("fn", ["diagnostics", "warm_start"])
@@ -520,14 +525,19 @@ def test_warm_start_rejects_omega_first(monkeypatch, omega):
     (0.08, 0.0), (0.08, -0.5), (0.08, math.nan), (0.08, 1.0), (0.08, 2.0),
     (0.0, 0.03), (-1.0, 0.03), (math.nan, 0.03), (1.0, 0.03), (1.5, 0.03)])
 def test_out_of_range_gamma_delta_raise_first(monkeypatch, fn, gamma, delta):
-    """diagnostics, and warm_start through it, refuse a (gamma, delta) that
-    SolverParams refuses, with InvalidParams and before evaluating the
-    previous pair."""
+    """diagnostics and warm_start take gamma and delta only from the
+    solve's SolverParams, which refuses a pair outside (0,1) with
+    InvalidParams, so such a pair never reaches the previous pair's
+    evaluation."""
+    signature = inspect.signature(getattr(sp, fn)).parameters
+    assert "params" in signature
+    assert not {"gamma", "delta"} & set(signature)
     calls = count_calls(monkeypatch, sp.warmstart, "_previous_pair")
     prob = toy_lp()
     prev = (np.ones(prob.n), np.zeros(prob.p), np.ones(prob.n))
     with pytest.raises(sp.InvalidParams):
-        getattr(sp, fn)(prob, prob, prev, gamma, delta=delta)
+        getattr(sp, fn)(prob, prob, prev,
+                        SolverParams(gamma=gamma, delta=delta))
     assert calls == []
 
 
@@ -539,8 +549,19 @@ def test_warm_start_tail_norms(monkeypatch):
     prob, pair = feasible_problem_with_pair(ConeSpec(l=2, soc_dims=(3, 4)),
                                             2, rng)
     calls = count_calls(monkeypatch, sp.cones, "tail_norms")
-    sp.warm_start(prob, prob, pair, 0.08, omega=1.0)
+    sp.warm_start(prob, prob, pair, SolverParams(), omega=1.0)
     assert len(calls) == 4
+
+
+def test_pair_whose_product_underflows_has_no_centrality():
+    """An interior previous pair whose x_o's_o underflows to 0 gets
+    gamma_o = inf, as a boundary pair does, rather than dividing by its
+    zero mu; warm_start then falls back to the cold start."""
+    prob = toy_lp()
+    tiny = (1e-200 * np.ones(2), np.zeros(1), 1e-200 * np.ones(2))
+    assert sp.diagnostics(prob, prob, tiny, SolverParams()).gamma_o == math.inf
+    ws = sp.warm_start(prob, prob, tiny, SolverParams())
+    assert (ws.omega, ws.fallback) == (0.0, "empty admissible set")
 
 
 def test_warm_start_falls_back_on_empty_admissible_set():
@@ -549,8 +570,8 @@ def test_warm_start_falls_back_on_empty_admissible_set():
     prob = toy_lp()
     far = (1e3 * np.ones(2), np.zeros(1), 1e3 * np.ones(2))
     with pytest.raises(EmptyAdmissibleSet):
-        sp.choose_omega(sp.diagnostics(prob, prob, far, gamma=0.08))
-    ws = sp.warm_start(prob, prob, far, 0.08)
+        sp.choose_omega(sp.diagnostics(prob, prob, far, SolverParams()))
+    ws = sp.warm_start(prob, prob, far, SolverParams())
     assert (ws.omega, ws.fallback) == (0.0, "empty admissible set")
     assert ws.start.vec.tobytes() == cold_point(prob).vec.tobytes()
 
@@ -568,8 +589,29 @@ def test_run_bench_skips_warm_start_after_a_non_optimal_solve():
 
 
 def test_keyword_defaults_are_solver_params():
-    for fn in (sp.diagnostics, sp.warm_start, sp.warmstart.run_bench):
-        params = inspect.signature(fn).parameters
-        assert params["delta"].default == SolverParams.delta
     params = inspect.signature(sp.warmstart.run_bench).parameters
     assert params["gamma"].default == SolverParams.gamma
+    assert params["delta"].default == SolverParams.delta
+
+
+def test_warm_start_checks_the_neighborhood_of_the_solve_it_feeds():
+    """warm_start checks the blend against N_2(gamma) of the params the
+    solve then runs under.  A blend with d2/mu = 0.070 lies in N_2(0.08)
+    and outside N_2(0.06): under gamma 0.06 the warm start falls back to
+    the cold start, which the solve accepts, and under the default gamma
+    the solve runs from the blend."""
+    spec = ConeSpec(4, ())
+    x, s = np.ones(4), np.array([1.0, 1.035, 0.965, 1.0])
+    prob = SocpProblem(A=np.ones((1, 4)), b=np.array([4.0]), c=s.copy(),
+                       cones=spec)
+    pair = (x, np.zeros(1), s)
+    blend = sp.warm_start_point(pair, 1.0, spec, p=1)
+    assert 0.069 < sp.d2(blend, spec) / sp.mu(blend, spec) < 0.071
+    for params, fallback, steps in (
+            (SolverParams(gamma=0.06, delta=0.05, stop_mode="unified",
+                          epsilon=1e-4), "outside neighborhood", 578),
+            (SolverParams(stop_mode="unified", epsilon=1e-4), None, 967)):
+        ws = sp.warm_start(prob, prob, pair, params, omega=1.0)
+        assert ws.fallback == fallback
+        result = sp.solve(prob, ws.start, params)
+        assert (result.status.status, result.iterations) == ("optimal", steps)
