@@ -132,6 +132,14 @@ class ConeSpec:
             object.__setattr__(self, "_hat", ConeSpec(self.l, self.soc_dims + (1,)))
         return self._hat
 
+    def stacked(self, rows: int) -> "ConeSpec":
+        """The product of `rows` copies of this cone, laid out one copy after
+        another, so that a (rows, n) array raveled is one of its vectors.
+        Each linear entry becomes a (1,) second-order block, which the
+        layout treats alike, so every primitive computes each copy's values
+        with the operations it applies to that copy alone."""
+        return ConeSpec(0, ((1,) * self.l + self.soc_dims) * rows)
+
 
 def _integer(value, name: str) -> int:
     """value as an int; only Python and numpy integers that are not bools."""

@@ -5,14 +5,15 @@ triplets are summed.  Writers emit a canonical form (sorted triplets,
 shortest round-trip float repr, fixed key order) so that byte-identical
 output is reproducible and parse/write round-trips are stable.  A trace
 is CSV: the column `iter`, the step number, then the solver's table
-columns TRACE_VALUES, each value to 17 significant digits.
+columns TRACE_VALUES, each value to 17 significant digits, streamed to an
+open file a block of rows at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Dict, Optional
+from typing import Dict, Optional, TextIO
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from .cones import ConeSpec
 from .errors import ParseError
 from .geometry import HsdPoint, mu
 from .problem import SocpProblem, compute_residuals
-from .solver import TRACE_VALUES, SolverParams, SolveResult, SolveTrace
+from .solver import (TRACE_BLOCK, TRACE_VALUES, SolverParams, SolveResult,
+                     SolveTrace)
 
 TRACE_COLUMNS = ("iter",) + TRACE_VALUES
 
@@ -203,11 +205,16 @@ def write_solution(problem: SocpProblem, result: SolveResult,
     return json.dumps(solution_document(problem, result, params), indent=2) + "\n"
 
 
-def write_trace(trace: Optional[SolveTrace]) -> str:
-    """Deterministic trace table: header plus one line per step, the step
-    number and then its row of the trace table."""
-    lines = [",".join(TRACE_COLUMNS)]
-    if trace is not None:
-        lines += [f"{i}," + ",".join(format(v, ".17g") for v in row)
-                  for i, row in enumerate(trace.rows.tolist(), 1)]
-    return "\n".join(lines) + "\n"
+def write_trace(trace: Optional[SolveTrace], out: TextIO) -> None:
+    """Write the deterministic trace table to the open text file `out`:
+    header plus one line per step, the step number and then its row of
+    the trace table.  The lines go out TRACE_BLOCK rows at a time, so the
+    text of no more than one block is held at once."""
+    out.write(",".join(TRACE_COLUMNS) + "\n")
+    if trace is None:
+        return
+    for first in range(0, len(trace.rows), TRACE_BLOCK):
+        out.write("".join(
+            f"{i}," + ",".join(format(v, ".17g") for v in row) + "\n"
+            for i, row in enumerate(
+                trace.rows[first:first + TRACE_BLOCK].tolist(), first + 1)))

@@ -62,7 +62,15 @@ class Evaluation:
     membership in N_2(gamma), and a non-interior point is out.  The scaled
     product point w = T_x s is taken once, on first use; d2 reads w alone,
     and only dinf takes the spectral bounds of w.
+
+    `evaluate_rows` evaluates a block of iterates as one point of the
+    product cone (`ConeSpec.stacked`), with `rows` set and tau, kappa and
+    mu arrays of one entry per iterate.  d2 and dinf then return one value
+    per iterate, bitwise what the iterate's own evaluation gives, and
+    `per_row` splits per-block values such as x.lo by iterate.
     """
+
+    rows = 0  # the iterates of a block evaluation; 0 for one point
 
     def __init__(self, z: HsdPoint, spec: ConeSpec):
         self.tau, self.kappa = z.tau, z.kappa
@@ -79,18 +87,44 @@ class Evaluation:
         return t_apply_of(self.x.require_interior("scaling point of t_apply"),
                           self.s.v)
 
-    def d2(self) -> float:
-        dev = self.w - self.mu * self.x.spec.e
-        extra = self.kappa * self.tau - self.mu
-        return math.sqrt(2.0) * math.sqrt(float(dev @ dev) + extra * extra)
+    def per_row(self, values: np.ndarray) -> np.ndarray:
+        """Per-entry or per-block values, one row per iterate."""
+        return values.reshape(self.rows or 1, -1)
 
-    def dinf(self) -> float:
-        bounds = spectral_bounds(self.w, self.x.spec)
-        worst = float(np.max(np.abs(bounds - self.mu)))
-        return max(worst, abs(self.kappa * self.tau - self.mu))
+    def _one(self, values: np.ndarray):
+        """values per iterate, or the float of a single point."""
+        return values if self.rows else float(values[0])
+
+    def d2(self):
+        mu = np.reshape(self.mu, (-1, 1))
+        dev = self.per_row(self.w) - mu * self.per_row(self.x.spec.e)
+        extra = self.kappa * self.tau - self.mu
+        # each row's dev'dev is the BLAS dot that a 1-D dev @ dev takes
+        return self._one(math.sqrt(2.0) * np.sqrt(
+            (dev[:, None, :] @ dev[:, :, None])[:, 0, 0] + extra * extra))
+
+    def dinf(self):
+        bounds = self.per_row(spectral_bounds(self.w, self.x.spec))
+        worst = np.abs(bounds - np.reshape(self.mu, (-1, 1))).max(axis=1)
+        extra = np.abs(self.kappa * self.tau - self.mu)
+        # max(worst, extra) as Python's max takes it, NaN included
+        return self._one(np.where(extra > worst, extra, worst))
 
     def within(self, gamma: float) -> bool:
         return self.interior() and self.d2() <= gamma * self.mu
+
+
+def evaluate_rows(x: np.ndarray, s: np.ndarray, tau: np.ndarray,
+                  kappa: np.ndarray, mu: np.ndarray,
+                  stacked: ConeSpec) -> Evaluation:
+    """The Evaluation of a block of iterates, row i of x and s with tau[i],
+    kappa[i] and mu[i], as one point of `stacked`, the spec's
+    `stacked(len(mu))`.  mu is taken as given: each iterate's own."""
+    ev = Evaluation.__new__(Evaluation)
+    ev.rows, ev.tau, ev.kappa, ev.mu = len(mu), tau, kappa, mu
+    ev.x = Spectrum(x.reshape(-1), stacked)
+    ev.s = Spectrum(s.reshape(-1), stacked)
+    return ev
 
 
 def mu(z: HsdPoint, spec: ConeSpec) -> float:

@@ -112,10 +112,26 @@ class Residuals:
         self.r_p = np.asarray(self.r_p, dtype=float)
         self.r_d = np.asarray(self.r_d, dtype=float)
         self.r_g = float(self.r_g)
-        # np.linalg.norm's operations, sqrt(v.v), without its call overhead
-        self.rp_norm = math.sqrt(self.r_p.dot(self.r_p))
-        self.rd_norm = math.sqrt(self.r_d.dot(self.r_d))
+        # np.linalg.norm's operations, sqrt(v.v), without its call overhead;
+        # a sum of squares that overflows is taken again, scaled
+        with np.errstate(over="ignore"):
+            rp, rd = self.r_p.dot(self.r_p), self.r_d.dot(self.r_d)
+        self.rp_norm = math.sqrt(rp) if math.isfinite(rp) \
+            else _scaled_norm(self.r_p)
+        self.rd_norm = math.sqrt(rd) if math.isfinite(rd) \
+            else _scaled_norm(self.r_d)
         self.rg_abs = abs(self.r_g)
+
+
+def _scaled_norm(v: np.ndarray) -> float:
+    """||v|| of a v whose sum of squares overflows: v is divided by its
+    largest magnitude first, so that only a norm beyond the float range
+    reads inf.  An inf or NaN entry is the norm."""
+    big = float(np.max(np.abs(v)))
+    if not math.isfinite(big):
+        return big
+    u = v / big
+    return big * math.sqrt(u.dot(u))
 
 
 def compute_residuals(problem: SocpProblem, z, out=None) -> Residuals:

@@ -17,11 +17,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._blas import one_blas_thread
-from .cones import ScalingMatrix, nt_scaling_of
+from .cones import ConeSpec, ScalingMatrix, nt_scaling_of
 from .errors import (InvalidParams, MaxIterationsExceeded, NotInterior,
                      StartOutsideNeighborhood)
 from .geometry import (Classification, Evaluation, HsdPoint, classify_status,
-                       mu)
+                       evaluate_rows, mu)
 from .kkt import (KktWorkspace, assemble, centering_nu, solve_direction,
                   step_point)
 from .problem import Residuals, SocpProblem, compute_residuals
@@ -30,8 +30,10 @@ SCALINGS = ("identity", "nt")
 STOP_MODES = ("relative", "unified")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverParams:
+    """The solve's settings, fixed once made: a changed copy comes from
+    dataclasses.replace, which checks it again."""
     gamma: float = 0.08
     delta: float = 0.03
     epsilon: float = 1e-6
@@ -40,8 +42,8 @@ class SolverParams:
     stop_mode: str = "relative"
 
     def __post_init__(self):
-        self.scaling = str(self.scaling).lower()
-        self.stop_mode = str(self.stop_mode).lower()
+        object.__setattr__(self, "scaling", str(self.scaling).lower())
+        object.__setattr__(self, "stop_mode", str(self.stop_mode).lower())
         if not (0.0 < self.gamma < 1.0):
             raise InvalidParams("gamma must lie in (0,1)")
         if not (0.0 < self.delta < 1.0):
@@ -62,13 +64,22 @@ TRACE_VALUES = ("mu", "d2", "dinf", "rp_norm", "rd_norm", "rg_abs", "tau",
                 "kappa", "lambda_min_x", "lambda_min_s", "orth_defect",
                 "kkt_residual")
 _TRACE_DTYPE = np.dtype([(name, np.float64) for name in TRACE_VALUES])
+# the steps whose centrality columns one evaluation fills
+TRACE_BLOCK = 64
 
 
 @dataclass
 class SolveTrace:
     """The start's mu and residual norms, and `rows`, a record array with
     one row per step (row i is step i + 1) and the columns TRACE_VALUES.
-    `neighborhood_violations` counts the rows with d2 > gamma mu."""
+    `neighborhood_violations` counts the rows with d2 > gamma mu.
+
+    `solve` writes each step's mu, residual norms, tau, kappa and Newton
+    system figures into its row as the step ends.  d2, dinf,
+    lambda_min_x and lambda_min_s are filled per block of TRACE_BLOCK
+    steps, and after the last step, by one evaluation of the block's
+    iterates (`_fill_centrality`), bitwise the values of each iterate's
+    own `Evaluation`."""
     start_mu: float
     start_rp_norm: float
     start_rd_norm: float
@@ -137,6 +148,20 @@ def _stopped(params: SolverParams, res, m: float, start) -> bool:
     return ok_p and ok_d and m <= eps * mu0
 
 
+def _fill_centrality(rows: np.recarray, points: np.ndarray, p: int,
+                     stacked: ConeSpec) -> None:
+    """Write d2, dinf, lambda_min_x and lambda_min_s into the trace `rows`
+    of the iterates whose hat-layout vectors are the rows of `points`, from
+    one evaluation of them all over `stacked`, the spec stacked len(rows)
+    times.  The rows' mu, tau and kappa are read as the loop wrote them."""
+    n = stacked.n // len(rows)
+    ev = evaluate_rows(points[:, :n], points[:, n + 1 + p:-1], rows.tau,
+                       rows.kappa, rows.mu, stacked)
+    rows.d2, rows.dinf = ev.d2(), ev.dinf()
+    rows.lambda_min_x = ev.per_row(ev.x.lo).min(axis=1)
+    rows.lambda_min_s = ev.per_row(ev.s.lo).min(axis=1)
+
+
 @one_blas_thread()
 def solve(problem: SocpProblem, start: HsdPoint,
           params: SolverParams) -> SolveResult:
@@ -151,6 +176,11 @@ def solve(problem: SocpProblem, start: HsdPoint,
     rows is refused at entry (`SocpProblem.check_rows`).  The solve runs
     on one BLAS thread, so that its bytes do not depend on the machine's
     thread count.
+
+    With params.trace_enabled each step's row of the trace is written as
+    the step ends, but for its centrality columns, which one evaluation of
+    every TRACE_BLOCK steps' points fills (see SolveTrace): the same bytes
+    as an evaluation per step, for a fraction of the cost.
     """
     problem.check_shapes()
     problem.check_finite()
@@ -179,6 +209,10 @@ def solve(problem: SocpProblem, start: HsdPoint,
     work = KktWorkspace(problem)
     # every iterate's residuals, written over; the shapes were checked above
     res_out = np.empty(problem.p + spec.n)
+    if trace is not None and predicted > 0:
+        # the points of the steps whose centrality columns are not yet filled
+        block = np.empty((min(predicted, TRACE_BLOCK), z.vec.size))
+        full = spec.stacked(len(block))
     for iters in range(1, predicted + 1):
         D = identity if params.scaling == "identity" \
             else nt_scaling_of(ev.x, ev.s)
@@ -192,10 +226,17 @@ def solve(problem: SocpProblem, start: HsdPoint,
                 f"lambda_min(s)={ev.s.lo.min():.3e}")
         res = compute_residuals(problem, z, res_out)
         if trace is not None:
+            j = (iters - 1) % TRACE_BLOCK
+            block[j] = z.vec
             trace.rows[iters - 1] = (
-                ev.mu, ev.d2(), ev.dinf(), res.rp_norm, res.rd_norm,
-                res.rg_abs, ev.tau, ev.kappa, ev.x.lo.min(), ev.s.lo.min(),
+                ev.mu, math.nan, math.nan, res.rp_norm, res.rd_norm,
+                res.rg_abs, ev.tau, ev.kappa, math.nan, math.nan,
                 direction.orthogonality_defect, direction.system_residual)
+            if j + 1 == len(block) or iters == predicted:
+                _fill_centrality(trace.rows[iters - 1 - j:iters],
+                                 block[:j + 1], problem.p,
+                                 full if j + 1 == len(block)
+                                 else spec.stacked(j + 1))
     if trace is not None:
         trace.neighborhood_violations = int(np.count_nonzero(
             trace.rows.d2 > params.gamma * trace.rows.mu))

@@ -255,6 +255,23 @@ class TestCheckCommand:
         assert float(kv["d2"]) > 0.5 * float(kv["mu"]) >= float(kv["dinf"])
         assert kv["in_n2"] == "false" and kv["in_ninf"] == "true"
 
+    def test_residual_norm_whose_square_overflows(self, run, tmp_path):
+        """r_p = 9e154 squares past the float range although the point's
+        own sum of squares does not: rp_norm is taken again over r_p
+        scaled, finite and without a warning."""
+        problem = tmp_path / "p.json"
+        problem.write_text(write_problem(SocpProblem(
+            np.array([[10.0, 10.0]]), [1.0], [1.0, 0.0], sp.ConeSpec(2))))
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({
+            "x": [9e153, 0.1], "y": [0.0], "s": [1.0, 1.0],
+            "kappa": 1.0, "tau": 1.0,
+        }))
+        code, out, err = run("check", "--problem", problem, "--point", point)
+        assert code == 0 and err == ""
+        assert math.isclose(float(parse_kv(out)["rp_norm"]), 9e154,
+                            rel_tol=1e-15)
+
     def test_gamma_outside_unit_interval_exits_2(self, run, toy_file,
                                                  tmp_path):
         point = tmp_path / "point.json"

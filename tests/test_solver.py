@@ -1,5 +1,8 @@
 """Path-following loop: parameters, iteration law, traces, statuses."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from socpath import (
     SolverParams,
     StartOutsideNeighborhood,
 )
-from socpath.solver import SCALINGS, STOP_MODES
+from socpath.solver import SCALINGS, STOP_MODES, TRACE_BLOCK, TRACE_VALUES
 
 from util import (
     cold_point,
@@ -114,6 +117,18 @@ def test_solver_params_validation():
         SolverParams(scaling="cholesky")
     with pytest.raises(InvalidParams):
         SolverParams(stop_mode="sometimes")
+
+
+def test_solver_params_are_frozen():
+    """The (0,1) rules have one home: a made SolverParams cannot change,
+    and a changed copy is checked again."""
+    p = SolverParams(scaling="NT", stop_mode="Unified")
+    assert (p.scaling, p.stop_mode) == ("nt", "unified")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.gamma = 1.5
+    with pytest.raises(InvalidParams, match=r"gamma must lie in \(0,1\)"):
+        dataclasses.replace(p, gamma=1.5)
+    assert p.gamma == SolverParams.gamma
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"),
@@ -290,7 +305,8 @@ def test_mixed_cone_exact_reduction_both_scalings():
 @pytest.mark.parametrize("trace_enabled", [True, False])
 def test_each_iterate_evaluated_once(monkeypatch, trace_enabled, stop_mode):
     """Residuals and the evaluation that holds mu are computed once per
-    iterate, start included."""
+    iterate, start included.  A trace's block evaluations
+    (`evaluate_rows`) are not per-iterate ones."""
     counts = {"compute_residuals": 0, "Evaluation": 0}
     for name in counts:
         original = getattr(sp.solver, name)
@@ -387,13 +403,14 @@ def test_iterate_leaving_interior_raises(monkeypatch, leave):
 
 
 @pytest.mark.parametrize("scaling, trace_enabled, per_iteration",
-                         [("nt", True, 4), ("identity", False, 2)])
+                         [("nt", True, 3), ("identity", False, 2)])
 def test_tail_norms_per_iteration(monkeypatch, scaling, trace_enabled,
                                   per_iteration):
     """Each iterate's heads and tail norms of x and s are taken once.  An
-    NT step adds the scaling point w, a trace row the spectral bounds of
-    the product point T_x s.  The start's neighborhood check reads d2
-    alone, which takes no spectral bounds."""
+    NT step adds the scaling point w.  A trace adds three per block of
+    TRACE_BLOCK steps, whose evaluation takes the stacked x, s and the
+    spectral bounds of the stacked product point T_x s.  The start's
+    neighborhood check reads d2 alone, which takes no spectral bounds."""
     calls = []
     original = sp.cones.tail_norms
 
@@ -406,8 +423,9 @@ def test_tail_norms_per_iteration(monkeypatch, scaling, trace_enabled,
     params = SolverParams(epsilon=1e-2, scaling=scaling,
                           trace_enabled=trace_enabled)
     res = sp.solve(prob, cold_point(prob), params)
-    assert res.iterations > 0
-    assert len(calls) == per_iteration * res.iterations + 2
+    assert res.iterations > TRACE_BLOCK
+    blocks = -(-res.iterations // TRACE_BLOCK) if trace_enabled else 0
+    assert len(calls) == per_iteration * res.iterations + 3 * blocks + 2
 
 
 @pytest.mark.parametrize("scaling", ["identity", "nt"])
@@ -547,8 +565,8 @@ def _socpath_calls(prob, params):
 
 # per (scaling, trace_enabled): the measured calls per iteration plus one
 CALLS_PER_ITERATION_CEILING = {
-    ("identity", False): 37, ("identity", True): 48,
-    ("nt", False): 49, ("nt", True): 60}
+    ("identity", False): 37, ("identity", True): 37,
+    ("nt", False): 49, ("nt", True): 49}
 
 
 @pytest.mark.parametrize("scaling, trace_enabled",
@@ -560,8 +578,9 @@ def test_socpath_calls_per_iteration(scaling, trace_enabled):
     Python frames are not counted, so the figure does not depend on its
     version.  (The layout before the flat iterate took 48, 61, 59, 72,
     the step before it moved into the workspace 39, 52, 50, 63, the trace
-    before it was one table 37, 50, 48, 61, and the Newton step before it
-    read the iterate's evaluation 38, 50, 49, 61.)"""
+    before it was one table 37, 50, 48, 61, the Newton step before it
+    read the iterate's evaluation 38, 50, 49, 61, and the trace before its
+    centrality columns were filled per block 37, 48, 49, 60.)"""
     ceiling = CALLS_PER_ITERATION_CEILING[scaling, trace_enabled]
     rng = np.random.default_rng(439)
     prob = feasible_problem(sp.ConeSpec(l=2, soc_dims=(3, 3)), 2, rng)
@@ -571,3 +590,57 @@ def test_socpath_calls_per_iteration(scaling, trace_enabled):
         for eps in (1e-2, 1e-4))
     assert i1 < i2
     assert (c2 - c1) / (i2 - i1) <= ceiling
+
+
+def _count_params(prob, scaling, stop_mode, count):
+    """SolverParams whose closed-form count from the cold start is `count`:
+    epsilon sits half a step inside the count's contraction."""
+    nu = sp.centering_nu(SolverParams.delta, prob.cones.k)
+    scale = 1.0
+    if stop_mode == "unified":
+        res = sp.compute_residuals(prob, cold_point(prob))
+        scale = max(res.rp_norm, res.rd_norm, sp.mu(cold_point(prob),
+                                                     prob.cones))
+    return SolverParams(epsilon=scale * nu ** (count - 0.5), scaling=scaling,
+                        stop_mode=stop_mode)
+
+
+# a relative solve always steps, so the count 0 is the unified one's alone
+BLOCK_COUNTS = [(stop_mode, count) for stop_mode in STOP_MODES
+                for count in (0, 5, TRACE_BLOCK, TRACE_BLOCK + 1,
+                              3 * TRACE_BLOCK + 7)
+                if count or stop_mode == "unified"]
+
+
+@pytest.mark.parametrize("stop_mode, count", BLOCK_COUNTS)
+@pytest.mark.parametrize("scaling", SCALINGS)
+def test_block_trace_rows_are_each_iterates_evaluation(monkeypatch, scaling,
+                                                       stop_mode, count):
+    """The trace, whose centrality columns are filled per block of steps,
+    holds bitwise the row that each iterate's own Evaluation, Residuals
+    and Newton direction give, for counts below, at, just over and several
+    times the block size.  The iterates are those taken through
+    socpath.solver.step_point."""
+    steps = []
+
+    def step(z, d, alpha):
+        steps.append((sp.step_point(z, d, alpha), d))
+        return steps[-1][0]
+    monkeypatch.setattr(sp.solver, "step_point", step)
+    prob = feasible_problem(sp.ConeSpec(2, (3, 1, 4)), 3,
+                            np.random.default_rng(449))
+    res = sp.solve(prob, cold_point(prob),
+                   _count_params(prob, scaling, stop_mode, count))
+    assert res.iterations == len(steps) == count
+    ref = np.recarray(count, res.trace.rows.dtype)
+    for i, (z, d) in enumerate(steps):
+        ev, r = sp.Evaluation(z, prob.cones), sp.compute_residuals(prob, z)
+        # the one-point d2 is the 1-D formula's bytes
+        dev, extra = ev.w - ev.mu * prob.cones.e, ev.kappa * ev.tau - ev.mu
+        assert ev.d2() == math.sqrt(2.0) * math.sqrt(float(dev @ dev)
+                                                      + extra * extra)
+        ref[i] = (ev.mu, ev.d2(), ev.dinf(), r.rp_norm, r.rd_norm, r.rg_abs,
+                  ev.tau, ev.kappa, ev.x.lo.min(), ev.s.lo.min(),
+                  d.orthogonality_defect, d.system_residual)
+    assert res.trace.rows.dtype.names == TRACE_VALUES
+    assert res.trace.rows.tobytes() == ref.tobytes()
