@@ -1,14 +1,13 @@
 """Second-order cone programming by a short-step interior-point method
 on the homogeneous self-dual embedding, with warm-start diagnostics."""
 
-from .analysis import (apply_scaling, arrow_matrix, r_matrix,
-                       random_automorphism, w_vector)
 from .cones import (ConeSpec, ScalingMatrix, jordan_product, membership,
                     nt_scaling, spectral_bounds, unit_element)
 from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
-                     InvalidParams, InvalidPoint, MaxIterationsExceeded,
-                     NonFiniteData, NotInterior, ParseError, SingularSystem,
-                     SocpathError, StartOutsideNeighborhood)
+                     InvalidConeSpec, InvalidParams, InvalidPoint,
+                     MaxIterationsExceeded, NonFiniteData, NotInterior,
+                     ParseError, SingularSystem, SocpathError,
+                     StartOutsideNeighborhood)
 from .geometry import (Classification, Evaluation, HsdPoint, classify_status,
                        d2, dinf, in_neighborhood, mu)
 from .kkt import (NewtonDirection, assemble, scaled_increment_diagnostics,
@@ -23,12 +22,10 @@ from .warmstart import (WarmStart, WarmStartDiagnostics, choose_omega,
 __version__ = "0.1.0"
 
 __all__ = [
-    "apply_scaling", "arrow_matrix", "r_matrix", "random_automorphism",
-    "w_vector",
     "ConeSpec", "ScalingMatrix", "jordan_product", "membership", "nt_scaling",
     "spectral_bounds", "unit_element",
     "ConeSpecMismatch", "DimensionMismatch", "EmptyAdmissibleSet",
-    "InvalidParams", "InvalidPoint", "MaxIterationsExceeded",
+    "InvalidConeSpec", "InvalidParams", "InvalidPoint", "MaxIterationsExceeded",
     "NonFiniteData", "NotInterior", "ParseError", "SingularSystem",
     "SocpathError", "StartOutsideNeighborhood",
     "Classification", "Evaluation", "HsdPoint",

@@ -13,8 +13,9 @@ import sys
 from pathlib import Path
 from typing import Dict, Union
 
-from .errors import (InvalidPoint, MaxIterationsExceeded, NotInterior,
-                     ParseError, SingularSystem, StartOutsideNeighborhood)
+from .errors import (InvalidParams, InvalidPoint, MaxIterationsExceeded,
+                     NotInterior, ParseError, SingularSystem, SocpathError,
+                     StartOutsideNeighborhood)
 from . import fileio
 from .fileio import parse_point, parse_problem, write_solution
 from .geometry import Evaluation
@@ -26,7 +27,7 @@ from .warmstart import (BENCH_EPSILON, _finite_or_none, cold_start,
 
 NUMERICAL_ERRORS = (SingularSystem, MaxIterationsExceeded,
                     StartOutsideNeighborhood, NotInterior)
-INPUT_ERRORS = (ValueError, OSError, KeyError)
+INPUT_ERRORS = (SocpathError, OSError)
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -55,8 +56,6 @@ def cmd_solve(args) -> int:
     result = solve(problem, start, params)
     Path(args.output).write_text(write_solution(problem, result, params))
     if args.trace:
-        # streamed through the module's name: perfbench/tracer.py wraps a
-        # `write_trace` of this module as a function that returns the text
         with Path(args.trace).open("w") as out:
             fileio.write_trace(result.trace, out)
     sys.stdout.write(
@@ -83,7 +82,12 @@ def diagnostics_document(diag) -> Dict:
 
 
 def _omega_policy(flag: str) -> Union[str, float]:
-    return "max-admissible" if flag == "auto" else float(flag)
+    if flag == "auto":
+        return "max-admissible"
+    try:
+        return float(flag)
+    except ValueError as exc:
+        raise InvalidParams(str(exc)) from None
 
 
 def cmd_warmstart(args) -> int:

@@ -33,7 +33,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotInterior
+from .errors import (DimensionMismatch, InvalidConeSpec, InvalidParams,
+                     NotInterior)
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class ConeSpec:
 
     `l` and each dimension must be integers, numpy integers included, and
     are stored as int; a float, a string, a bool or a `soc_dims` that is
-    not iterable raises ValueError.
+    not iterable raises InvalidConeSpec.
 
     The block layout is built once, as plain attributes that ==, hash and
     repr do not see, its arrays read-only: `n` (ambient dimension) and `k`
@@ -69,17 +70,18 @@ class ConeSpec:
         try:
             dims = tuple(self.soc_dims)
         except TypeError:
-            raise ValueError("soc_dims must be a sequence of integers, not "
-                             f"{self.soc_dims!r}") from None
+            raise InvalidConeSpec("soc_dims must be a sequence of integers, "
+                                  f"not {self.soc_dims!r}") from None
         object.__setattr__(self, "l", _integer(self.l, "l"))
         object.__setattr__(self, "soc_dims",
                            tuple(_integer(d, "soc_dims entry") for d in dims))
         if self.l < 0:
-            raise ValueError("l must be nonnegative")
+            raise InvalidConeSpec("l must be nonnegative")
         if any(d < 1 for d in self.soc_dims):
-            raise ValueError("every second-order block dimension must be >= 1")
+            raise InvalidConeSpec(
+                "every second-order block dimension must be >= 1")
         if self.l + len(self.soc_dims) < 1:
-            raise ValueError("the cone must contain at least one block")
+            raise InvalidConeSpec("the cone must contain at least one block")
         dims = (1,) * self.l + self.soc_dims
         heads = np.cumsum((0,) + dims[:-1])
         tail = np.ones(sum(dims), dtype=bool)
@@ -137,14 +139,18 @@ class ConeSpec:
         another, so that a (rows, n) array raveled is one of its vectors.
         Each linear entry becomes a (1,) second-order block, which the
         layout treats alike, so every primitive computes each copy's values
-        with the operations it applies to that copy alone."""
-        return ConeSpec(0, ((1,) * self.l + self.soc_dims) * rows)
+        with the operations it applies to that copy alone.  Built on first
+        use per row count and kept."""
+        cache = self.__dict__.setdefault("_stacked", {})
+        if rows not in cache:
+            cache[rows] = ConeSpec(0, ((1,) * self.l + self.soc_dims) * rows)
+        return cache[rows]
 
 
 def _integer(value, name: str) -> int:
     """value as an int; only Python and numpy integers that are not bools."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
+        raise InvalidConeSpec(f"{name} must be an integer, not {value!r}")
     return int(value)
 
 
@@ -248,13 +254,6 @@ def _t_values(v: Spectrum) -> np.ndarray:
     return vals
 
 
-def _t_dense(v: Spectrum) -> np.ndarray:
-    """Dense block-diagonal T_v of an interior v."""
-    T = np.zeros((v.spec.n, v.spec.n))
-    T.flat[v.spec.block_pattern.pos] = _t_values(v)
-    return T
-
-
 def t_apply_of(v: Spectrum, u: np.ndarray) -> np.ndarray:
     """T_v u from the evaluation of an interior v, without the dense matrix."""
     spec = v.spec
@@ -305,7 +304,7 @@ class ScalingMatrix:
             raise DimensionMismatch(
                 f"expected {spec.k} thetas, got shape {thetas.shape}")
         if not np.all(thetas > 0.0):
-            raise ValueError("thetas must be positive")
+            raise InvalidParams("thetas must be positive")
         D, D_inv = np.array(D, dtype=float), np.array(D_inv, dtype=float)
         for M in (D, D_inv):
             if M.shape != (spec.n, spec.n):
@@ -328,14 +327,6 @@ class ScalingMatrix:
         scaling.is_identity = True
         return scaling
 
-    def apply(self, v) -> np.ndarray:
-        """D v"""
-        return self._matrix @ check_vector(v, self.spec)
-
-    def apply_inverse_transpose(self, v) -> np.ndarray:
-        """D^{-T} v = Theta G' v"""
-        return self._inverse.T @ check_vector(v, self.spec)
-
     def matrix(self) -> np.ndarray:
         """Dense D, read-only."""
         return self._matrix
@@ -343,15 +334,6 @@ class ScalingMatrix:
     def inverse_matrix(self) -> np.ndarray:
         """Dense D^{-1} = Theta G, read-only."""
         return self._inverse
-
-    def group_residual(self) -> float:
-        """Largest per-block Frobenius defect ||G'QG - Q||_F of
-        G = D^{-1}/theta; NaN when G holds a NaN."""
-        spec = self.spec
-        G = self._inverse / self.thetas[spec.block_of][:, None]
-        R = G.T @ (spec.q[:, None] * G) - np.diag(spec.q)
-        per_block = np.add.reduceat((R * R).sum(axis=1), spec.heads)
-        return float(np.sqrt(per_block.max()))
 
 
 def nt_scaling(x, s, spec: ConeSpec) -> ScalingMatrix:

@@ -18,7 +18,12 @@ class NonFiniteData(SocpathError, ValueError):
 
 
 class InvalidParams(SocpathError, ValueError):
-    """Solver parameters violate an admissibility condition."""
+    """A parameter violates an admissibility condition: a solver setting, a
+    blend weight, a drift bound or count, a scaling's thetas, a status."""
+
+
+class InvalidConeSpec(SocpathError, ValueError):
+    """A cone spec's sizes are not integers, are negative or give no block."""
 
 
 class SingularSystem(SocpathError, ArithmeticError):

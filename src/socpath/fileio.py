@@ -18,7 +18,7 @@ from typing import Dict, Optional, TextIO
 import numpy as np
 
 from .cones import ConeSpec
-from .errors import ParseError
+from .errors import InvalidConeSpec, InvalidParams, ParseError
 from .geometry import HsdPoint, mu
 from .problem import SocpProblem, compute_residuals
 from .solver import (TRACE_BLOCK, TRACE_VALUES, SolverParams, SolveResult,
@@ -103,7 +103,7 @@ def parse_problem(text: str) -> SocpProblem:
     c = _vector(_require(data, "c", ""), cols, "c")
     try:
         spec = ConeSpec(l, q)
-    except ValueError as exc:
+    except InvalidConeSpec as exc:
         raise ParseError(str(exc), field="cones") from exc
     A = np.zeros((rows, cols))
     for idx, t in enumerate(triplets):
@@ -171,7 +171,7 @@ def solution_document(problem: SocpProblem, result: SolveResult,
     z = result.point
     status = result.status.status
     if status not in STATUS_NAMES:
-        raise ValueError(f"unexpected status {status!r}")
+        raise InvalidParams(f"unexpected status {status!r}")
     res = compute_residuals(problem, z)
     doc: Dict = {
         "status": status,

@@ -149,14 +149,14 @@ def _stopped(params: SolverParams, res, m: float, start) -> bool:
 
 
 def _fill_centrality(rows: np.recarray, points: np.ndarray, p: int,
-                     stacked: ConeSpec) -> None:
+                     spec: ConeSpec) -> None:
     """Write d2, dinf, lambda_min_x and lambda_min_s into the trace `rows`
     of the iterates whose hat-layout vectors are the rows of `points`, from
-    one evaluation of them all over `stacked`, the spec stacked len(rows)
-    times.  The rows' mu, tau and kappa are read as the loop wrote them."""
-    n = stacked.n // len(rows)
+    one evaluation of them all over `spec.stacked(len(rows))`.  The rows'
+    mu, tau and kappa are read as the loop wrote them."""
+    n = spec.n
     ev = evaluate_rows(points[:, :n], points[:, n + 1 + p:-1], rows.tau,
-                       rows.kappa, rows.mu, stacked)
+                       rows.kappa, rows.mu, spec.stacked(len(rows)))
     rows.d2, rows.dinf = ev.d2(), ev.dinf()
     rows.lambda_min_x = ev.per_row(ev.x.lo).min(axis=1)
     rows.lambda_min_s = ev.per_row(ev.s.lo).min(axis=1)
@@ -212,7 +212,6 @@ def solve(problem: SocpProblem, start: HsdPoint,
     if trace is not None and predicted > 0:
         # the points of the steps whose centrality columns are not yet filled
         block = np.empty((min(predicted, TRACE_BLOCK), z.vec.size))
-        full = spec.stacked(len(block))
     for iters in range(1, predicted + 1):
         D = identity if params.scaling == "identity" \
             else nt_scaling_of(ev.x, ev.s)
@@ -234,9 +233,7 @@ def solve(problem: SocpProblem, start: HsdPoint,
                 direction.orthogonality_defect, direction.system_residual)
             if j + 1 == len(block) or iters == predicted:
                 _fill_centrality(trace.rows[iters - 1 - j:iters],
-                                 block[:j + 1], problem.p,
-                                 full if j + 1 == len(block)
-                                 else spec.stacked(j + 1))
+                                 block[:j + 1], problem.p, spec)
     if trace is not None:
         trace.neighborhood_violations = int(np.count_nonzero(
             trace.rows.d2 > params.gamma * trace.rows.mu))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cones import ConeSpec, Spectrum, t_apply_of, unit_element
 from .errors import (ConeSpecMismatch, DimensionMismatch, EmptyAdmissibleSet,
-                     NotInterior)
+                     InvalidParams, NotInterior)
 from .geometry import HsdPoint, in_neighborhood
 from .kkt import centering_nu
 from .problem import SocpProblem, compute_residuals
@@ -47,15 +47,15 @@ def cold_start(spec: ConeSpec, p: int = 0) -> HsdPoint:
 def check_weight(omega: float) -> None:
     """A blend weight is a number in [0,1], so NaN, inf and strings fail."""
     if isinstance(omega, str) or not (0.0 <= omega <= 1.0):
-        raise ValueError("omega must lie in [0,1]")
+        raise InvalidParams("omega must lie in [0,1]")
 
 
 def check_omega(omega: Union[str, float]) -> None:
     """A blend weight request is "max-admissible" or a fixed weight."""
     if isinstance(omega, str):
         if omega != "max-admissible":
-            raise ValueError("omega must be 'max-admissible' or a weight "
-                             f"in [0,1], not {omega!r}")
+            raise InvalidParams("omega must be 'max-admissible' or a "
+                                f"weight in [0,1], not {omega!r}")
     else:
         check_weight(omega)
 
@@ -303,8 +303,8 @@ def check_bounds(bound_a: float, bound_b: float, bound_c: float) -> None:
     """A drift bound is a finite number >= 0, so NaN, inf and negatives fail."""
     for name, bound in (("a", bound_a), ("b", bound_b), ("c", bound_c)):
         if not (0.0 <= bound < math.inf):
-            raise ValueError(f"perturbation bound {name} must be finite and "
-                             f">= 0, not {bound!r}")
+            raise InvalidParams(f"perturbation bound {name} must be finite "
+                                f"and >= 0, not {bound!r}")
 
 
 def perturb_problem(problem: SocpProblem, bound_a: float, bound_b: float,
@@ -314,7 +314,7 @@ def perturb_problem(problem: SocpProblem, bound_a: float, bound_b: float,
     Matrix noise is applied to the stored nonzero pattern of A only and
     projected to the spectral-norm bound; b and c get dense noise
     projected to the Euclidean bound.  A zero bound leaves the term
-    untouched; a bound that is not finite and >= 0 raises ValueError.
+    untouched; a bound that is not finite and >= 0 raises InvalidParams.
     """
     check_bounds(bound_a, bound_b, bound_c)
     A = _drift(problem.A, bound_a, rng)
@@ -350,10 +350,10 @@ def run_bench(base: SocpProblem, steps: int, perturb_a: float,
     from the previous instance's cold solution when diagnostics admit
     an omega.  Fully deterministic for a given seed.  A negative step
     count, a fixed omega outside [0,1], or a bound that perturb_problem
-    refuses raises ValueError before any solve.
+    refuses raises InvalidParams before any solve.
     """
     if steps < 0:
-        raise ValueError(f"steps must be >= 0, not {steps!r}")
+        raise InvalidParams(f"steps must be >= 0, not {steps!r}")
     check_omega(omega_policy)
     check_bounds(perturb_a, perturb_b, perturb_c)
     rng = np.random.default_rng(seed)

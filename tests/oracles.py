@@ -149,8 +149,8 @@ def kkt_oracle(problem, z, D_mat, Dinv_mat, nu, mu_val):
 
 def group_defect(D_mat, spec):
     """Worst blockwise deviation of D/theta from the quadratic-form group,
-    computed straight from the dense matrix."""
-    worst = 0.0
+    computed straight from the dense matrix; NaN when a block holds one."""
+    defects = []
     for a, b in _block_slices(spec):
         blk = D_mat[a:b, a:b]
         d = b - a
@@ -158,8 +158,8 @@ def group_defect(D_mat, spec):
         Q[1:, 1:] *= -1.0
         theta2 = (blk @ Q @ blk.T)[0, 0]
         G = blk / np.sqrt(theta2)
-        worst = max(worst, np.linalg.norm(G.T @ Q @ G - Q))
-    return worst
+        defects.append(np.linalg.norm(G.T @ Q @ G - Q))
+    return float(np.max(defects))
 
 
 def choose_omega_oracle(diag):

@@ -16,8 +16,10 @@ from socpath.cones import t_inverse_apply
 from socpath.kkt import increment_bound
 from socpath.problem import compute_residuals
 
-from util import (cold_point, dual_infeasible_lp, infeasible_lp,
-                  interior_vector, random_problem, soc_fixture, toy_lp,
+from oracles import arrow_oracle, group_defect
+from util import (apply_scaling, cold_point, dual_infeasible_lp,
+                  infeasible_lp, interior_vector, r_matrix,
+                  random_automorphism, random_problem, soc_fixture, toy_lp,
                   feasible_problem_with_pair)
 
 GAMMA, DELTA, EPSILON = 0.08, 0.03, 1e-2
@@ -245,8 +247,8 @@ def test_algebraic_bound_suite(contraction_runs):
                 w[o] = (lam[1] + lam[0]) / 2.0
                 w[o + 1:o + d] = (lam[1] - lam[0]) / 2.0 * u
         s = t_inverse_apply(x, w, spec)
-        R = sp.r_matrix(x, s, spec)
-        W = sp.arrow_matrix(sp.w_vector(x, s, spec), spec)
+        R = r_matrix(x, s, spec)
+        W = arrow_oracle(sp.cones.t_apply(x, s, spec), spec)
         eye = np.eye(spec.n)
         cushion = 1e-9 * nu_dot
         assert np.linalg.norm(R - W, 2) <= 2.0 * GAMMA * nu_dot + cushion
@@ -262,10 +264,10 @@ def test_algebraic_bound_suite(contraction_runs):
         e = sp.unit_element(spec)
         mu_pair = (x @ s) / spec.k
         d2_pair = math.sqrt(2.0) * np.linalg.norm(
-            sp.w_vector(x, s, spec) - mu_pair * e)
+            sp.cones.t_apply(x, s, spec) - mu_pair * e)
         for j in range(100):
-            D = sp.random_automorphism(spec, seed=1000 * i + j)
-            xb, sb = sp.apply_scaling(D, x, s)
+            D = random_automorphism(spec, seed=1000 * i + j)
+            xb, sb = apply_scaling(D, x, s)
             other = math.sqrt(2.0) * np.linalg.norm(
                 sp.jordan_product(xb, sb, spec) - mu_pair * e)
             assert d2_pair <= other + 1e-10 * (1.0 + other)
@@ -309,8 +311,8 @@ def test_scaling_invariance():
         base_dinf = sp.dinf(z, spec)
         base_dots = [x[o:o + d] @ s[o:o + d] for o, d in spec.blocks]
         for j in range(100):
-            D = sp.random_automorphism(spec, seed=2000 * i + j)
-            xb, sb = sp.apply_scaling(D, x, s)
+            D = random_automorphism(spec, seed=2000 * i + j)
+            xb, sb = apply_scaling(D, x, s)
             assert sp.membership(xb, spec, strict=True)
             assert sp.membership(sb, spec, strict=True)
             zb = HsdPoint(xb, y, sb, kappa=kappa, tau=tau)
@@ -417,6 +419,6 @@ def test_nt_scaling_contract():
         dense = D.matrix()
         assert np.linalg.norm(dense - dense.T) \
             <= 1e-10 * (1.0 + np.linalg.norm(dense))
-        assert D.group_residual() <= 1e-10
-        assert np.linalg.norm(D.apply(D.apply(s)) - x) \
+        assert group_defect(dense, spec) <= 1e-10
+        assert np.linalg.norm(dense @ (dense @ s) - x) \
             <= 1e-10 * (1.0 + np.linalg.norm(x))

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -368,7 +369,7 @@ class TestWarmstartCommand:
                            "--omega", "1.5", "--epsilon", "1e-2",
                            "--output", tmp_path / "warm.json")
         assert code == 2
-        assert json.loads(err)["error"]["type"] == "ValueError"
+        assert json.loads(err)["error"]["type"] == "InvalidParams"
 
     @pytest.mark.parametrize("tau", [0.0, -1.0])
     def test_previous_solution_without_positive_tau_exits_2(
@@ -571,7 +572,7 @@ class TestBenchCommand:
                            "--epsilon", "1e-2", "--omega", "1.5",
                            "--report", tmp_path / "bench.json")
         assert code == 2
-        assert json.loads(err)["error"]["type"] == "ValueError"
+        assert json.loads(err)["error"]["type"] == "InvalidParams"
         assert calls == []
         assert not (tmp_path / "bench.json").exists()
 
@@ -595,7 +596,7 @@ class TestBenchCommand:
                            "--steps", "2", flag, bound, "--epsilon", "1e-2",
                            "--report", tmp_path / "bench.json")
         assert code == 2
-        assert json.loads(err)["error"]["type"] == "ValueError"
+        assert json.loads(err)["error"]["type"] == "InvalidParams"
         assert not (tmp_path / "bench.json").exists()
 
     @pytest.mark.parametrize("bound", [math.nan, math.inf, -1e-6])
@@ -740,3 +741,37 @@ def test_commands_never_import_scipy_linalg(toy_file, tmp_path):
     importing it afterwards in the same process gives the factors
     `solve_dense` gives, so its _flapack and ours coexist."""
     run_python(IMPORT_GUARD, toy_file, tmp_path)
+
+
+def _raises_value_error(path):
+    """Lines of a file that raise the bare ValueError."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and isinstance(getattr(node.exc, "func", node.exc), ast.Name)
+            and getattr(node.exc, "func", node.exc).id == "ValueError"]
+
+
+def test_every_refusal_is_typed(run, toy_file, tmp_path):
+    """No package module raises the bare ValueError: every refusal is a
+    SocpathError, which the CLI reports with exit 2 or 3 and one line of
+    JSON; the input refusals stay ValueErrors for library callers.  A
+    non-numeric --omega and a negative --steps exit 2 so."""
+    package = Path(sp.__file__).parent
+    assert [line for path in sorted(package.glob("*.py"))
+            for line in _raises_value_error(path)] == []
+    assert issubclass(sp.InvalidConeSpec, ValueError)
+    assert issubclass(sp.InvalidParams, ValueError)
+    assert socpath.cli.INPUT_ERRORS == (sp.SocpathError, OSError)
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"x": [1.0, 1.0], "y": [0.0],
+                                 "s": [1.0, 1.0], "kappa": 1.0, "tau": 1.0}))
+    for argv in (["warmstart", "--prev-problem", toy_file, "--prev-solution",
+                  point, "--problem", toy_file, "--omega", "foo",
+                  "--output", tmp_path / "warm.json"],
+                 ["bench", "--base-problem", toy_file, "--steps", "-1",
+                  "--report", tmp_path / "bench.json"]):
+        code, out, err = run(*argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert issubclass(getattr(sp, error["type"]), sp.SocpathError)

@@ -11,14 +11,15 @@ from socpath import ConeSpec, NotInterior, ScalingMatrix, SocpProblem
 from socpath.fileio import parse_problem, write_problem
 
 from oracles import arrow_oracle, group_defect, spectral_oracle, t_oracle
-from util import boundary_vector, interior_vector, mixed_spec, mixed_specs
+from util import (apply_scaling, boundary_vector, interior_vector, mixed_spec,
+                  mixed_specs, r_matrix, random_automorphism, t_dense)
 
 SQRT3 = np.sqrt(3.0)
 
 
-def t_dense(v, spec):
-    """The dense T_v that NT scaling and r_matrix read."""
-    return sp.cones._t_dense(sp.cones.Spectrum(v, spec))
+def dense_t(v, spec):
+    """The dense T_v whose block-diagonal entries NT scaling reads."""
+    return t_dense(sp.cones.Spectrum(v, spec))
 
 
 def test_spec_basic_counts():
@@ -48,6 +49,9 @@ def test_spec_layout():
     for name in ("heads", "block_of", "tail", "head_of", "q"):
         assert not getattr(spec, name).flags.writeable
     assert spec.hat() is spec.hat()
+    stacked = spec.stacked(3)
+    assert spec.stacked(3) is stacked
+    assert stacked.soc_dims == (1, 1, 1, 4, 1, 3) * 3 and stacked.l == 0
 
 
 def test_spec_tail_groups():
@@ -116,9 +120,10 @@ def test_spec_sizes_unit_and_tail_index_built_once():
 ])
 def test_spec_takes_integers_only(l, soc_dims, error):
     """l and each dimension are Python or numpy integers, stored as int,
-    so that a spec writes to JSON; anything else raises ValueError."""
+    so that a spec writes to JSON; anything else raises InvalidConeSpec,
+    a ValueError."""
     if error is not None:
-        with pytest.raises(ValueError, match=error):
+        with pytest.raises(sp.InvalidConeSpec, match=error):
             ConeSpec(l, soc_dims)
         return
     spec = ConeSpec(l, soc_dims)
@@ -133,7 +138,7 @@ def test_spec_takes_integers_only(l, soc_dims, error):
     (1, (3, 0), "every second-order block dimension must be >= 1"),
 ])
 def test_spec_refuses_negative_l_and_empty_blocks(l, soc_dims, error):
-    with pytest.raises(ValueError, match=error):
+    with pytest.raises(sp.InvalidConeSpec, match=error):
         ConeSpec(l, soc_dims)
 
 
@@ -195,8 +200,7 @@ def test_arrow_matrix_matches_product():
     for spec in mixed_specs(rng, 30):
         u = rng.standard_normal(spec.n)
         v = rng.standard_normal(spec.n)
-        M = sp.arrow_matrix(u, spec)
-        assert np.array_equal(M, arrow_oracle(u, spec))
+        M = arrow_oracle(u, spec)
         assert np.allclose(M @ v, sp.jordan_product(u, v, spec), atol=1e-13)
 
 
@@ -237,12 +241,12 @@ def test_membership_random_consistency():
 class TestTScaling:
     def test_frozen_2d(self):
         spec = ConeSpec(l=0, soc_dims=(2,))
-        T = t_dense(np.array([2.0, 1.0]), spec)
+        T = dense_t(np.array([2.0, 1.0]), spec)
         assert np.allclose(T, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
 
     def test_frozen_3d_with_zero_tail_entry(self):
         spec = ConeSpec(l=0, soc_dims=(3,))
-        T = t_dense(np.array([2.0, 1.0, 0.0]), spec)
+        T = dense_t(np.array([2.0, 1.0, 0.0]), spec)
         want = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, SQRT3]])
         assert np.allclose(T, want, atol=1e-12)
 
@@ -251,14 +255,14 @@ class TestTScaling:
         for _ in range(100):
             spec = mixed_spec(rng)
             v = interior_vector(spec, rng)
-            assert np.abs(t_dense(v, spec) - t_oracle(v, spec)).max() < 1e-10
+            assert np.abs(dense_t(v, spec) - t_oracle(v, spec)).max() < 1e-10
 
     def test_maps_unit_to_v(self):
         rng = np.random.default_rng(43)
         for _ in range(100):
             spec = mixed_spec(rng)
             v = interior_vector(spec, rng)
-            T = t_dense(v, spec)
+            T = dense_t(v, spec)
             assert np.abs(T @ sp.unit_element(spec) - v).max() < 1e-12
 
     def test_square_is_quadratic_representation(self):
@@ -266,7 +270,7 @@ class TestTScaling:
         for _ in range(50):
             spec = mixed_spec(rng)
             v = interior_vector(spec, rng)
-            T = t_dense(v, spec)
+            T = dense_t(v, spec)
             n = spec.n
             Qv = np.zeros((n, n))
             for start, dim in spec.blocks:
@@ -284,7 +288,7 @@ class TestTScaling:
         for spec in mixed_specs(rng, 50):
             v = interior_vector(spec, rng)
             u = rng.standard_normal(spec.n)
-            T = t_dense(v, spec)
+            T = dense_t(v, spec)
             assert np.abs(sp.cones.t_apply(v, u, spec) - T @ u).max() < 1e-11
             got = sp.cones.t_inverse_apply(v, u, spec)
             assert np.abs(T @ got - u).max() < 1e-9 * (1 + np.abs(u).max())
@@ -292,7 +296,7 @@ class TestTScaling:
 
 def test_w_vector_frozen():
     spec = ConeSpec(l=0, soc_dims=(2,))
-    w = sp.w_vector(np.array([2.0, 1.0]), np.array([1.0, 0.0]), spec)
+    w = sp.cones.t_apply(np.array([2.0, 1.0]), np.array([1.0, 0.0]), spec)
     assert np.allclose(w, [2.0, 1.0], atol=1e-12)
 
 
@@ -303,10 +307,10 @@ def test_r_matrix_literal_definition():
         spec = mixed_spec(rng)
         x = interior_vector(spec, rng)
         s = interior_vector(spec, rng)
-        R = sp.r_matrix(x, s, spec)
+        R = r_matrix(x, s, spec)
         T = t_oracle(x, spec)
-        X = sp.arrow_matrix(x, spec)
-        S = sp.arrow_matrix(s, spec)
+        X = arrow_oracle(x, spec)
+        S = arrow_oracle(s, spec)
         want = T @ np.linalg.inv(X) @ S @ T
         assert np.abs(R - want).max() < 1e-8 * (1 + np.abs(want).max())
 
@@ -317,27 +321,15 @@ class TestScalingMatrix:
         spec = mixed_spec(rng)
         D = ScalingMatrix.identity(spec)
         v = rng.standard_normal(spec.n)
-        assert np.array_equal(D.apply(v), v)
-        assert np.array_equal(D.apply_inverse_transpose(v), v)
-        assert D.group_residual() < 1e-15
-
-    def test_apply_consistent_with_dense(self):
-        rng = np.random.default_rng(71)
-        for _ in range(40):
-            spec = mixed_spec(rng)
-            D = sp.random_automorphism(spec, rng)
-            M = D.matrix()
-            Minv = D.inverse_matrix()
-            v = rng.standard_normal(spec.n)
-            assert np.abs(D.apply(v) - M @ v).max() < 1e-10
-            assert np.abs(D.apply_inverse_transpose(v) - Minv.T @ v).max() < 1e-9
+        assert np.array_equal(D.matrix() @ v, v)
+        assert np.array_equal(D.inverse_matrix().T @ v, v)
+        assert group_defect(D.matrix(), spec) < 1e-15
 
     def test_group_residual_small(self):
         rng = np.random.default_rng(73)
         for _ in range(40):
             spec = mixed_spec(rng)
-            D = sp.random_automorphism(spec, rng)
-            assert D.group_residual() < 1e-10
+            D = random_automorphism(spec, rng)
             assert group_defect(D.matrix(), spec) < 1e-10
 
 
@@ -349,9 +341,9 @@ _SPEC_13 = ConeSpec(l=1, soc_dims=(3,))
     (np.eye(4), np.eye(4), [1.0, 1.0, 1.0], sp.DimensionMismatch),
     (np.eye(3), np.eye(4), [1.0, 1.0], sp.DimensionMismatch),
     (np.eye(4), np.eye(5), [1.0, 1.0], sp.DimensionMismatch),
-    (np.eye(4), np.eye(4), [1.0, 0.0], ValueError),
-    (np.eye(4), np.eye(4), [-1.0, 1.0], ValueError),
-    (np.eye(4), np.eye(4), [1.0, np.nan], ValueError),
+    (np.eye(4), np.eye(4), [1.0, 0.0], sp.InvalidParams),
+    (np.eye(4), np.eye(4), [-1.0, 1.0], sp.InvalidParams),
+    (np.eye(4), np.eye(4), [1.0, np.nan], sp.InvalidParams),
 ], ids=["few-thetas", "many-thetas", "D-shape", "D_inv-shape", "zero-theta",
         "negative-theta", "nan-theta"])
 def test_scaling_constructor_rejects(D, D_inv, thetas, error):
@@ -363,30 +355,26 @@ def test_scaling_constructor_rejects(D, D_inv, thetas, error):
 
 @pytest.mark.parametrize("row, col, value", [(2, 2, 1.5), (3, 3, np.nan)],
                          ids=["scaled-tail", "nan-entry"])
-def test_group_residual_flags_non_member(row, col, value):
-    """A scaled tail entry, or a NaN, puts G = D^{-1}/theta outside the
-    group; the NaN must not be read as a zero defect."""
+def test_group_defect_flags_non_member(row, col, value):
+    """A scaled tail entry, or a NaN, puts D/theta outside the group; the
+    NaN must not be read as a zero defect."""
     G = np.eye(4)
     G[row, col] = value
-    thetas = np.array([2.0, 0.5])
-    D_inv = thetas[_SPEC_13.block_of][:, None] * G
-    residual = ScalingMatrix(_SPEC_13, np.eye(4), D_inv, thetas).group_residual()
-    assert not residual <= 1e-10
+    D = np.array([0.5, 2.0])[_SPEC_13.block_of][:, None] * G
+    assert not group_defect(D, _SPEC_13) <= 1e-10
 
 
 def test_random_automorphism_seed0_defining_relation():
     spec = ConeSpec(l=0, soc_dims=(2,))
-    D = sp.random_automorphism(spec, np.random.default_rng(0))
-    assert D.group_residual() < 1e-12
-    # same relation recovered from the dense matrix alone
+    D = random_automorphism(spec, np.random.default_rng(0))
     assert group_defect(D.matrix(), spec) < 1e-12
 
 
 def test_random_automorphism_reproducible():
     rng = np.random.default_rng(77)
     spec = mixed_spec(rng)
-    D1 = sp.random_automorphism(spec, np.random.default_rng(123))
-    D2 = sp.random_automorphism(spec, np.random.default_rng(123))
+    D1 = random_automorphism(spec, np.random.default_rng(123))
+    D2 = random_automorphism(spec, np.random.default_rng(123))
     assert np.array_equal(D1.matrix(), D2.matrix())
 
 
@@ -396,8 +384,8 @@ def test_scaling_preserves_inner_products():
         spec = mixed_spec(rng)
         x = interior_vector(spec, rng)
         s = interior_vector(spec, rng)
-        D = sp.random_automorphism(spec, rng)
-        xb, sb = sp.apply_scaling(D, x, s)
+        D = random_automorphism(spec, rng)
+        xb, sb = apply_scaling(D, x, s)
         ref = x @ s
         assert abs(xb @ sb - ref) <= 1e-10 * abs(ref)
 
@@ -408,8 +396,8 @@ def test_scaling_preserves_blockwise_products_and_interiority():
         spec = mixed_spec(rng)
         x = interior_vector(spec, rng)
         s = interior_vector(spec, rng)
-        D = sp.random_automorphism(spec, rng)
-        xb, sb = sp.apply_scaling(D, x, s)
+        D = random_automorphism(spec, rng)
+        xb, sb = apply_scaling(D, x, s)
         assert sp.membership(xb, spec, strict=True)
         assert sp.membership(sb, spec, strict=True)
         for start, dim in spec.blocks:
@@ -424,10 +412,10 @@ def test_scaling_preserves_joint_spectrum():
         spec = mixed_spec(rng)
         x = interior_vector(spec, rng)
         s = interior_vector(spec, rng)
-        before = sp.spectral_bounds(sp.w_vector(x, s, spec), spec)
-        D = sp.random_automorphism(spec, rng)
-        xb, sb = sp.apply_scaling(D, x, s)
-        after = sp.spectral_bounds(sp.w_vector(xb, sb, spec), spec)
+        before = sp.spectral_bounds(sp.cones.t_apply(x, s, spec), spec)
+        D = random_automorphism(spec, rng)
+        xb, sb = apply_scaling(D, x, s)
+        after = sp.spectral_bounds(sp.cones.t_apply(xb, sb, spec), spec)
         assert np.abs(after - before).max() <= 1e-9 * (1 + np.abs(before).max())
 
 
@@ -441,14 +429,14 @@ def test_pair_distance_minimality():
         s = interior_vector(spec, rng)
         m = (x @ s) / spec.k
         e = sp.unit_element(spec)
-        d2_pair = np.sqrt(2.0) * np.linalg.norm(sp.w_vector(x, s, spec) - m * e)
+        d2_pair = np.sqrt(2.0) * np.linalg.norm(sp.cones.t_apply(x, s, spec) - m * e)
         for _ in range(5):
-            D = sp.random_automorphism(spec, rng)
-            xb, sb = sp.apply_scaling(D, x, s)
+            D = random_automorphism(spec, rng)
+            xb, sb = apply_scaling(D, x, s)
             val = np.sqrt(2.0) * np.linalg.norm(sp.jordan_product(xb, sb, spec) - m * e)
             assert d2_pair <= val + 1e-10
         Dnt = sp.nt_scaling(x, s, spec)
-        xb, sb = sp.apply_scaling(Dnt, x, s)
+        xb, sb = apply_scaling(Dnt, x, s)
         attained = np.sqrt(2.0) * np.linalg.norm(sp.jordan_product(xb, sb, spec) - m * e)
         assert abs(attained - d2_pair) <= 1e-9 * (1.0 + d2_pair)
 
@@ -468,7 +456,7 @@ class TestNtScaling:
             M = D.matrix()
             assert np.abs(M - M.T).max() < 1e-11
             assert np.linalg.eigvalsh(M).min() > 0
-            assert D.group_residual() < 1e-10
+            assert group_defect(M, spec) < 1e-10
             assert np.abs(M @ (M @ s) - x).max() <= 1e-10 * (1 + np.abs(x).max())
 
     def test_equalizes_scaled_pair(self):
@@ -478,7 +466,7 @@ class TestNtScaling:
             x = interior_vector(spec, rng)
             s = interior_vector(spec, rng)
             D = sp.nt_scaling(x, s, spec)
-            xb, sb = sp.apply_scaling(D, x, s)
+            xb, sb = apply_scaling(D, x, s)
             assert np.abs(xb - sb).max() < 1e-9 * (1 + np.abs(xb).max())
 
     def test_rejects_boundary(self):
@@ -561,7 +549,7 @@ def test_t_scaling_matrix_equals_block_by_block_bitwise():
             T[:, 0] = vb
             T.flat[d + 1::d + 1] += beta
             ref[o:o + d, o:o + d] = T
-        assert t_dense(v, spec).tobytes() == ref.tobytes()
+        assert dense_t(v, spec).tobytes() == ref.tobytes()
 
 
 def test_dense_scaling_forms_cached_read_only():
@@ -570,7 +558,7 @@ def test_dense_scaling_forms_cached_read_only():
     x = interior_vector(spec, rng)
     s = interior_vector(spec, rng)
     for D in (sp.nt_scaling(x, s, spec), ScalingMatrix.identity(spec),
-              sp.random_automorphism(spec, rng)):
+              random_automorphism(spec, rng)):
         for dense in (D.matrix, D.inverse_matrix):
             M = dense()
             assert dense() is M
@@ -646,5 +634,5 @@ def test_t_values_equal_masked_outer_bitwise():
         T = np.zeros((spec.n, spec.n))
         T.flat[spec.block_pattern.pos] = sp.cones._t_values(sv)
         assert T.tobytes() == _t_masked_outer(sv).tobytes()
-        assert sp.cones._t_dense(sv).tobytes() == T.tobytes()
+        assert t_dense(sv).tobytes() == T.tobytes()
 

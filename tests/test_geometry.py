@@ -13,8 +13,8 @@ from socpath import (
 )
 
 from oracles import d2_oracle, mu_oracle
-from util import (count_calls, interior_hsd_point, mixed_spec, random_problem,
-                  toy_lp)
+from util import (apply_scaling, count_calls, interior_hsd_point, mixed_spec,
+                  random_automorphism, random_problem, toy_lp)
 
 
 def _rand_z(rng, spec, p=2):
@@ -67,8 +67,8 @@ def test_distances_invariant_under_scaling():
         _, z = _rand_z(rng, spec)
         before2 = sp.d2(z, spec)
         beforei = sp.dinf(z, spec)
-        D = sp.random_automorphism(spec, rng)
-        xb, sb = sp.apply_scaling(D, z.x, z.s)
+        D = random_automorphism(spec, rng)
+        xb, sb = apply_scaling(D, z.x, z.s)
         zb = HsdPoint(x=xb, y=z.y, s=sb, kappa=z.kappa, tau=z.tau)
         assert abs(sp.d2(zb, spec) - before2) <= 1e-9 * (1 + before2)
         assert abs(sp.dinf(zb, spec) - beforei) <= 1e-9 * (1 + beforei)

@@ -12,7 +12,7 @@ from socpath.kkt import KktWorkspace, increment_bound
 
 from oracles import kkt_oracle
 from util import (cold_point, feasible_problem, interior_hsd_point, mixed_spec,
-                  random_problem, toy_lp)
+                  random_automorphism, random_problem, toy_lp)
 
 GAMMA, DELTA = 0.08, 0.03
 
@@ -40,7 +40,7 @@ def _pick_scaling(name, z, spec, rng):
         return ScalingMatrix.identity(spec)
     if name == "nt":
         return sp.nt_scaling(z.x, z.s, spec)
-    return sp.random_automorphism(spec, rng)
+    return random_automorphism(spec, rng)
 
 
 @pytest.mark.parametrize("scaling", ["identity", "nt", "random"])
@@ -200,7 +200,7 @@ def test_scaling_equivalence_with_transformed_problem():
     rng = np.random.default_rng(349)
     for _ in range(20):
         spec, prob, z, m, nu = _setup(rng)
-        D = sp.random_automorphism(spec, rng)
+        D = random_automorphism(spec, rng)
         d = sp.solve_direction(_assemble(prob, z, D, nu))
 
         Dm, Dinv = D.matrix(), D.inverse_matrix()

@@ -8,13 +8,8 @@ import re
 from pathlib import Path
 
 import socpath
-import socpath.analysis
 import socpath.cli
-import socpath.cones
-import socpath.kkt
-import socpath.problem
 import socpath.solver
-import socpath.warmstart
 
 from util import cold_point, toy_lp
 
@@ -163,41 +158,22 @@ def test_every_solver_option_has_a_caller():
     assert [name for name in fields if name not in used] == []
 
 
-# Public functions of the hot path that the acceptance suite and users call
-# but nothing in the package does.
+# Public functions that the acceptance suite and users call but nothing in
+# the package does.
 ENTRY_POINTS = {"membership", "nt_scaling", "jordan_product", "t_inverse_apply",
-                "increment_bound", "scaled_increment_diagnostics"}
-
-
-def _imported_modules(path):
-    """Absolute names of what a package file imports, each name imported
-    from a module also as module.name."""
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            found |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                base = "socpath" + ("." + base if base else "")
-            found.add(base)
-            found |= {f"{base}.{alias.name}" for alias in node.names}
-    return found
+                "increment_bound", "scaled_increment_diagnostics", "d2", "dinf",
+                "warm_start_point", "write_problem"}
 
 
 def test_hot_path_holds_only_what_runs():
-    """cones, kkt and solver define only what a solve, a warm start, the
-    CLI or a listed entry point runs: every public module-level function
-    there is read by a package module other than __init__ (which only
-    re-exports) and analysis (which no solve runs), or is an entry point.
-    No package module but __init__ imports analysis."""
-    package = Path(socpath.__file__).parent
-    paths = sorted(package.glob("*.py"))
+    """Every package module defines only what a solve, a warm start, the
+    CLI or a listed entry point runs: each public module-level function is
+    read by a package module other than __init__ (which only re-exports),
+    or is an entry point, so a function that only tests call fails here."""
+    paths = sorted(Path(socpath.__file__).parent.glob("*.py"))
     readers = set().union(*(_references(path) for path in paths
-                            if path.name not in ("__init__.py", "analysis.py")))
-    functions = [(path.name, node.lineno, node.name)
-                 for path in (package / "cones.py", package / "kkt.py",
-                              package / "solver.py")
+                            if path.name != "__init__.py"))
+    functions = [(path.name, node.lineno, node.name) for path in paths
                  for node in ast.parse(path.read_text()).body
                  if isinstance(node, ast.FunctionDef)
                  and not node.name.startswith("_")]
@@ -205,26 +181,6 @@ def test_hot_path_holds_only_what_runs():
     unread = [f"{file}:{line} {name}" for file, line, name in functions
               if name not in readers | ENTRY_POINTS]
     assert unread == []
-    importers = [path.name for path in paths if path.name != "__init__.py"
-                 and "socpath.analysis" in _imported_modules(path)]
-    assert importers == []
-
-
-ANALYSIS = ("arrow_matrix", "w_vector", "r_matrix", "apply_scaling",
-            "random_automorphism")
-
-
-def test_analysis_objects_live_in_one_module():
-    """The paper's analysis objects are defined in socpath.analysis, reach
-    users as the same objects through the package, and are absent from the
-    modules a solve runs."""
-    for name in ANALYSIS:
-        obj = getattr(socpath.analysis, name)
-        assert obj.__module__ == "socpath.analysis"
-        assert getattr(socpath, name) is obj
-        for module in (socpath.cones, socpath.kkt, socpath.problem,
-                       socpath.solver):
-            assert not hasattr(module, name)
 
 
 def test_cli_only_parses_and_writes():

@@ -1,10 +1,17 @@
-"""Shared generators for the test suite, a call counter and a half-step
-patch of the solver. Everything is seeded."""
+"""Shared generators for the test suite, a call counter, a half-step
+patch of the solver and the paper's dense proof objects, which no solve
+forms. Everything is seeded."""
+
+import math
+from typing import Tuple
 
 import numpy as np
 
 import socpath.solver
-from socpath import ConeSpec, HsdPoint, SocpProblem, cold_start
+from socpath import ConeSpec, HsdPoint, ScalingMatrix, SocpProblem, cold_start
+from socpath.cones import Spectrum, _t_values
+
+from oracles import arrow_oracle
 
 
 def interior_vector(spec, rng, scale=1.0):
@@ -187,3 +194,59 @@ def half_steps(monkeypatch):
         return step(z, direction, 0.5 * alpha)
     monkeypatch.setattr(socpath.solver, "step_point", half_step)
     return alphas
+
+
+def t_dense(v: Spectrum) -> np.ndarray:
+    """Dense block-diagonal T_v of an evaluated interior v."""
+    T = np.zeros((v.spec.n, v.spec.n))
+    T.flat[v.spec.block_pattern.pos] = _t_values(v)
+    return T
+
+
+def r_matrix(x, s, spec: ConeSpec) -> np.ndarray:
+    """Dense T_x mat(x)^{-1} mat(s) T_x.  Requires interior x and s."""
+    xs = Spectrum(x, spec).require_interior("x in r_matrix")
+    Spectrum(s, spec).require_interior("s in r_matrix")
+    T = t_dense(xs)
+    X = arrow_oracle(x, spec)
+    S = arrow_oracle(s, spec)
+    return T @ np.linalg.solve(X, S @ T)
+
+
+def apply_scaling(D: ScalingMatrix, x, s) -> Tuple[np.ndarray, np.ndarray]:
+    """Primal-dual change of variables (D^{-T} x, D s)."""
+    return D.inverse_matrix().T @ x, D.matrix() @ s
+
+
+def random_automorphism(spec: ConeSpec, seed=None) -> ScalingMatrix:
+    """Random member of the scaling group, reproducible from the seed.
+
+    Per SOC block: product of two tail rotations (QR of a Gaussian matrix)
+    and a hyperbolic rotation with angle in [-0.7, 0.7] acting in the
+    (1, 2) coordinate plane; thetas drawn from [0.5, 2].  D is the closed
+    form (Theta G)^{-1} = Q G' Q Theta^{-1}, since G'QG = Q makes Q G' Q
+    the inverse of G.
+    """
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(0.5, 2.0, size=spec.k)
+    G = np.zeros((spec.n, spec.n))
+    for o, d in spec.blocks:
+        Gb = np.eye(d)
+        # both rotations need a tail; an empty tail keeps G = 1
+        for _ in range(2 if d > 1 else 0):
+            R = np.eye(d)
+            if d == 2:
+                R[1, 1] = rng.choice([-1.0, 1.0])
+            else:
+                Qf, Rf = np.linalg.qr(rng.standard_normal((d - 1, d - 1)))
+                R[1:, 1:] = Qf * np.sign(np.diag(Rf))
+            t = rng.uniform(-0.7, 0.7)
+            H = np.eye(d)
+            H[0, 0] = H[1, 1] = math.cosh(t)
+            H[0, 1] = H[1, 0] = math.sinh(t)
+            Gb = R @ H @ Gb
+        G[o:o + d, o:o + d] = Gb
+    q = spec.q
+    th = thetas[spec.block_of]
+    return ScalingMatrix(spec, q[:, None] * G.T * q / th, th[:, None] * G,
+                         thetas)
