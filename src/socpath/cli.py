@@ -86,8 +86,9 @@ def _omega_policy(flag: str) -> Union[str, float]:
         return "max-admissible"
     try:
         return float(flag)
-    except ValueError as exc:
-        raise InvalidParams(str(exc)) from None
+    except ValueError:
+        raise InvalidParams("--omega must be 'auto' or a weight in [0,1], "
+                            f"not {flag!r}") from None
 
 
 def cmd_warmstart(args) -> int:

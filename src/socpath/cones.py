@@ -33,8 +33,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InvalidConeSpec, InvalidParams,
-                     NotInterior)
+from .errors import DimensionMismatch, InvalidConeSpec, NotInterior
 
 
 @dataclass(frozen=True)
@@ -289,43 +288,26 @@ class ScalingMatrix:
 
     Per block i, G_i preserves the reflection form (G_i' Q G_i = Q with
     Q = diag(1, -I)) and theta_i > 0 scales it; linear blocks carry
-    G_i = 1.  A scaling holds read-only copies of its dense D, D^{-1} =
-    Theta G and k-vector of thetas (`nt_scaling` and `identity` hand it
-    fresh arrays to keep).  `is_identity` marks the one built by
-    `identity`, whose products a caller may skip.
+    G_i = 1.  A scaling holds read-only copies of its dense D and
+    D^{-1} = Theta G (`nt_scaling` hands it fresh arrays to keep).  The
+    identity scaling has no object: a Newton step takes D = None for it
+    and skips every product with D.
     """
 
-    is_identity = False
-
-    def __init__(self, spec: ConeSpec, D: np.ndarray, D_inv: np.ndarray,
-                 thetas):
-        thetas = np.array(thetas, dtype=float)
-        if thetas.shape != (spec.k,):
-            raise DimensionMismatch(
-                f"expected {spec.k} thetas, got shape {thetas.shape}")
-        if not np.all(thetas > 0.0):
-            raise InvalidParams("thetas must be positive")
+    def __init__(self, spec: ConeSpec, D: np.ndarray, D_inv: np.ndarray):
         D, D_inv = np.array(D, dtype=float), np.array(D_inv, dtype=float)
         for M in (D, D_inv):
             if M.shape != (spec.n, spec.n):
                 raise DimensionMismatch(
                     f"expected a {spec.n}x{spec.n} matrix, got {M.shape}")
-        self._adopt(spec, D, D_inv, thetas)
+        self._adopt(spec, D, D_inv)
 
-    def _adopt(self, spec, D, D_inv, thetas) -> "ScalingMatrix":
+    def _adopt(self, spec, D, D_inv) -> "ScalingMatrix":
         """Keep the checked arrays, read-only and without a copy."""
-        for M in (D, D_inv, thetas):
+        for M in (D, D_inv):
             M.setflags(write=False)
-        self.spec, self.thetas, self._matrix, self._inverse = \
-            spec, thetas, D, D_inv
+        self.spec, self._matrix, self._inverse = spec, D, D_inv
         return self
-
-    @classmethod
-    def identity(cls, spec: ConeSpec) -> "ScalingMatrix":
-        eye = np.eye(spec.n)
-        scaling = cls.__new__(cls)._adopt(spec, eye, eye, np.ones(spec.k))
-        scaling.is_identity = True
-        return scaling
 
     def matrix(self) -> np.ndarray:
         """Dense D, read-only."""
@@ -366,4 +348,4 @@ def nt_scaling_of(x: Spectrum, s: Spectrum) -> ScalingMatrix:
     D.flat[pat.pos] = eta[pat.block] * T
     # D^{-1} = theta Q T_w Q: head rows and columns off the diagonal negated
     D_inv.flat[pat.pos] = theta[pat.block] * (pat.sign * T)
-    return ScalingMatrix.__new__(ScalingMatrix)._adopt(spec, D, D_inv, theta)
+    return ScalingMatrix.__new__(ScalingMatrix)._adopt(spec, D, D_inv)

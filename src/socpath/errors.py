@@ -19,7 +19,7 @@ class NonFiniteData(SocpathError, ValueError):
 
 class InvalidParams(SocpathError, ValueError):
     """A parameter violates an admissibility condition: a solver setting, a
-    blend weight, a drift bound or count, a scaling's thetas, a status."""
+    blend weight, a drift bound, count or seed, a status."""
 
 
 class InvalidConeSpec(SocpathError, ValueError):

@@ -69,14 +69,14 @@ from dataclasses import dataclass
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 from pathlib import Path
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy
 
 from .cones import (ConeSpec, ScalingMatrix, jordan, t_apply, t_inverse_apply,
                     tail_norms)
-from .errors import DimensionMismatch, SingularSystem
+from .errors import DimensionMismatch, InvalidParams, SingularSystem
 from .geometry import Evaluation, HsdPoint
 from .problem import Residuals, SocpProblem
 
@@ -123,11 +123,12 @@ class KktWorkspace:
     complementarity rows, of lengths p, n+1 and n+1), and what the
     reduced solve reads: the scaled point (xb, sb), Q xb, the head a of
     each entry's block, det per block, g, the diagonal and head column of
-    E and `values`.  Under a scaling other than the identity (`scaled`)
-    it also holds Dh and Dh^{-1} (identities of order n+1 whose leading
-    n x n block the step writes), A_hat Dh' and D c.  `rhs`, `dh`,
-    `dh_inv`, `ad` and `dc` are allocated once; the next step writes over
-    them and the rest.
+    E and `values`.  Under a scaling D (`scaled`) it also holds Dh and
+    Dh^{-1} (identities of order n+1 whose leading n x n block the step
+    writes), A_hat Dh' and D c.  The identity scaling is D = None, whose
+    steps read none of these four: `dh`, `dh_inv`, `ad` and `dc` are None
+    until the first scaled step allocates them.  Each buffer is allocated
+    once; the next step writes over it and the rest.
     """
 
     def __init__(self, problem: SocpProblem):
@@ -172,25 +173,29 @@ class KktWorkspace:
         self.red, self.core_out = np.zeros(N), np.empty(m + p)
         self.residual, self.step = np.empty(p + 2 * m), np.empty(p + 2 * m)
         self.rhs = np.empty(p + 2 * m)
-        self.dh, self.dh_inv = np.eye(m), np.eye(m)
-        self.ad, self.dc = np.empty((p, m)), np.empty(n)
+        self.dh = self.dh_inv = self.ad = self.dc = None
 
 
 def assemble(work: KktWorkspace, z: HsdPoint, ev: Evaluation,
-             D: ScalingMatrix, nu: float, res: Residuals) -> KktWorkspace:
+             D: Optional[ScalingMatrix], nu: float,
+             res: Residuals) -> KktWorkspace:
     """Write the reduced system of the iterate z into the workspace over
     its last step, and return the workspace.  `ev` and `res` are z's
-    `Evaluation` and `Residuals`; mu is ev.mu."""
+    `Evaluation` and `Residuals`; mu is ev.mu.  D is None for the
+    identity scaling, whose step skips every product with D."""
     n, m, p = work.n, work.m, work.p
-    if D.spec.n != n:
+    if D is not None and D.spec.n != n:
         raise DimensionMismatch("scaling and problem cones disagree")
     if z.x.shape != (n,) or z.s.shape != (n,) or z.y.shape != (p,):
         raise DimensionMismatch(
             f"expected a point with x and s of length {n} and y of length "
             f"{p}, got {z.x.size}, {z.s.size} and {z.y.size}")
     hat = work.spec
-    work.scaled = not D.is_identity
+    work.scaled = D is not None
     if work.scaled:
+        if work.dh is None:
+            work.dh, work.dh_inv = np.eye(m), np.eye(m)
+            work.ad, work.dc = np.empty((p, m)), np.empty(n)
         dh, dh_inv = work.dh, work.dh_inv
         dh[:n, :n] = D.matrix()
         dh_inv[:n, :n] = D.inverse_matrix()
@@ -316,8 +321,14 @@ def step_point(z: HsdPoint, direction: NewtonDirection,
 
 
 def centering_nu(delta: float, k: int) -> float:
-    """Fixed centering parameter 1 - delta/sqrt(2(k+1))."""
-    return 1.0 - delta / math.sqrt(2.0 * (k + 1))
+    """Fixed centering parameter 1 - delta/sqrt(2(k+1)).  A delta so small
+    that nu rounds to 1 contracts nothing, and raises InvalidParams."""
+    nu = 1.0 - delta / math.sqrt(2.0 * (k + 1))
+    if not nu < 1.0:
+        raise InvalidParams(f"delta {delta!r} is too small for k={k}: the "
+                            "centering parameter 1 - delta/sqrt(2(k+1)) "
+                            "rounds to 1")
+    return nu
 
 
 def increment_bound(gamma: float, delta: float, k: int) -> float:

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._blas import one_blas_thread
-from .cones import ConeSpec, ScalingMatrix, nt_scaling_of
+from .cones import ConeSpec, nt_scaling_of
 from .errors import (InvalidParams, MaxIterationsExceeded, NotInterior,
                      StartOutsideNeighborhood)
 from .geometry import (Classification, Evaluation, HsdPoint, classify_status,
@@ -103,10 +103,12 @@ def validate_params(gamma: float, delta: float, k: int) -> Tuple[bool, float]:
 
     Evaluates the worst-case post-step centrality coefficient
     G = [4(gamma^2+delta^2)/(1-3gamma)^2] / nu and returns
-    (G < gamma, gamma - G).
+    (G < gamma, gamma - G); G is inf where (1-3gamma)^2 is 0.
     """
     nu = centering_nu(delta, k)
-    coeff = 4.0 * (gamma * gamma + delta * delta) / (1.0 - 3.0 * gamma) ** 2 / nu
+    square = (1.0 - 3.0 * gamma) ** 2
+    coeff = 4.0 * (gamma * gamma + delta * delta) / square / nu \
+        if square else math.inf
     return coeff < gamma, gamma - coeff
 
 
@@ -205,7 +207,6 @@ def solve(problem: SocpProblem, start: HsdPoint,
     trace = SolveTrace(ev.mu, res.rp_norm, res.rd_norm, res.rg_abs,
                        np.recarray(predicted, _TRACE_DTYPE)) \
         if params.trace_enabled else None
-    identity = ScalingMatrix.identity(spec)
     work = KktWorkspace(problem)
     # every iterate's residuals, written over; the shapes were checked above
     res_out = np.empty(problem.p + spec.n)
@@ -213,7 +214,7 @@ def solve(problem: SocpProblem, start: HsdPoint,
         # the points of the steps whose centrality columns are not yet filled
         block = np.empty((min(predicted, TRACE_BLOCK), z.vec.size))
     for iters in range(1, predicted + 1):
-        D = identity if params.scaling == "identity" \
+        D = None if params.scaling == "identity" \
             else nt_scaling_of(ev.x, ev.s)
         direction = solve_direction(assemble(work, z, ev, D, nu, res))
         z = step_point(z, direction, 1.0)

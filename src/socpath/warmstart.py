@@ -349,11 +349,12 @@ def run_bench(base: SocpProblem, steps: int, perturb_a: float,
     solves it cold under the unified stop at `epsilon`, and warm-starts
     from the previous instance's cold solution when diagnostics admit
     an omega.  Fully deterministic for a given seed.  A negative step
-    count, a fixed omega outside [0,1], or a bound that perturb_problem
-    refuses raises InvalidParams before any solve.
+    count or seed, a fixed omega outside [0,1], or a bound that
+    perturb_problem refuses raises InvalidParams before any solve.
     """
-    if steps < 0:
-        raise InvalidParams(f"steps must be >= 0, not {steps!r}")
+    for name, count in (("steps", steps), ("seed", seed)):
+        if count < 0:
+            raise InvalidParams(f"{name} must be >= 0, not {count!r}")
     check_omega(omega_policy)
     check_bounds(perturb_a, perturb_b, perturb_c)
     rng = np.random.default_rng(seed)

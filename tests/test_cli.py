@@ -20,8 +20,9 @@ from socpath.solver import SCALINGS, STOP_MODES
 from socpath.fileio import TRACE_COLUMNS, parse_point, write_problem
 from socpath.warmstart import BENCH_EPSILON, perturb_problem
 
-from util import (count_calls, feasible_problem, half_steps, infeasible_lp,
-                  mixed_spec, random_problem, soc_fixture, toy_lp)
+from util import (assert_typed, count_calls, feasible_problem, half_steps,
+                  infeasible_lp, mixed_spec, random_problem, soc_fixture,
+                  toy_lp)
 
 DATA = Path(__file__).parent / "data"
 
@@ -756,7 +757,8 @@ def test_every_refusal_is_typed(run, toy_file, tmp_path):
     """No package module raises the bare ValueError: every refusal is a
     SocpathError, which the CLI reports with exit 2 or 3 and one line of
     JSON; the input refusals stay ValueErrors for library callers.  A
-    non-numeric --omega and a negative --steps exit 2 so."""
+    non-numeric --omega, whose message says what the flag accepts, and a
+    negative --steps exit 2 so."""
     package = Path(sp.__file__).parent
     assert [line for path in sorted(package.glob("*.py"))
             for line in _raises_value_error(path)] == []
@@ -766,12 +768,111 @@ def test_every_refusal_is_typed(run, toy_file, tmp_path):
     point = tmp_path / "point.json"
     point.write_text(json.dumps({"x": [1.0, 1.0], "y": [0.0],
                                  "s": [1.0, 1.0], "kappa": 1.0, "tau": 1.0}))
-    for argv in (["warmstart", "--prev-problem", toy_file, "--prev-solution",
-                  point, "--problem", toy_file, "--omega", "foo",
-                  "--output", tmp_path / "warm.json"],
-                 ["bench", "--base-problem", toy_file, "--steps", "-1",
-                  "--report", tmp_path / "bench.json"]):
+    omega = "--omega must be 'auto' or a weight in [0,1], not 'foo'"
+    for argv, message in (
+            (["warmstart", "--prev-problem", toy_file, "--prev-solution",
+              point, "--problem", toy_file, "--omega", "foo",
+              "--output", tmp_path / "warm.json"], omega),
+            (["bench", "--base-problem", toy_file, "--steps", "1",
+              "--omega", "foo", "--report", tmp_path / "bench.json"], omega),
+            (["bench", "--base-problem", toy_file, "--steps", "-1",
+              "--report", tmp_path / "bench.json"], "steps must be >= 0, not -1")):
         code, out, err = run(*argv)
         assert code == 2 and out == "" and len(err.splitlines()) == 1
         error = json.loads(err)["error"]
-        assert issubclass(getattr(sp, error["type"]), sp.SocpathError)
+        assert error == {"type": "InvalidParams", "message": message}
+
+
+# a quick run of each command, its outputs relative to the working directory
+QUICK_ARGV = {
+    "solve": ["solve", "--problem", DATA / "drift-1.json", "--output",
+              "solution.json", "--epsilon", "0.5"],
+    "warmstart": ["warmstart", "--prev-problem", DATA / "drift-1.json",
+                  "--prev-solution", DATA / "drift-1.sol.json", "--problem",
+                  DATA / "drift-2.json", "--epsilon", "0.5", "--output",
+                  "warm.json"],
+    "check": ["check", "--problem", DATA / "drift-1.json", "--point",
+              DATA / "drift-1.sol.json"],
+    "bench": ["bench", "--base-problem", DATA / "drift-1.json", "--steps", "1",
+              "--perturb-b", "1e-3", "--epsilon", "0.5", "--report",
+              "bench.json"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    *[(command, "--delta", "1e-17", "rounds to 1")
+      for command in ("solve", "warmstart", "bench")],
+    *[(command, "--gamma", repr(1.0 / 3.0), "margin -inf")
+      for command in ("solve", "warmstart", "bench")],
+    ("bench", "--seed", "-1", "seed must be >= 0, not -1"),
+])
+def test_crash_values_exit_2_before_any_step(monkeypatch, tmp_path, capsys,
+                                             command, flag, value, message):
+    """At delta 1e-17 the centering parameter rounds to 1, which gives no
+    step count, and centering_nu refuses it; at gamma = 1/3 as a float
+    (1 - 3 gamma)^2 is 0, so validate_params finds the pair inadmissible;
+    a negative seed, which numpy's generator refuses, run_bench refuses
+    with the step count.  Each exits 2 with one InvalidParams line before
+    any Newton system is assembled."""
+    steps = count_calls(monkeypatch, socpath.solver, "assemble")
+    monkeypatch.chdir(tmp_path)
+    code = main([str(a) for a in QUICK_ARGV[command] + [flag, value]])
+    err = capsys.readouterr().err
+    error = json.loads(err)["error"]
+    assert code == 2 and len(err.splitlines()) == 1 and steps == []
+    assert error["type"] == "InvalidParams"
+    assert error["message"].endswith(message)
+
+
+# the flags that name an input file: a value from FLAG_VALUES names no
+# file, which exits 2 as an OSError (test_missing_file_exits_2), and the
+# fuzzes of test_fileio.py mutate what such a file holds
+INPUT_FLAGS = ("--problem", "--point", "--prev-problem", "--prev-solution",
+               "--base-problem")
+FLAG_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-308",
+               repr(1.0 / 3.0), "1e-17", "text")
+# valid runs too long for tier-1: eps 1e-308 takes about 1e5 steps
+LONG_RUNS = {(command, "--epsilon", "1e-308")
+             for command in ("solve", "warmstart", "bench")}
+
+
+def _flag_cases():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in QUICK_ARGV:
+        for action in sub.choices[command]._actions:
+            if isinstance(action, argparse._HelpAction) \
+                    or action.option_strings[0] in INPUT_FLAGS:
+                continue
+            flag = action.option_strings[0]
+            for value in FLAG_VALUES:
+                if (command, flag, value) not in LONG_RUNS:
+                    yield pytest.param(command, flag, action, value,
+                                       id=f"{command}{flag}={value}")
+
+
+@pytest.mark.parametrize("command, flag, action, value", _flag_cases())
+def test_every_flag_value_fails_typed(monkeypatch, tmp_path, capsys, command,
+                                      flag, action, value):
+    """Each flag of each command set to each of FLAG_VALUES exits as
+    assert_typed says; delta 1e-17 (or 1e-308), gamma 1/3 and seed -1 are
+    refused with InvalidParams.  The one exit that is not JSON is
+    argparse's own usage error, exit 2, for a value that the flag's `type`
+    (float or int) cannot convert or that is not among its `choices`; it
+    happens exactly for those values."""
+    monkeypatch.chdir(tmp_path)
+    argv = [str(a) for a in QUICK_ARGV[command]] + [f"{flag}={value}"]
+    try:
+        (action.type or str)(value)
+        usage_error = action.choices is not None and value not in action.choices
+    except ValueError:
+        usage_error = True
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        err = capsys.readouterr().err
+        assert usage_error and exc.code == 2
+        assert err.startswith("usage:") and "Traceback" not in err
+        return
+    assert not usage_error
+    assert_typed(code, capsys.readouterr().err, True)

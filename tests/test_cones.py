@@ -317,9 +317,13 @@ def test_r_matrix_literal_definition():
 
 class TestScalingMatrix:
     def test_identity_roundtrip(self):
+        """The identity scaling has no object (a Newton step takes D =
+        None); the NT scaling of the centred pair (e, e) is exactly it."""
         rng = np.random.default_rng(67)
         spec = mixed_spec(rng)
-        D = ScalingMatrix.identity(spec)
+        D = sp.nt_scaling(spec.e, spec.e, spec)
+        assert np.array_equal(D.matrix(), np.eye(spec.n))
+        assert np.array_equal(D.inverse_matrix(), np.eye(spec.n))
         v = rng.standard_normal(spec.n)
         assert np.array_equal(D.matrix() @ v, v)
         assert np.array_equal(D.inverse_matrix().T @ v, v)
@@ -336,21 +340,13 @@ class TestScalingMatrix:
 _SPEC_13 = ConeSpec(l=1, soc_dims=(3,))
 
 
-@pytest.mark.parametrize("D, D_inv, thetas, error", [
-    (np.eye(4), np.eye(4), [1.0], sp.DimensionMismatch),
-    (np.eye(4), np.eye(4), [1.0, 1.0, 1.0], sp.DimensionMismatch),
-    (np.eye(3), np.eye(4), [1.0, 1.0], sp.DimensionMismatch),
-    (np.eye(4), np.eye(5), [1.0, 1.0], sp.DimensionMismatch),
-    (np.eye(4), np.eye(4), [1.0, 0.0], sp.InvalidParams),
-    (np.eye(4), np.eye(4), [-1.0, 1.0], sp.InvalidParams),
-    (np.eye(4), np.eye(4), [1.0, np.nan], sp.InvalidParams),
-], ids=["few-thetas", "many-thetas", "D-shape", "D_inv-shape", "zero-theta",
-        "negative-theta", "nan-theta"])
-def test_scaling_constructor_rejects(D, D_inv, thetas, error):
-    with pytest.raises(error) as info:
-        ScalingMatrix(_SPEC_13, D, D_inv, thetas)
-    assert (error is sp.DimensionMismatch) == isinstance(
-        info.value, sp.DimensionMismatch)
+@pytest.mark.parametrize("D, D_inv", [
+    (np.eye(3), np.eye(4)),
+    (np.eye(4), np.eye(5)),
+], ids=["D-shape", "D_inv-shape"])
+def test_scaling_constructor_rejects(D, D_inv):
+    with pytest.raises(sp.DimensionMismatch):
+        ScalingMatrix(_SPEC_13, D, D_inv)
 
 
 @pytest.mark.parametrize("row, col, value", [(2, 2, 1.5), (3, 3, np.nan)],
@@ -557,35 +553,30 @@ def test_dense_scaling_forms_cached_read_only():
     spec = ConeSpec(l=2, soc_dims=(3, 1, 4))
     x = interior_vector(spec, rng)
     s = interior_vector(spec, rng)
-    for D in (sp.nt_scaling(x, s, spec), ScalingMatrix.identity(spec),
-              random_automorphism(spec, rng)):
+    for D in (sp.nt_scaling(x, s, spec), random_automorphism(spec, rng)):
         for dense in (D.matrix, D.inverse_matrix):
             M = dense()
             assert dense() is M
             assert not M.flags.writeable
             with pytest.raises(ValueError):
                 M[0, 0] = 2.0
-    assert np.array_equal(ScalingMatrix.identity(spec).matrix(), np.eye(spec.n))
 
 
 def test_scaling_owns_its_storage():
     """A scaling copies what it is built from: a later write to the
-    caller's D or thetas reaches neither its D nor the thetas whose
-    positivity it checked."""
-    D, thetas = np.eye(3), np.ones(2)
-    scaling = ScalingMatrix(ConeSpec(1, (2,)), D, np.eye(3), thetas)
+    caller's D reaches neither its D nor its D^{-1}."""
+    D = np.eye(3)
+    scaling = ScalingMatrix(ConeSpec(1, (2,)), D, D)
     D[0, 0] = 5.0
-    thetas[0] = -1.0
     assert scaling.matrix()[0, 0] == 1.0
-    assert scaling.thetas.tolist() == [1.0, 1.0]
-    assert not scaling.thetas.flags.writeable
+    assert scaling.inverse_matrix()[0, 0] == 1.0
 
 
 def test_scaling_leaves_caller_arrays_writable():
     """The constructor freezes views of D and D^{-1}, not the arrays the
     caller passed in."""
     D, D_inv = np.eye(3), np.eye(3)
-    scaling = ScalingMatrix(ConeSpec(1, (2,)), D, D_inv, np.ones(2))
+    scaling = ScalingMatrix(ConeSpec(1, (2,)), D, D_inv)
     D[0, 0] = 2.0
     D_inv[1, 1] = 3.0
     assert not scaling.matrix().flags.writeable

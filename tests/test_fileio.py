@@ -19,8 +19,8 @@ from socpath.fileio import (TRACE_COLUMNS, parse_point, parse_problem,
 from socpath.geometry import Evaluation
 from socpath.solver import TRACE_VALUES
 
-from util import (cold_point, count_calls, infeasible_lp, mixed_spec,
-                  random_problem, toy_lp)
+from util import (assert_typed, cold_point, count_calls, infeasible_lp,
+                  mixed_spec, random_problem, toy_lp)
 
 
 MINIMAL_DOC = {
@@ -227,22 +227,7 @@ def test_mutated_problem_fails_typed(tmp_path, capsys, path, value):
         problem.write_text(text)
         code = main(["solve", "--problem", str(problem), "--output",
                      str(tmp_path / "s.json"), "--epsilon", "0.5"])
-    _assert_typed(code, capsys.readouterr().err, parsed)
-
-
-def _assert_typed(code, err, parsed):
-    """A command exits 0 with nothing on stderr, or 2 or 3 with one line
-    of JSON that names a SocpathError, and 2 with a ParseError when its
-    file did not parse; never with a traceback."""
-    assert "Traceback" not in err
-    if parsed and code == 0:
-        assert err == ""
-        return
-    assert code in (2, 3) and len(err.splitlines()) == 1
-    error = json.loads(err)["error"]
-    assert issubclass(getattr(sp.errors, error["type"]), SocpathError)
-    if not parsed:
-        assert code == 2 and error["type"] == "ParseError"
+    assert_typed(code, capsys.readouterr().err, parsed)
 
 
 POINT_DOC = {"x": [1.0, 1.0], "y": [0.0], "s": [1.0, 1.0], "kappa": 1.0,
@@ -258,7 +243,7 @@ def test_mutated_point_fails_typed(tmp_path, capsys, path, value):
     """One member of a point for MINIMAL_DOC's problem, mutated, either
     parses or raises a SocpathError; `socpath check` on it and `socpath
     warmstart` from it as the previous solution each exit as
-    _assert_typed says."""
+    assert_typed says."""
     text = _mutated(path, value, POINT_DOC)
     try:
         parse_point(text)
@@ -274,7 +259,7 @@ def test_mutated_point_fails_typed(tmp_path, capsys, path, value):
                   point, "--problem", problem, "--epsilon", "0.5",
                   "--output", tmp_path / "s.json"]):
         code = main([str(a) for a in argv])
-        _assert_typed(code, capsys.readouterr().err, parsed)
+        assert_typed(code, capsys.readouterr().err, parsed)
 
 
 @pytest.mark.parametrize("key", ["x", "s", "kappa", "tau"])

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import socpath as sp
-from socpath import (DimensionMismatch, HsdPoint, ScalingMatrix,
-                     SingularSystem, SocpProblem)
+from socpath import DimensionMismatch, HsdPoint, SingularSystem, SocpProblem
 from socpath.kkt import KktWorkspace, increment_bound
 
 from oracles import kkt_oracle
@@ -36,11 +35,19 @@ def _assemble(prob, z, D, nu, work=None):
 
 
 def _pick_scaling(name, z, spec, rng):
+    """The scaling `name`; the identity is None."""
     if name == "identity":
-        return ScalingMatrix.identity(spec)
+        return None
     if name == "nt":
         return sp.nt_scaling(z.x, z.s, spec)
     return random_automorphism(spec, rng)
+
+
+def _dense(D, spec):
+    """Dense D and D^{-1}, the identity's for None."""
+    if D is None:
+        return np.eye(spec.n), np.eye(spec.n)
+    return D.matrix(), D.inverse_matrix()
 
 
 @pytest.mark.parametrize("scaling", ["identity", "nt", "random"])
@@ -50,9 +57,7 @@ def test_direction_matches_five_block_oracle(scaling):
         spec, prob, z, m, nu = _setup(rng)
         D = _pick_scaling(scaling, z, spec, rng)
         direction = sp.solve_direction(_assemble(prob, z, D, nu))
-        ox, oy, os_, okap, otau = kkt_oracle(
-            prob, z, D.matrix(), D.inverse_matrix(), nu, m
-        )
+        ox, oy, os_, okap, otau = kkt_oracle(prob, z, *_dense(D, spec), nu, m)
         scale = 1 + max(np.abs(ox).max(), np.abs(os_).max(), abs(okap), abs(otau))
         assert np.abs(direction.dx - ox).max() < 1e-10 * scale
         assert np.abs(direction.dy - oy).max() < 1e-10 * scale
@@ -82,7 +87,7 @@ def test_direction_satisfies_row_equations(scaling):
         r3 = b @ d.dy - c @ d.dx - d.dkappa + one * (b @ z.y - c @ z.x - z.kappa)
         assert abs(r3) < tol
 
-        Dm, Dinv = D.matrix(), D.inverse_matrix()
+        Dm, Dinv = _dense(D, spec)
         xbar, sbar = Dinv.T @ z.x, Dm @ z.s
         lhs = sp.jordan_product(sbar, Dinv.T @ d.dx, spec) + sp.jordan_product(
             xbar, Dm @ d.ds, spec
@@ -97,7 +102,7 @@ def test_solve_diagnostics_bounds():
     rng = np.random.default_rng(313)
     for _ in range(30):
         spec, prob, z, m, nu = _setup(rng)
-        d = sp.solve_direction(_assemble(prob, z, ScalingMatrix.identity(spec), nu))
+        d = sp.solve_direction(_assemble(prob, z, None, nu))
         assert d.system_residual <= 1e-10
         assert d.orthogonality_defect <= 1e-9 * (spec.k + 1) * m
 
@@ -116,7 +121,7 @@ def test_fractional_step_contraction():
     rng = np.random.default_rng(331)
     for _ in range(20):
         spec, prob, z, m, nu = _setup(rng)
-        d = sp.solve_direction(_assemble(prob, z, ScalingMatrix.identity(spec), nu))
+        d = sp.solve_direction(_assemble(prob, z, None, nu))
         r0 = sp.compute_residuals(prob, z)
         for alpha in (0.25, 0.5, 1.0):
             za = sp.step_point(z, d, alpha)
@@ -134,7 +139,7 @@ def test_centered_pure_centering_gives_zero_direction():
         spec = mixed_spec(rng)
         prob = random_problem(spec, 2, rng)
         z = interior_hsd_point(prob, rng, centered=True)
-        d = sp.solve_direction(_assemble(prob, z, ScalingMatrix.identity(spec), 1.0))
+        d = sp.solve_direction(_assemble(prob, z, None, 1.0))
         scale = max(1.0, np.abs(z.x).max())
         for part in (d.dx, d.dy, d.ds):
             assert np.abs(part).max() < 1e-11 * scale
@@ -145,7 +150,7 @@ def test_centered_pure_centering_gives_zero_direction():
 def test_nu_one_zeroes_affine_rows():
     rng = np.random.default_rng(347)
     spec, prob, z, m, _ = _setup(rng)
-    system = _assemble(prob, z, ScalingMatrix.identity(spec), 1.0)
+    system = _assemble(prob, z, None, 1.0)
     # the primal and dual row blocks carry a (1-nu) factor
     p = prob.p
     assert np.abs(system.rhs[:p]).max() == 0.0
@@ -159,7 +164,7 @@ def test_affine_rows_read_the_iterate_residuals():
     spec, prob, z, m, nu = _setup(rng)
     res = sp.compute_residuals(prob, z)
     expected = -(1.0 - nu) * np.concatenate((res.r_p, res.r_d, (-res.r_g,)))
-    system = _assemble(prob, z, ScalingMatrix.identity(spec), nu)
+    system = _assemble(prob, z, None, nu)
     affine = system.rhs[:prob.p + prob.n + 1]
     assert affine.tobytes() == expected.tobytes()
 
@@ -171,7 +176,7 @@ def test_identity_step_reads_the_evaluation_spectra():
     rng = np.random.default_rng(359)
     for _ in range(10):
         spec, prob, z, _, nu = _setup(rng)
-        system = _assemble(prob, z, ScalingMatrix.identity(spec), nu)
+        system = _assemble(prob, z, None, nu)
         hat, xh = spec.hat(), z.vec[:spec.n + 1]
         head, t = xh[hat.heads], sp.cones.tail_norms(xh, hat)
         det = (head - t) * (head + t)
@@ -189,7 +194,7 @@ def test_feasible_start_has_zero_primal_rhs():
     prob = SocpProblem(A=A, b=A @ e, c=e.copy(), cones=spec)
     z = cold_point(prob)
     assert sp.compute_residuals(prob, z).rp_norm == 0.0
-    system = _assemble(prob, z, ScalingMatrix.identity(spec),
+    system = _assemble(prob, z, None,
                        sp.centering_nu(DELTA, spec.k))
     assert not np.any(system.rhs[:prob.p])
 
@@ -211,7 +216,7 @@ def test_scaling_equivalence_with_transformed_problem():
             x=Dinv.T @ z.x, y=z.y, s=Dm @ z.s, kappa=z.kappa, tau=z.tau
         )
         td = sp.solve_direction(
-            _assemble(tprob, tz, ScalingMatrix.identity(spec), nu)
+            _assemble(tprob, tz, None, nu)
         )
         back_dx = Dm.T @ td.dx
         back_ds = Dinv @ td.ds
@@ -257,15 +262,34 @@ def test_scaling_sequence_matches_fresh_workspaces():
         assert shared.system_residual == fresh.system_residual
 
 
+def test_identity_step_is_the_dense_identity_step():
+    """D = None gives, to the byte, the direction that a dense D = I gives
+    through every product the scaled step forms."""
+    rng = np.random.default_rng(383)
+    for _ in range(10):
+        spec, prob, z, m, nu = _setup(rng)
+        eye = sp.ScalingMatrix(spec, np.eye(spec.n), np.eye(spec.n))
+        skipped = sp.solve_direction(_assemble(prob, z, None, nu))
+        formed = sp.solve_direction(_assemble(prob, z, eye, nu))
+        assert skipped.vec.tobytes() == formed.vec.tobytes()
+        assert skipped.system_residual == formed.system_residual
+
+
 def test_nt_step_writes_into_the_workspace_buffers():
-    """An NT step writes its right-hand side, Dh, Dh^{-1}, A_hat Dh' and
-    D c into the arrays the workspace allocated; Dh and Dh^{-1} keep the
-    last row and column of the identity."""
+    """The workspace holds no Dh, Dh^{-1}, A_hat Dh' or D c before its
+    first NT step, and an identity step makes none.  The first NT step
+    allocates them, and every later one writes its right-hand side and
+    these four into the same arrays; Dh and Dh^{-1} keep the last row and
+    column of the identity."""
     rng = np.random.default_rng(379)
     spec, prob, z, m, nu = _setup(rng)
     work = KktWorkspace(prob)
     names = ("rhs", "dh", "dh_inv", "ad", "dc")
+    _assemble(prob, z, None, nu, work)
+    assert [getattr(work, name) for name in names[1:]] == [None] * 4
+    _assemble(prob, z, sp.nt_scaling(z.x, z.s, spec), nu, work)
     before = [getattr(work, name) for name in names]
+    z = interior_hsd_point(prob, rng)
     D = sp.nt_scaling(z.x, z.s, spec)
     assert _assemble(prob, z, D, nu, work) is work
     assert all(getattr(work, name) is held
@@ -277,16 +301,18 @@ def test_nt_step_writes_into_the_workspace_buffers():
 
 
 def test_nt_step_allocates_no_matrix():
-    """Once its workspace exists, an NT step writes Dh, Dh^{-1} and A_hat Dh'
-    into the workspace's buffers: its allocations peak below one p x (n+1)
-    array, the smaller of the two matrix shapes.  The evaluation and the
-    residuals, which solve holds already, are built before the count."""
+    """After its workspace's first NT step, which allocates Dh, Dh^{-1} and
+    A_hat Dh', an NT step writes them into those buffers: its allocations
+    peak below one p x (n+1) array, the smaller of the two matrix shapes.
+    The evaluation and the residuals, which solve holds already, are
+    built before the count."""
     prob = feasible_problem(sp.ConeSpec(l=20, soc_dims=(30, 40, 30)), 60,
                             np.random.default_rng(5))
     spec, z = prob.cones, cold_point(prob)
     D, ev = sp.nt_scaling(z.x, z.s, spec), sp.Evaluation(z, spec)
     nu, res = sp.centering_nu(DELTA, spec.k), sp.compute_residuals(prob, z)
     work = KktWorkspace(prob)
+    sp.solve_direction(sp.assemble(work, z, ev, D, nu, res))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -309,7 +335,7 @@ def test_singular_system_raises():
     z = sp.cold_start(spec, p=2)
     nu = sp.centering_nu(DELTA, spec.k)
     with pytest.raises(SingularSystem):
-        sp.solve_direction(_assemble(prob, z, ScalingMatrix.identity(spec), nu))
+        sp.solve_direction(_assemble(prob, z, None, nu))
 
 
 @pytest.mark.parametrize("order", [1, 37, 191])
@@ -359,7 +385,7 @@ def test_non_finite_direction_raises(monkeypatch):
     monkeypatch.setattr(sp.kkt, "solve_dense", nan_solve)
     prob = toy_lp()
     system = _assemble(prob, cold_point(prob),
-                       ScalingMatrix.identity(prob.cones), 0.9)
+                       None, 0.9)
     with pytest.raises(SingularSystem, match="not finite"):
         sp.solve_direction(system)
 
@@ -370,13 +396,13 @@ def test_assemble_checks_the_scaling_and_the_point():
     prob = toy_lp()
     z, work = cold_point(prob), KktWorkspace(prob)
     ev, res = sp.Evaluation(z, prob.cones), sp.compute_residuals(prob, z)
-    identity = ScalingMatrix.identity(prob.cones)
-    other = ScalingMatrix.identity(sp.ConeSpec(l=3, soc_dims=()))
+    other = sp.ConeSpec(l=3, soc_dims=())
     with pytest.raises(DimensionMismatch, match="scaling and problem"):
-        sp.assemble(work, z, ev, other, 0.9, res)
+        sp.assemble(work, z, ev, sp.nt_scaling(other.e, other.e, other), 0.9,
+                    res)
     long_y = HsdPoint(x=z.x, y=np.zeros(2), s=z.s, kappa=1.0, tau=1.0)
     with pytest.raises(DimensionMismatch, match="got 2, 2 and 2"):
-        sp.assemble(work, long_y, ev, identity, 0.9, res)
+        sp.assemble(work, long_y, ev, None, 0.9, res)
 
 
 def test_increment_bound_frozen():
@@ -392,7 +418,7 @@ def test_scaled_increment_diagnostics_on_toy_lp():
     z = sp.cold_start(spec, p=1)
     m = sp.mu(z, spec)
     nu = sp.centering_nu(DELTA, spec.k)
-    d = sp.solve_direction(_assemble(prob, z, ScalingMatrix.identity(spec), nu))
+    d = sp.solve_direction(_assemble(prob, z, None, nu))
     nx, ns, bound = sp.scaled_increment_diagnostics(z, d, spec, GAMMA, DELTA)
     assert nx <= bound / 2.0
     assert ns <= bound * m
@@ -411,7 +437,7 @@ def test_direction_owns_its_vector(scaling):
     assert not np.shares_memory(first.vec, second.vec)
     for buffer in (work.red, work.core_out, work.residual, work.step,
                    work.matrix, work.rhs, work.dh, work.dh_inv, work.ad):
-        assert not np.shares_memory(first.vec, buffer)
+        assert buffer is None or not np.shares_memory(first.vec, buffer)
     n = spec.n
     assert first.vec.tolist() == [*first.dx, first.dtau, *first.dy,
                                   *first.ds, first.dkappa]
@@ -429,7 +455,7 @@ def test_step_point_equals_the_five_separate_steps_bitwise():
     for _ in range(10):
         spec, prob, z, m, nu = _setup(rng)
         d = sp.solve_direction(
-            _assemble(prob, z, ScalingMatrix.identity(spec), nu))
+            _assemble(prob, z, None, nu))
         for alpha in (1.0, 0.37):
             stepped = sp.step_point(z, d, alpha)
             for got, base, inc in ((stepped.x, z.x, d.dx), (stepped.y, z.y, d.dy),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,10 @@ def test_problem_without_rows_solves():
 def test_centering_nu_frozen():
     assert abs(sp.centering_nu(0.03, 3) - NU_K3) < 1e-15
     assert abs(sp.centering_nu(0.03, 2) - NU_K2) < 1e-15
+    # a delta too small to move nu below 1 gives no step count
+    assert sp.centering_nu(1e-15, 3) < 1.0
+    with pytest.raises(InvalidParams, match="rounds to 1"):
+        sp.centering_nu(1e-17, 3)
 
 
 def test_validate_params_default_pair():
@@ -88,6 +93,8 @@ def test_validate_params_rejects_tiny_gamma():
 def test_validate_params_rejects_large_gamma():
     ok, _ = sp.validate_params(0.32, 0.03, 3)
     assert not ok
+    # (1 - 3 gamma)^2 is exactly 0 at gamma = 1/3 as a float
+    assert sp.validate_params(1.0 / 3.0, 0.03, 3) == (False, -math.inf)
 
 
 class TestPredictedIterations:
@@ -442,6 +449,40 @@ def test_newton_system_reads_what_solve_holds(monkeypatch, scaling):
                    SolverParams(epsilon=1e-2, scaling=scaling))
     assert res.iterations > 0
     assert len(norms) == (res.iterations if scaling == "nt" else 0)
+
+
+def test_identity_solve_forms_no_scaling(monkeypatch):
+    """An identity solve builds no ScalingMatrix and no identity matrix:
+    its Newton steps take D = None and skip every product with D."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an identity solve formed a scaling")
+    prob = feasible_problem(sp.ConeSpec(l=2, soc_dims=(3, 3)), 2,
+                            np.random.default_rng(443))
+    monkeypatch.setattr(np, "eye", refuse)
+    monkeypatch.setattr(sp.ScalingMatrix, "_adopt", refuse)
+    res = sp.solve(prob, cold_point(prob), SolverParams(epsilon=1e-2))
+    assert res.status.status == "optimal"
+
+
+def test_identity_solve_peak_memory():
+    """An untraced identity solve on the dense-kkt benchmark's shape
+    (n=120, p=60) peaks under 800 KiB of traced allocations, about
+    690 KiB.  A dense identity D with the workspace's Dh, Dh^{-1} and
+    A_hat Dh' would add some 400 KiB that no identity step reads.  A
+    first solve of the same problem fills the caches before the count."""
+    prob = feasible_problem(sp.ConeSpec(l=20, soc_dims=(10,) * 10), 60,
+                            np.random.default_rng(449))
+    start = cold_point(prob)
+    params = SolverParams(epsilon=0.5, trace_enabled=False)
+    sp.solve(prob, start, params)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sp.solve(prob, start, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 800 * 1024
 
 
 def test_more_rows_than_embedding_columns_rejected(monkeypatch):

@@ -1,14 +1,16 @@
 """Shared generators for the test suite, a call counter, a half-step
-patch of the solver and the paper's dense proof objects, which no solve
-forms. Everything is seeded."""
+patch of the solver, the check of a command's exit and the paper's dense
+proof objects, which no solve forms. Everything is seeded."""
 
+import json
 import math
 from typing import Tuple
 
 import numpy as np
 
 import socpath.solver
-from socpath import ConeSpec, HsdPoint, ScalingMatrix, SocpProblem, cold_start
+from socpath import (ConeSpec, HsdPoint, ScalingMatrix, SocpathError,
+                     SocpProblem, cold_start)
 from socpath.cones import Spectrum, _t_values
 
 from oracles import arrow_oracle
@@ -182,6 +184,21 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def assert_typed(code, err, parsed):
+    """A command exits 0 with nothing on stderr, or 2 or 3 with one line
+    of JSON that names a SocpathError, and 2 with a ParseError when its
+    file did not parse; never with a traceback."""
+    assert "Traceback" not in err
+    if parsed and code == 0:
+        assert err == ""
+        return
+    assert code in (2, 3) and len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert issubclass(getattr(socpath.errors, error["type"]), SocpathError)
+    if not parsed:
+        assert code == 2 and error["type"] == "ParseError"
+
+
 def half_steps(monkeypatch):
     """Make solve take each step at half the length it asks for, so that
     no step contracts mu and the residuals by nu.  Returns the list of the
@@ -248,5 +265,4 @@ def random_automorphism(spec: ConeSpec, seed=None) -> ScalingMatrix:
         G[o:o + d, o:o + d] = Gb
     q = spec.q
     th = thetas[spec.block_of]
-    return ScalingMatrix(spec, q[:, None] * G.T * q / th, th[:, None] * G,
-                         thetas)
+    return ScalingMatrix(spec, q[:, None] * G.T * q / th, th[:, None] * G)
